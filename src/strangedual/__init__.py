@@ -14,11 +14,9 @@ from .polyring import (
     Polynomial,
     Substitution,
     QuasiFailure,
-    arith,
     format_poly,
     parse_poly,
     quasi_degree,
-    substitute,
 )
 from .invertible import (
     DiagonalGroup,
@@ -27,7 +25,7 @@ from .invertible import (
     WeightSolution,
     bh_transpose,
     canonical_weights,
-    from_polynomial,
+    from_terms,
     grading_operator,
     smith_normal_form,
     symmetry_group,
@@ -37,17 +35,15 @@ from .matfac import (
     FactorizationTriple,
     factor_poly,
     lift,
-    lift_raw,
     reduce,
     verify_factorization,
 )
 from .series import (
     FrameProduct,
-    IntPolynomial,
+    UniPolynomial,
     WeightSystem,
     format_frame,
     frame_expand,
-    frame_mul,
     frame_to_polynomial,
     or_polynomial,
     parse_frame,

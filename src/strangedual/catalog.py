@@ -25,7 +25,7 @@ from typing import Iterable
 
 from . import matfac as mf
 from .coxeter import charpoly_S
-from .invertible import ExponentMatrix, bh_transpose, from_term_sequence
+from .invertible import ExponentMatrix, bh_transpose, from_terms
 from .orbits import CStarAction, dolgachev_pair, split_newton
 from .polyring import Polynomial, QuasiFailure, Substitution, parse_poly, quasi_degree
 from .series import (
@@ -192,7 +192,7 @@ class SeriesEntry:
     def exponent_matrix(self) -> ExponentMatrix:
         """Exponent matrix of the four-term polynomial, rows in the
         catalog's stored term order (the order transposition respects)."""
-        return from_term_sequence(self.duality_terms, allow_singular=True)
+        return from_terms(self.duality_terms, allow_singular=True)
 
     def dolgachev_flat(self) -> tuple[int, int, int, int]:
         return self.dolgachev[0] + self.dolgachev[1]

@@ -21,7 +21,7 @@ from . import invertible as inv
 from . import matfac as mf
 from .coxeter import charpoly_Pi, charpoly_S, emit_graph
 from .orbits import CStarAction, OrbitError, dolgachev_pair, exceptional_orbits, split_newton
-from .polyring import PolynomialError, parse_poly, parse_poly_terms
+from .polyring import Polynomial, PolynomialError, parse_poly, parse_poly_terms
 from .series import (
     SeriesError,
     format_frame,
@@ -63,15 +63,16 @@ def _parse_terms(text: str):
 
 def _cmd_transpose(args) -> int:
     # Row order follows the written term order, as in the tables.
-    matrix = inv.from_term_sequence(
-        _parse_terms(args.poly), _vars_list(args.vars), allow_singular=True
-    )
+    matrix = inv.from_terms(_parse_terms(args.poly), _vars_list(args.vars), allow_singular=True)
     print(inv.bh_transpose(matrix).to_polynomial())
     return 0
 
 
 def _cmd_weights(args) -> int:
-    matrix = inv.from_polynomial(_parse(args.poly), _vars_list(args.vars), allow_singular=True)
+    # Rows in canonical term order, like terms combined; the results do not
+    # depend on the row order once the determinant is made non-negative.
+    terms = [Polynomial({mono: coeff}) for mono, coeff in _parse(args.poly).terms()]
+    matrix = inv.from_terms(terms, _vars_list(args.vars), allow_singular=True).oriented()
     solution = inv.canonical_weights(matrix)
     raw = ",".join(str(w) for w in solution.weights)
     red = ",".join(str(w) for w in solution.reduced_weights)

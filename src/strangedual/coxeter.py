@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import IntPolynomial
+from .series import UniPolynomial
 
 __all__ = [
     "GabrielovQuadruple",
@@ -58,9 +58,9 @@ class GabrielovQuadruple:
         return f"{g[0]},{g[1]};{g[2]},{g[3]}"
 
 
-def _geometric(n: int) -> IntPolynomial:
+def _geometric(n: int) -> UniPolynomial:
     """(t^n - 1)/(t - 1) = 1 + t + ... + t^(n-1); zero for n = 0."""
-    return IntPolynomial([1] * n)
+    return UniPolynomial([1] * n)
 
 
 def _as_quadruple(gamma) -> GabrielovQuadruple:
@@ -69,17 +69,17 @@ def _as_quadruple(gamma) -> GabrielovQuadruple:
     return GabrielovQuadruple(tuple(int(g) for g in gamma))
 
 
-def charpoly_S(gamma) -> IntPolynomial:
+def charpoly_S(gamma) -> UniPolynomial:
     """Characteristic polynomial of the Coxeter element of the S-graph."""
     quad = _as_quadruple(gamma)
     gs = quad.gammas
-    head = IntPolynomial([1, -2, -2, 1])  # t^3 - 2t^2 - 2t + 1
+    head = UniPolynomial([1, -2, -2, 1])  # t^3 - 2t^2 - 2t + 1
     arms = [_geometric(g) for g in gs]
-    product = IntPolynomial.one()
+    product = UniPolynomial.one()
     for arm in arms:
         product = product * arm
     result = head * product
-    t_squared = IntPolynomial([0, 0, 1])
+    t_squared = UniPolynomial([0, 0, 1])
     for i in range(4):
         term = _geometric(gs[i] - 1)
         for j in range(4):
@@ -89,9 +89,9 @@ def charpoly_S(gamma) -> IntPolynomial:
     return result
 
 
-def charpoly_Pi(gamma) -> IntPolynomial:
+def charpoly_Pi(gamma) -> UniPolynomial:
     """Characteristic polynomial for the Pi-graph: (1 - t)^2 * charpoly_S."""
-    one_minus_t_sq = IntPolynomial([1, -2, 1])
+    one_minus_t_sq = UniPolynomial([1, -2, 1])
     return one_minus_t_sq * charpoly_S(gamma)
 
 

@@ -13,6 +13,12 @@ one-dimensional kernel, and transposition, kernel checks and row-set
 comparisons are exactly the operations the duality needs there.  The
 weight/grading/symmetry operations require det E != 0 and raise
 :class:`SingularMatrixError` otherwise.
+
+:func:`from_terms` is the one constructor from polynomial data: one row
+per single-term polynomial, in the order the caller gives.  It does not
+reorder rows; :meth:`ExponentMatrix.oriented` swaps the first two rows
+when det E < 0, for callers that want the weight system with positive
+degree.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ __all__ = [
     "InvertibleError",
     "TermCountError",
     "SingularMatrixError",
-    "from_polynomial",
+    "from_terms",
     "bh_transpose",
     "canonical_weights",
     "grading_operator",
@@ -120,6 +126,16 @@ class ExponentMatrix:
             for vec in _linalg.nullspace([list(row) for row in self.rows])
         ]
 
+    def oriented(self) -> "ExponentMatrix":
+        """The matrix with det E >= 0: a negative determinant swaps the
+        first two rows, each keeping its coefficient."""
+        if self.det() >= 0:
+            return self
+        rows, coeffs = self.rows, self.coefficients
+        return ExponentMatrix(
+            (rows[1], rows[0]) + rows[2:], self.variables, (coeffs[1], coeffs[0]) + coeffs[2:]
+        )
+
     def to_polynomial(self) -> Polynomial:
         var_index = {v: VARIABLES.index(v) for v in self.variables}
         table = {}
@@ -135,65 +151,33 @@ class ExponentMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
 
 
-def from_polynomial(
-    p: Polynomial,
-    active_vars=VARIABLES,
-    *,
-    allow_singular: bool = False,
-) -> ExponentMatrix:
-    """Exponent matrix of ``p`` over ``active_vars``.
-
-    The polynomial must have exactly one term per active variable and no
-    others; rows follow the canonical term order.  A singular matrix is
-    rejected unless ``allow_singular`` is set (the four-term series
-    polynomials are singular by construction).
-    """
-    active = tuple(active_vars)
-    if len(set(active)) != len(active) or any(v not in VARIABLES for v in active):
-        raise InvertibleError(f"bad variable list {active!r}")
-    terms = list(p.terms())
-    if len(terms) != len(active):
-        raise TermCountError(
-            f"{len(terms)} terms over {len(active)} active variables"
-        )
-    stray = p.variables() - set(active)
-    if stray:
-        raise InvertibleError(f"polynomial uses inactive variables {sorted(stray)}")
-    positions = [VARIABLES.index(v) for v in active]
-    rows = tuple(tuple(mono.exponents[i] for i in positions) for mono, _ in terms)
-    coeffs = tuple(coeff for _, coeff in terms)
-    matrix = ExponentMatrix(rows, active, coeffs)
-    det = matrix.det()
-    if det == 0 and not allow_singular:
-        raise SingularMatrixError("singular exponent matrix")
-    if det < 0:
-        # Normalised orientation: swap the first two rows.
-        swapped = (rows[1], rows[0]) + rows[2:]
-        matrix = ExponentMatrix(swapped, active, (coeffs[1], coeffs[0]) + coeffs[2:])
-    return matrix
-
-
-def from_term_sequence(
+def from_terms(
     terms,
     active_vars=VARIABLES,
     *,
     allow_singular: bool = False,
 ) -> ExponentMatrix:
-    """Exponent matrix with rows in a caller-supplied term order.
+    """Exponent matrix with one row per term, in the order given.
 
-    ``terms`` is a sequence of single-term polynomials; the row order
+    ``terms`` is a sequence of single-term polynomials, one per active
+    variable, using no variable outside ``active_vars``.  The row order
     follows the sequence, which is what distinguishes transposes of
-    singular matrices (a catalog entry's stored term order is such a sequence).
+    singular matrices (a catalog entry's stored term order is such a
+    sequence).  A singular matrix is rejected unless ``allow_singular``
+    is set (the four-term series polynomials are singular by
+    construction).  No orientation is applied; see
+    :meth:`ExponentMatrix.oriented`.
     """
     active = tuple(active_vars)
+    if len(set(active)) != len(active) or any(v not in VARIABLES for v in active):
+        raise InvertibleError(f"bad variable list {active!r}")
     positions = [VARIABLES.index(v) for v in active]
     rows = []
     coeffs = []
     for term in terms:
-        monos = list(term.terms())
-        if len(monos) != 1:
+        if not term.is_monomial():
             raise InvertibleError(f"{term} is not a single term")
-        mono, coeff = monos[0]
+        ((mono, coeff),) = term.terms()
         stray = mono.variables() - set(active)
         if stray:
             raise InvertibleError(f"term {term} uses inactive variables {sorted(stray)}")

@@ -29,7 +29,6 @@ __all__ = [
     "ShapeError",
     "verify_factorization",
     "lift",
-    "lift_raw",
     "reduce",
     "factor_poly",
 ]
@@ -149,11 +148,6 @@ def lift(triple: FactorizationTriple) -> CompleteIntersectionPair:
     return CompleteIntersectionPair(_XY - triple.a, triple.c + _Y * triple.b)
 
 
-def lift_raw(triple: FactorizationTriple) -> CompleteIntersectionPair:
-    """The same pair with the first equation as (a - x*y)."""
-    return CompleteIntersectionPair(triple.a - _XY, triple.c + _Y * triple.b)
-
-
 def _split_by_y(p: Polynomial):
     """Split p into (y^0 part, y^1 cofactor); error on higher y powers."""
     constant = {}
@@ -175,7 +169,9 @@ def reduce(pair: CompleteIntersectionPair) -> Polynomial:
     """Wall reduction L_y of a pair shaped (+-(x*y - a), c + y*b).
 
     Eliminates y and returns the hypersurface equation x*c + a*b.  Shape
-    violations raise :class:`ShapeError` naming the offending terms.
+    violations raise :class:`ShapeError` naming the offending terms; the
+    recovered (a, b, c) must then pass the same validation as the input
+    of :func:`lift`, or :class:`FactorizationError` is raised.
     """
     first, second = pair.first, pair.second
     xy_coeff = first.coefficient(_XY.leading_monomial())
@@ -193,7 +189,7 @@ def reduce(pair: CompleteIntersectionPair) -> Polynomial:
         raise ShapeError(f"second equation has no y-linear part: {second}")
     if b.variables() - {"z", "w"}:
         raise ShapeError(f"y-cofactor must lie in (z, w): {b}")
-    return _X * c + a * b
+    return FactorizationTriple(a, b, c).hypersurface()
 
 
 def _monomial_divisors(mono):

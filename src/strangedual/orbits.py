@@ -7,7 +7,10 @@ share a common factor.  Enumerating the strata, slicing each orbit by
 fixing the lowest-weight coordinate to 1 and solving the restricted
 system exactly over the rationals yields explicit orbit representatives,
 their isotropy orders and a singular-locus flag from the exact Jacobian
-rank.
+rank.  The univariate steps use :class:`~strangedual.series.UniPolynomial`:
+a gcd over Q, then the rational roots of its primitive integer form, with
+candidate numerators and denominators from divisor pairs up to the square
+root.
 
 The case (A)/(B)/(C) classification and the principal-orbit filter turn
 this enumeration into the pair of isotropy orders attached to each half
@@ -20,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 from . import _linalg
 from .polyring import Monomial, Polynomial, QuasiFailure, VARIABLES, quasi_degree
-from .series import WeightSystem
+from .series import UniPolynomial, WeightSystem
 
 __all__ = [
     "CStarAction",
@@ -122,107 +125,57 @@ class UnresolvedOrbit:
         )
 
 
-# -- univariate helpers -------------------------------------------------------
+# -- univariate root finding ---------------------------------------------------
 
-
-def _trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _uni_eval(coeffs, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def _uni_deflate(coeffs, root: Fraction) -> list[Fraction]:
-    """Divide by (t - root); assumes root is an exact root."""
-    n = len(coeffs) - 1
-    out = [Fraction(0)] * n
-    carry = coeffs[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = carry
-        carry = coeffs[i] + carry * root
-    return out
-
-
-def _uni_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    while len(a) >= len(b) and _trim(a):
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        _trim(a)
-    return a
-
-
-def _uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _trim(_uni_mod(a, b))
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+#: Each candidate root is tested through this module global, one call per
+#: candidate, so a wrapper installed here sees every candidate tried.
+_uni_eval = UniPolynomial.evaluate
 
 
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of n in ascending order, found in pairs up to sqrt(n)."""
     n = abs(n)
-    return [d for d in range(1, n + 1) if n % d == 0]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _rational_roots(coeffs) -> tuple[set[Fraction], tuple[int, ...] | None]:
     """Nonzero rational roots of a univariate polynomial over Q.
 
-    Returns ``(roots, residual)`` where ``residual`` is the integer
-    coefficient tuple of the rootless factor of degree >= 1 that remains
-    after splitting off t^k and all rational roots, or ``None`` if the
+    ``coeffs`` runs from the constant term up.  Returns ``(roots,
+    residual)`` where ``residual`` is the primitive integer coefficient
+    tuple of the rootless factor of degree >= 1 that remains after
+    splitting off t^k and all rational roots, or ``None`` if the
     polynomial splits completely.
     """
-    work = _trim([Fraction(c) for c in coeffs])
-    if not work:
+    work = UniPolynomial(coeffs)
+    if work.is_zero():
         raise OrbitError("zero polynomial has every value as a root")
-    low = next(i for i, c in enumerate(work) if c != 0)
-    work = work[low:]
+    # Over the primitive integer form every root p/q has p | a_0 and q | a_n,
+    # and dividing by q*t - p keeps the quotient primitive (Gauss's lemma).
+    ints = work.primitive()
+    low = next(i for i, c in enumerate(ints) if c != 0)
+    work = UniPolynomial(ints[low:])
     roots: set[Fraction] = set()
-    while len(work) > 1:
-        denom_lcm = 1
-        for c in work:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in work]
-        found = None
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for candidate in (Fraction(p, q), Fraction(-p, q)):
-                    if _uni_eval(work, candidate) == 0:
-                        found = candidate
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+    while work.degree() > 0:
+        found = next(
+            (
+                candidate
+                for p in _divisors(work.coefficients[0])
+                for q in _divisors(work.coefficients[-1])
+                for candidate in (Fraction(p, q), Fraction(-p, q))
+                if _uni_eval(work, candidate) == 0
+            ),
+            None,
+        )
         if found is None:
             break
         roots.add(found)
-        work = _trim(_uni_deflate(work, found))
-    residual = None
-    if len(work) > 1:
-        denom_lcm = 1
-        for c in work:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in work]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        residual = tuple(v // (g or 1) for v in ints)
-    return roots, residual
+        work = work.divide(UniPolynomial((-found.numerator, found.denominator)))[0]
+    return roots, (work.coefficients if work.degree() > 0 else None)
 
 
-def _restrict_to_univariate(p: Polynomial, var_index: int) -> list[Fraction]:
+def _restrict_to_univariate(p: Polynomial, var_index: int) -> UniPolynomial:
     coeffs: dict[int, Fraction] = {}
     for mono, c in p.terms():
         for k, e in enumerate(mono.exponents):
@@ -231,7 +184,7 @@ def _restrict_to_univariate(p: Polynomial, var_index: int) -> list[Fraction]:
         power = mono.exponents[var_index]
         coeffs[power] = coeffs.get(power, Fraction(0)) + c
     top = max(coeffs, default=0)
-    return [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
+    return UniPolynomial(coeffs.get(i, 0) for i in range(top + 1))
 
 
 # -- stratum solving ----------------------------------------------------------
@@ -314,11 +267,10 @@ def _solve_stratum(h1: Polynomial, h2: Polynomial, stratum: tuple[int, ...], sli
         elif q2.is_zero():
             g = _restrict_to_univariate(q1, idx)
         else:
-            g = _uni_gcd(_restrict_to_univariate(q1, idx), _restrict_to_univariate(q2, idx))
-        g = _trim(list(g))
-        if len(g) == 1:
+            g = _restrict_to_univariate(q1, idx).gcd(_restrict_to_univariate(q2, idx))
+        if g.degree() == 0:
             return [], []  # constant gcd: no common roots at all
-        roots, residual = _rational_roots(g)
+        roots, residual = _rational_roots(g.coefficients)
         points = [assemble({idx: r}) for r in roots if r != 0]
         unresolved = []
         if residual is not None:
@@ -347,7 +299,7 @@ def _solve_stratum(h1: Polynomial, h2: Polynomial, stratum: tuple[int, ...], sli
                     f"{{{','.join(VARIABLES[i] for i in stratum)}}}"
                 )
             g = _restrict_to_univariate(replaced, other_idx)
-            roots, residual = _rational_roots(g)
+            roots, residual = _rational_roots(g.coefficients)
             points = []
             for root in roots:
                 if root == 0:

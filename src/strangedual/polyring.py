@@ -362,21 +362,6 @@ class QuasiFailure:
         )
 
 
-def arith(p: Polynomial, q: Polynomial, kind: str) -> Polynomial:
-    """Ring arithmetic dispatch: kind is ``add``, ``sub`` or ``mul``."""
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    raise PolynomialError(f"unknown arithmetic kind {kind!r}")
-
-
-def substitute(p: Polynomial, sub: Substitution) -> Polynomial:
-    return p.substitute(sub)
-
-
 def quasi_degree(p: Polynomial, weights) -> "int | QuasiFailure":
     """Weighted degree of ``p`` if it is quasi-homogeneous for ``weights``.
 

@@ -10,6 +10,11 @@ products multiply by adding exponents, expand to exact integer power
 series, and convert to honest integer polynomials when the denominator
 divides the numerator.
 
+:class:`UniPolynomial` is the package's one univariate polynomial type:
+dense, over Q, with integral coefficients kept as ``int``.  Frame
+expansion and the Coxeter polynomials use it over Z; the orbit solver
+uses its division, gcd, evaluation and primitive integer form over Q.
+
 The text notation mirrors the tables it came from: ``2^2*8*10 / 1^2*4*5``
 stands for (1-t^2)^2 (1-t^8)(1-t^10) / (1-t)^2 (1-t^4)(1-t^5).
 """
@@ -18,18 +23,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 __all__ = [
     "WeightSystem",
     "FrameProduct",
-    "IntPolynomial",
+    "UniPolynomial",
     "SeriesError",
     "FrameSyntaxError",
     "NotPolynomialError",
     "SaitoDomainError",
     "poincare",
-    "frame_mul",
     "or_polynomial",
     "saito_dual",
     "frame_to_polynomial",
@@ -177,100 +183,114 @@ class FrameProduct:
         return f"FrameProduct({format_frame(self)!r})"
 
 
-class IntPolynomial:
-    """Dense univariate polynomial over Z in the variable t."""
+class UniPolynomial:
+    """Immutable dense univariate polynomial over Q in the variable t.
+
+    ``coefficients`` runs from the constant term up, with no trailing
+    zeros.  An integral coefficient is stored as a plain ``int`` and only
+    a non-integral one as a ``Fraction``, so integer work such as frame
+    expansion and Coxeter polynomials never builds a ``Fraction``.
+    """
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: Iterable[int] = ()):
-        coeffs = [int(c) for c in coefficients]
+    def __init__(self, coefficients: Iterable[int | Fraction] = ()):
+        coeffs = [c if type(c) is int else _exact(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @staticmethod
-    def zero() -> "IntPolynomial":
-        return IntPolynomial()
+    def one() -> "UniPolynomial":
+        return UniPolynomial((1,))
 
     @staticmethod
-    def one() -> "IntPolynomial":
-        return IntPolynomial((1,))
-
-    @staticmethod
-    def one_minus_t_power(l: int) -> "IntPolynomial":
+    def one_minus_t_power(l: int) -> "UniPolynomial":
         coeffs = [0] * (l + 1)
         coeffs[0] = 1
         coeffs[l] = -1
-        return IntPolynomial(coeffs)
+        return UniPolynomial(coeffs)
 
     def is_zero(self) -> bool:
         return not self.coefficients
 
     def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
         return len(self.coefficients) - 1
 
-    def __getitem__(self, power: int) -> int:
-        if 0 <= power < len(self.coefficients):
-            return self.coefficients[power]
-        return 0
+    def __add__(self, other: "UniPolynomial") -> "UniPolynomial":
+        pairs = zip_longest(self.coefficients, other.coefficients, fillvalue=0)
+        return UniPolynomial(a + b for a, b in pairs)
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return IntPolynomial(self[i] + other[i] for i in range(n))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return IntPolynomial(self[i] - other[i] for i in range(n))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coefficients)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
+    def __mul__(self, other: "UniPolynomial") -> "UniPolynomial":
         if self.is_zero() or other.is_zero():
-            return IntPolynomial()
+            return UniPolynomial()
         out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
             if a:
                 for j, b in enumerate(other.coefficients):
                     out[i + j] += a * b
-        return IntPolynomial(out)
+        return UniPolynomial(out)
 
-    def divide(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Euclidean division (requires the divisor's leading coefficient
-        to divide exactly at each step, which holds for 1 - t^l factors)."""
+    def divide(self, other: "UniPolynomial") -> tuple["UniPolynomial", "UniPolynomial"]:
+        """Euclidean division over Q: ``(quotient, remainder)`` with
+        ``self = quotient * other + remainder`` and deg remainder < deg other.
+
+        A step whose leading coefficients divide exactly stays in the
+        integers; only the others make a ``Fraction``.
+        """
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         rem = list(self.coefficients)
         div = other.coefficients
         lead = div[-1]
         if len(rem) < len(div):
-            return IntPolynomial(), IntPolynomial(rem)
+            return UniPolynomial(), self
         quot = [0] * (len(rem) - len(div) + 1)
         for k in range(len(quot) - 1, -1, -1):
             top = rem[k + len(div) - 1]
-            if top % lead:
-                break
-            q = top // lead
+            if not top:
+                continue
+            q, r = divmod(top, lead)
+            if r:
+                q = Fraction(top, lead)
             quot[k] = q
-            if q:
-                for j, b in enumerate(div):
-                    rem[k + j] -= q * b
-        return IntPolynomial(quot), IntPolynomial(rem)
+            for j, b in enumerate(div):
+                rem[k + j] -= q * b
+        return UniPolynomial(quot), UniPolynomial(rem)
 
-    def evaluate(self, value: Fraction) -> Fraction:
-        total = Fraction(0)
+    def gcd(self, other: "UniPolynomial") -> "UniPolynomial":
+        """Monic greatest common divisor over Q (zero if both are zero)."""
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a.divide(b)[1]
+        if a.is_zero():
+            return a
+        lead = a.coefficients[-1]
+        return UniPolynomial(Fraction(c, lead) for c in a.coefficients)
+
+    def evaluate(self, value: int | Fraction) -> int | Fraction:
+        total = 0
         for coeff in reversed(self.coefficients):
             total = total * value + coeff
         return total
 
+    def primitive(self) -> tuple[int, ...]:
+        """The coprime integer coefficients of the same polynomial up to a
+        positive scalar: denominators cleared and the content divided out."""
+        scale = lcm(*(c.denominator for c in self.coefficients))
+        ints = [int(c * scale) for c in self.coefficients]
+        content = gcd(*ints)
+        return tuple(v // content for v in ints)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntPolynomial) and self.coefficients == other.coefficients
+        return isinstance(other, UniPolynomial) and self.coefficients == other.coefficients
 
     def __hash__(self) -> int:
         return hash(self.coefficients)
 
     def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
+        raise AttributeError("UniPolynomial is immutable")
 
     def __str__(self) -> str:
         if not self.coefficients:
@@ -293,7 +313,13 @@ class IntPolynomial:
         return " ".join(pieces)
 
     def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coefficients)})"
+        return f"UniPolynomial({list(self.coefficients)})"
+
+
+def _exact(value) -> int | Fraction:
+    """``value`` as an exact rational: an ``int`` when integral."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 # -- operations ---------------------------------------------------------------
@@ -307,14 +333,6 @@ def poincare(ws: WeightSystem) -> FrameProduct:
     for w in ws.weights:
         table[w] = table.get(w, 0) - 1
     return FrameProduct(table)
-
-
-def frame_mul(a: FrameProduct, b: FrameProduct, kind: str = "mul") -> FrameProduct:
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise SeriesError(f"unknown frame operation {kind!r}")
 
 
 def or_polynomial(gammas) -> FrameProduct:
@@ -344,16 +362,16 @@ def saito_dual(frame: FrameProduct, d: int) -> FrameProduct:
     return FrameProduct(table)
 
 
-def frame_to_polynomial(frame: FrameProduct) -> IntPolynomial:
-    """Expand the frame product into an integer polynomial.
+def frame_to_polynomial(frame: FrameProduct) -> UniPolynomial:
+    """Expand the frame product into a polynomial (integral coefficients).
 
     Raises :class:`NotPolynomialError` when the denominator does not
     divide the numerator exactly.
     """
-    numerator = IntPolynomial.one()
-    denominator = IntPolynomial.one()
+    numerator = UniPolynomial.one()
+    denominator = UniPolynomial.one()
     for base, alpha in frame.items():
-        factor = IntPolynomial.one_minus_t_power(base)
+        factor = UniPolynomial.one_minus_t_power(base)
         for _ in range(abs(alpha)):
             if alpha > 0:
                 numerator = numerator * factor

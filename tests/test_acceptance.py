@@ -24,7 +24,7 @@ from strangedual.polyring import (
 )
 from strangedual.series import (
     FrameProduct,
-    IntPolynomial,
+    UniPolynomial,
     format_frame,
     frame_expand,
     frame_to_polynomial,
@@ -128,7 +128,7 @@ def test_criterion_07_coxeter_charpoly_consistency(catalog):
         from_formula = charpoly_S(gammas)
         assert from_formula == from_frame, entry.name
         assert from_formula.degree() == sum(gammas) - 1 == 11, entry.name
-        product = IntPolynomial([1, -2, 1]) * from_formula
+        product = UniPolynomial([1, -2, 1]) * from_formula
         assert charpoly_Pi(gammas) == product, entry.name
     _report(7, "8/8 closed-form Coxeter polynomials match the frames; degree 11; Pi = (1-t)^2 S")
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,14 @@ def test_verify_json_roundtrip(capsys):
     assert report.total == 80
 
 
+@pytest.mark.parametrize("argv, golden", [(["verify"], "verify.txt"), (["verify", "--json"], "verify.json")])
+def test_verify_output_matches_golden(capsys, argv, golden):
+    # Refactors must leave the report byte for byte as recorded.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
+
+
 def test_verify_failure_exit_status(tmp_path, capsys):
     raw = json.loads(open(default_catalog_path(), encoding="utf-8").read())
     entry = next(e for e in raw["entries"] if e["name"] == "Ms")
@@ -147,6 +156,15 @@ def test_computation_error_status(capsys):
     code, _, err = run(capsys, "reduce", "x^2 + y^2", "z^2 + y*w")
     assert code == 1
     assert "x*y" in err
+    for argv, message in (
+        (("transpose", "x^2*y + y^3", "--vars", "x,q"), "error: bad variable list"),
+        (("transpose", "x^2 + x^3", "--vars", "x,x"), "error: bad variable list"),
+        (("weights", "x^2 + y^3 + z^5", "--vars", "x,y"), "error: term z^5 uses inactive variables"),
+        (("reduce", "x*y", "y"), "error: a must have degree >= 2: 0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(message) and err.count("\n") == 1, argv
 
 
 def test_usage_error_status(capsys):

@@ -3,16 +3,16 @@ from itertools import permutations, product
 import pytest
 
 from strangedual.coxeter import GabrielovQuadruple, charpoly_Pi, charpoly_S, emit_graph
-from strangedual.series import IntPolynomial, frame_to_polynomial, parse_frame
+from strangedual.series import UniPolynomial, frame_to_polynomial, parse_frame
 
 
 def test_trivial_quadruple():
-    assert charpoly_S((1, 1, 1, 1)) == IntPolynomial([1, -2, -2, 1])
+    assert charpoly_S((1, 1, 1, 1)) == UniPolynomial([1, -2, -2, 1])
 
 
 def test_jprime_series_matches_frame():
     assert charpoly_S((2, 2, 2, 6)) == frame_to_polynomial(parse_frame("2^2*8*10 / 1^2*4*5"))
-    assert charpoly_S((2, 2, 2, 6)) == IntPolynomial([1, 2, 1, 0, 1, 3, 3, 1, 0, 1, 2, 1])
+    assert charpoly_S((2, 2, 2, 6)) == UniPolynomial([1, 2, 1, 0, 1, 3, 3, 1, 0, 1, 2, 1])
 
 
 def test_m_series_matches_frame():
@@ -20,17 +20,17 @@ def test_m_series_matches_frame():
 
 
 def test_charpoly_pi_values():
-    one_minus_t_sq = IntPolynomial([1, -2, 1])
+    one_minus_t_sq = UniPolynomial([1, -2, 1])
     assert charpoly_Pi((2, 2, 2, 6)) == one_minus_t_sq * charpoly_S((2, 2, 2, 6))
     assert charpoly_Pi((2, 2, 2, 6)).degree() == 13
-    assert charpoly_Pi((1, 1, 1, 1)) == one_minus_t_sq * IntPolynomial([1, -2, -2, 1])
+    assert charpoly_Pi((1, 1, 1, 1)) == one_minus_t_sq * UniPolynomial([1, -2, -2, 1])
 
 
 def test_charpoly_pi_quotient_exact():
     for gammas in ((2, 2, 2, 6), (2, 2, 4, 4), (3, 3, 3, 3), (2, 3, 3, 4)):
         quotient, remainder = charpoly_Pi(gammas).divide(charpoly_S(gammas))
         assert remainder.is_zero()
-        assert quotient == IntPolynomial([1, -2, 1])
+        assert quotient == UniPolynomial([1, -2, 1])
 
 
 def test_degree_and_constant_term_over_small_range():

@@ -7,7 +7,6 @@ from strangedual.matfac import (
     ShapeError,
     factor_poly,
     lift,
-    lift_raw,
     reduce,
     verify_factorization,
 )
@@ -56,7 +55,7 @@ def test_lift_examples():
 
 def test_lift_raw_sign():
     t = triple("w^2", "w", "-x^2*z + z^2 + x*w^2")
-    raw = lift_raw(t)
+    raw = CompleteIntersectionPair(-lift(t).first, lift(t).second)
     assert raw.first == parse_poly("w^2 - x*y")
     assert raw.second == lift(t).second
 
@@ -95,7 +94,8 @@ def test_reduce_lift_roundtrip():
     ):
         t = triple(*args)
         assert reduce(lift(t)) == t.hypersurface()
-        assert reduce(lift_raw(t)) == t.hypersurface()
+        pair = lift(t)
+        assert reduce(CompleteIntersectionPair(-pair.first, pair.second)) == t.hypersurface()
 
 
 def test_factor_poly_q_series():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +170,18 @@ def test_unresolved_orbit_reported():
     assert unresolved[0].coefficients == (-2, 0, 1)
     with pytest.raises(OrbitError):
         dolgachev_pair(h1, h2, action)
+
+
+def test_rational_roots_large_constant_term():
+    # The divisor search is bounded by sqrt(n); a linear scan of 10^9 + 7
+    # candidates does not finish in the time allowed here.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "from strangedual.orbits import _rational_roots; print(_rational_roots([10**9 + 7, 0, 1]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(set(), (1000000007, 0, 1))"
 
 
 def test_orbit_report_format():

@@ -10,7 +10,6 @@ from strangedual.polyring import (
     QuasiFailure,
     Substitution,
     ZeroPolynomialError,
-    arith,
     format_poly,
     parse_poly,
     parse_poly_terms,
@@ -25,7 +24,7 @@ W = Polynomial.variable("w")
 
 def test_mul_identity():
     p = parse_poly("x*y + w^2")
-    assert arith(p, Polynomial.one(), "mul") == p
+    assert p * Polynomial.one() == p
 
 
 def test_sub_cancellation():
@@ -35,7 +34,7 @@ def test_sub_cancellation():
 def test_virtual_equation_assembly():
     # h of the Q-series virtual singularity, assembled as x*c + a*b.
     c = parse_poly("-x^2*z + z^2 + x*w^2")
-    assembled = arith(X * c, W * parse_poly("w^2"), "add")
+    assembled = X * c + W * parse_poly("w^2")
     assert assembled == parse_poly("-x^3*z + x*z^2 + x^2*w^2 + w^3")
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -6,14 +7,13 @@ import pytest
 from strangedual.series import (
     FrameProduct,
     FrameSyntaxError,
-    IntPolynomial,
     NotPolynomialError,
     SaitoDomainError,
     SeriesError,
+    UniPolynomial,
     WeightSystem,
     format_frame,
     frame_expand,
-    frame_mul,
     frame_to_polynomial,
     or_polynomial,
     parse_frame,
@@ -51,12 +51,12 @@ def test_poincare_msharp_dual():
 
 def test_frame_mul_identity_and_cancellation():
     a = FrameProduct({2: 1, 5: -1})
-    assert frame_mul(a, FrameProduct.identity(), "mul") == a
-    assert frame_mul(FrameProduct({2: 1}), FrameProduct({2: 1}), "div") == FrameProduct.identity()
+    assert a * FrameProduct.identity() == a
+    assert FrameProduct({2: 1}) / FrameProduct({2: 1}) == FrameProduct.identity()
 
 
 def test_frame_mul_catalog_row():
-    product = frame_mul(or_polynomial((2, 2, 2, 6)), poincare(parse_weight_system("2,6,5,4;8,10")), "mul")
+    product = or_polynomial((2, 2, 2, 6)) * poincare(parse_weight_system("2,6,5,4;8,10"))
     assert product == parse_frame("2^2*8*10 / 1^2*4*5")
 
 
@@ -87,7 +87,7 @@ def test_saito_dual_domain_error():
 
 
 def test_frame_to_polynomial_identity():
-    assert frame_to_polynomial(FrameProduct.identity()) == IntPolynomial.one()
+    assert frame_to_polynomial(FrameProduct.identity()) == UniPolynomial.one()
 
 
 def test_frame_to_polynomial_pure_denominator():
@@ -98,8 +98,23 @@ def test_frame_to_polynomial_pure_denominator():
 def test_frame_to_polynomial_jprime():
     # (1+t)^2 (1+t^4)(1+t^5), expanded by hand.
     poly = frame_to_polynomial(parse_frame("2^2*8*10 / 1^2*4*5"))
-    assert poly == IntPolynomial([1, 2, 1, 0, 1, 3, 3, 1, 0, 1, 2, 1])
+    assert poly == UniPolynomial([1, 2, 1, 0, 1, 3, 3, 1, 0, 1, 2, 1])
     assert poly.degree() == 11
+
+
+def test_unipolynomial_over_q():
+    # Rational coefficients are kept exactly; integral ones become ints.
+    assert UniPolynomial([Fraction(1, 2)]).coefficients == (Fraction(1, 2),)
+    assert UniPolynomial([Fraction(3, 2), 1]).coefficients == (Fraction(3, 2), 1)
+    assert type(UniPolynomial([Fraction(4, 2)]).coefficients[0]) is int
+    a = UniPolynomial([-1, 2]) * UniPolynomial([3, 1])  # (2t - 1)(t + 3)
+    b = UniPolynomial([-1, 2]) * UniPolynomial([-5, 1])  # (2t - 1)(t - 5)
+    assert a.gcd(b) == UniPolynomial([Fraction(-1, 2), 1])
+    assert str(a.gcd(b)) == "-1/2 + t"
+    quotient, remainder = a.divide(UniPolynomial([1, 3]))
+    assert quotient * UniPolynomial([1, 3]) + remainder == a
+    assert remainder.degree() < 1
+    assert UniPolynomial([Fraction(-3, 4), 0, Fraction(3, 2)]).primitive() == (-1, 0, 2)
 
 
 def test_frame_degree_and_expansion_consistency():
@@ -151,11 +166,11 @@ def test_frame_expand_matches_longdivision_oracle():
     for _ in range(50):
         frame = FrameProduct({rng.randint(1, 5): rng.randint(-2, 2) for _ in range(rng.randint(1, 3))})
         order = 25
-        numerator = IntPolynomial.one()
-        denominator = IntPolynomial.one()
+        numerator = UniPolynomial.one()
+        denominator = UniPolynomial.one()
         for base, alpha in frame.items():
             for _ in range(abs(alpha)):
-                factor = IntPolynomial.one_minus_t_power(base)
+                factor = UniPolynomial.one_minus_t_power(base)
                 if alpha > 0:
                     numerator = numerator * factor
                 else:
