@@ -26,11 +26,19 @@ from typing import Iterable
 from . import matfac as mf
 from .coxeter import charpoly_S
 from .invertible import ExponentMatrix, bh_transpose, from_terms
-from .orbits import CStarAction, dolgachev_pair, split_newton
-from .polyring import Polynomial, QuasiFailure, Substitution, parse_poly, quasi_degree
+from .orbits import CStarAction, OrbitError, dolgachev_pair, split_newton
+from .polyring import (
+    Polynomial,
+    PolynomialError,
+    QuasiFailure,
+    Substitution,
+    parse_poly,
+    quasi_degree,
+)
 from .series import (
     FrameProduct,
     NotPolynomialError,
+    SeriesError,
     WeightSystem,
     frame_to_polynomial,
     or_polynomial,
@@ -246,16 +254,26 @@ def _load_entry(raw: dict, index: int) -> SeriesEntry:
             raise CatalogError(f"{where}: missing field {key!r}")
         return raw[key]
 
-    def poly(key: str, text: str) -> Polynomial:
+    def string(key: str, value) -> str:
+        if not isinstance(value, str):
+            raise CatalogError(
+                f"{where}: field {key!r}: expected a string, got {type(value).__name__}"
+            )
+        return value
+
+    def poly(key: str, text) -> Polynomial:
         try:
-            return parse_poly(text)
-        except Exception as exc:
+            return parse_poly(string(key, text))
+        except PolynomialError as exc:
             raise CatalogError(f"{where}: field {key!r}: {exc}") from None
 
     case = need("substitution_case")
     if case not in SUBSTITUTION_CASES:
         raise CatalogError(f"{where}: unknown substitution case {case!r}")
-    kernel = tuple(int(v) for v in need("kernel"))
+    try:
+        kernel = tuple(int(v) for v in need("kernel"))
+    except (TypeError, ValueError) as exc:
+        raise CatalogError(f"{where}: kernel: expected integers: {exc}") from None
     if kernel != SUBSTITUTION_CASES[case]["kernel"]:
         raise CatalogError(
             f"{where}: kernel {kernel} does not match case ({case})"
@@ -279,9 +297,9 @@ def _load_entry(raw: dict, index: int) -> SeriesEntry:
         k0_equations = (poly("k0_equations", k0_raw[0]), poly("k0_equations", k0_raw[1]))
 
     try:
-        k0_weights = parse_weight_system(need("k0_weights"))
-        dual_k0_weights = parse_weight_system(need("dual_k0_weights"))
-    except Exception as exc:
+        k0_weights = parse_weight_system(string("k0_weights", need("k0_weights")))
+        dual_k0_weights = parse_weight_system(string("dual_k0_weights", need("dual_k0_weights")))
+    except SeriesError as exc:
         raise CatalogError(f"{where}: weight system: {exc}") from None
 
     wall_raw = need("wall_equations")
@@ -339,8 +357,8 @@ def _load_entry(raw: dict, index: int) -> SeriesEntry:
         raise CatalogError(f"{where}: dolgachev/gabrielov must be two pairs")
 
     try:
-        zeta = parse_frame(need("zeta_frame"))
-    except Exception as exc:
+        zeta = parse_frame(string("zeta_frame", need("zeta_frame")))
+    except SeriesError as exc:
         raise CatalogError(f"{where}: zeta_frame: {exc}") from None
 
     dk = need("dynkin")
@@ -422,9 +440,14 @@ def load_catalog(source: str | None = None) -> Catalog:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise CatalogError(f"expected a JSON object at the top level, got {type(raw).__name__}")
     if raw.get("schema") != 1:
         raise CatalogError(f"unsupported schema {raw.get('schema')!r}")
-    entries = tuple(_load_entry(item, i) for i, item in enumerate(raw.get("entries", [])))
+    items = raw.get("entries", [])
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise CatalogError("'entries' must be a list of JSON objects")
+    entries = tuple(_load_entry(item, i) for i, item in enumerate(items))
     catalog = Catalog(entries)
     _validate(catalog)
     return catalog
@@ -633,7 +656,7 @@ def _check_newton_split(entry: SeriesEntry) -> CheckResult:
     h2 = entry.virtual_equations.second
     try:
         split = split_newton(h2, h1)
-    except Exception as exc:
+    except (OrbitError, PolynomialError) as exc:
         return _result(7, "Newton split", [f"split failed: {exc}"])
     for i, (face, piece) in enumerate(zip(split.faces, entry.decomposition), start=1):
         if face.polynomial != piece.polynomial:
@@ -650,7 +673,7 @@ def _check_dolgachev(entry: SeriesEntry) -> CheckResult:
         action = CStarAction(piece.weights.weights)
         try:
             pair = dolgachev_pair(h1, piece.polynomial, action)
-        except Exception as exc:
+        except (OrbitError, PolynomialError) as exc:
             failures.append(f"pair {i + 1}: {exc}")
             continue
         expected = tuple(sorted(entry.dolgachev[i]))

@@ -17,6 +17,13 @@ The text grammar (ASCII) is::
 Whitespace is insignificant.  ``parse_poly`` and ``format_poly`` are
 mutually inverse on canonical forms; printing uses the degree-lexicographic
 order with x > y > z > w, highest term first.
+
+Each kernel builds its result in one table of terms.  ``parse_poly`` reads
+every term straight into an exponent tuple and a coefficient; ``**`` squares
+only up to the top bit of the exponent; ``substitute`` forms each image
+power ``img ** e`` at most once per call, and applies an image of one term
+(a variable, a constant, ``c*x`` or zero) term-wise, with no polynomial
+product.
 """
 
 from __future__ import annotations
@@ -68,7 +75,8 @@ class Monomial:
         return (self.degree, self.exponents)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        a, b = self.exponents, other.exponents
+        return _monomial((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
 
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
@@ -96,6 +104,14 @@ class Monomial:
         return f"Monomial({str(self)})"
 
 
+def _monomial(exponents: tuple[int, int, int, int]) -> Monomial:
+    # Unchecked constructor for exponent tuples known to be valid, such as
+    # the sum of two valid tuples.
+    mono = object.__new__(Monomial)
+    object.__setattr__(mono, "exponents", exponents)
+    return mono
+
+
 MONOMIAL_ONE = Monomial((0, 0, 0, 0))
 
 
@@ -115,14 +131,7 @@ class Polynomial:
         table: dict[Monomial, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            acc = table.get(mono, Fraction(0)) + coeff
-            if acc == 0:
-                table.pop(mono, None)
-            else:
-                table[mono] = acc
+            _add_term(table, mono, Fraction(coeff))
         object.__setattr__(self, "_terms", table)
         object.__setattr__(self, "_hash", None)
 
@@ -195,21 +204,13 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         table = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = table.get(mono, Fraction(0)) + coeff
-            if acc == 0:
-                table.pop(mono, None)
-            else:
-                table[mono] = acc
+            _add_term(table, mono, coeff)
         return _raw(table)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         table = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = table.get(mono, Fraction(0)) - coeff
-            if acc == 0:
-                table.pop(mono, None)
-            else:
-                table[mono] = acc
+            _add_term(table, mono, -coeff)
         return _raw(table)
 
     def __neg__(self) -> "Polynomial":
@@ -217,14 +218,10 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         table: dict[Monomial, Fraction] = {}
+        right = other._terms.items()
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = m1 * m2
-                acc = table.get(mono, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    table.pop(mono, None)
-                else:
-                    table[mono] = acc
+            for m2, c2 in right:
+                _add_term(table, m1 * m2, c1 * c2)
         return _raw(table)
 
     def scale(self, value: Scalar) -> "Polynomial":
@@ -236,15 +233,16 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise PolynomialError("negative exponent")
-        result = Polynomial.one()
+        result = None
         base = self
         n = exponent
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Polynomial.one() if result is None else result
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self._terms == other._terms
@@ -286,17 +284,45 @@ class Polynomial:
         return total
 
     def substitute(self, sub: "Substitution | Mapping[str, Polynomial]") -> "Polynomial":
+        """Replace each variable by its image under ``sub``.
+
+        An image of one term c*m is applied term-wise (coefficient times
+        c**e, exponents plus e*m; a zero image drops the term); the powers
+        of longer images are formed once per (variable, exponent).
+        """
         if not isinstance(sub, Substitution):
             sub = Substitution.from_mapping(sub)
         images = sub.images
-        result = Polynomial.zero()
+        powers: dict[tuple[int, int], Polynomial] = {}
+        table: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms.items():
-            term = Polynomial.constant(coeff)
-            for img, e in zip(images, mono.exponents):
-                if e:
-                    term = term * img ** e
-            result = result + term
-        return result
+            shift = [0, 0, 0, 0]
+            factor = None
+            for i, e in enumerate(mono.exponents):
+                if not e:
+                    continue
+                image = images[i]._terms
+                if len(image) == 1:
+                    ((m, c),) = image.items()
+                    if c != 1:
+                        coeff = coeff * c**e
+                    for j, a in enumerate(m.exponents):
+                        shift[j] += a * e
+                elif not image:
+                    break
+                else:
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[(i, e)] = images[i] ** e
+                    factor = power if factor is None else factor * power
+            else:
+                base = _monomial(tuple(shift))
+                if factor is None:
+                    _add_term(table, base, coeff)
+                else:
+                    for m, c in factor._terms.items():
+                        _add_term(table, base * m, coeff * c)
+        return _raw(table)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -312,6 +338,21 @@ def _raw(table: dict[Monomial, Fraction]) -> Polynomial:
     return poly
 
 
+def _add_term(table: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
+    # Add coeff*mono into table, keeping no zero coefficient.
+    acc = table.get(mono)
+    if acc is not None:
+        coeff = acc + coeff
+    if coeff:
+        table[mono] = coeff
+    elif acc is not None:
+        del table[mono]
+
+
+#: The images of the identity substitution, x -> x, ..., w -> w.
+_IDENTITY_IMAGES = tuple(Polynomial.variable(v) for v in VARIABLES)
+
+
 @dataclass(frozen=True, slots=True)
 class Substitution:
     """A replacement for each of the four ambient variables."""
@@ -320,12 +361,12 @@ class Substitution:
 
     @staticmethod
     def identity() -> "Substitution":
-        return Substitution(tuple(Polynomial.variable(v) for v in VARIABLES))
+        return Substitution(_IDENTITY_IMAGES)
 
     @staticmethod
     def from_mapping(mapping: Mapping[str, "Polynomial | str"]) -> "Substitution":
         """Build from a partial mapping; unlisted variables stay fixed."""
-        images = [Polynomial.variable(v) for v in VARIABLES]
+        images = list(_IDENTITY_IMAGES)
         for name, image in mapping.items():
             if name not in _VAR_INDEX:
                 raise PolynomialError(f"unknown variable {name!r}")
@@ -339,8 +380,8 @@ class Substitution:
 
     def __str__(self) -> str:
         parts = []
-        for name, image in zip(VARIABLES, self.images):
-            if image != Polynomial.variable(name):
+        for name, image, fixed in zip(VARIABLES, self.images, _IDENTITY_IMAGES):
+            if image != fixed:
                 parts.append(f"{name} -> {image}")
         return "; ".join(parts) if parts else "identity"
 
@@ -413,18 +454,19 @@ class _Tokenizer:
     def read_uint(self, what: str) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise PolySyntaxError(f"expected {what}", start + 1)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise PolySyntaxError(f"{what} too long", start + 1) from None
 
 
-def parse_poly_terms(text: str) -> tuple[Polynomial, ...]:
-    """Parse into one polynomial per written term, preserving the order in
-    which the terms appear in the text."""
+def _scan_terms(text: str) -> Iterator[tuple[Monomial, Fraction]]:
+    # Each written term as (monomial, signed coefficient), in text order.
     tok = _Tokenizer(text)
-    terms: list[Polynomial] = []
     sign = 1
     ch = tok.peek()
     if ch == "":
@@ -434,10 +476,10 @@ def parse_poly_terms(text: str) -> tuple[Polynomial, ...]:
             sign = -1
         tok.take()
     while True:
-        terms.append(_parse_term(tok).scale(sign))
+        yield _parse_term(tok, sign)
         ch = tok.peek()
         if ch == "":
-            return tuple(terms)
+            return
         if ch == "+":
             sign = 1
         elif ch == "-":
@@ -447,16 +489,22 @@ def parse_poly_terms(text: str) -> tuple[Polynomial, ...]:
         tok.take()
 
 
+def parse_poly_terms(text: str) -> tuple[Polynomial, ...]:
+    """Parse into one polynomial per written term, preserving the order in
+    which the terms appear in the text."""
+    return tuple(_raw({mono: coeff} if coeff else {}) for mono, coeff in _scan_terms(text))
+
+
 def parse_poly(text: str) -> Polynomial:
     """Parse the polynomial grammar; raises :class:`PolySyntaxError` with a
     1-based byte offset on malformed input."""
-    result = Polynomial.zero()
-    for term in parse_poly_terms(text):
-        result = result + term
-    return result
+    table: dict[Monomial, Fraction] = {}
+    for mono, coeff in _scan_terms(text):
+        _add_term(table, mono, coeff)
+    return _raw(table)
 
 
-def _parse_factor(tok: _Tokenizer) -> Polynomial:
+def _parse_factor(tok: _Tokenizer) -> Monomial:
     ch = tok.peek()
     if ch not in _VAR_INDEX:
         found = f", found {ch!r}" if ch else ""
@@ -466,29 +514,32 @@ def _parse_factor(tok: _Tokenizer) -> Polynomial:
     if tok.peek() == "^":
         tok.take()
         exponent = tok.read_uint("exponent")
-    return Polynomial.variable(ch) ** exponent
+    exps = [0, 0, 0, 0]
+    exps[_VAR_INDEX[ch]] = exponent
+    return _monomial(tuple(exps))
 
 
-def _parse_term(tok: _Tokenizer) -> Polynomial:
-    coeff = Fraction(1)
-    if tok.peek().isdigit():
+def _parse_term(tok: _Tokenizer, sign: int) -> tuple[Monomial, Fraction]:
+    if not tok.peek().isdecimal():
+        coeff = Fraction(sign)
+    else:
         num = tok.read_uint("coefficient")
-        coeff = Fraction(num)
+        den = 1
         if tok.peek() == "/":
             tok.take()
             den_off = tok.offset()
             den = tok.read_uint("denominator")
             if den == 0:
                 raise PolySyntaxError("zero denominator", den_off)
-            coeff = Fraction(num, den)
+        coeff = Fraction(sign * num, den)
         if tok.peek() != "*":
-            return Polynomial.constant(coeff)
+            return MONOMIAL_ONE, coeff
         tok.take()
-    factors = _parse_factor(tok)
+    mono = _parse_factor(tok)
     while tok.peek() == "*":
         tok.take()
-        factors = factors * _parse_factor(tok)
-    return factors.scale(coeff)
+        mono = mono * _parse_factor(tok)
+    return mono, coeff
 
 
 def _format_coeff(coeff: Fraction) -> str:

@@ -139,12 +139,6 @@ class FrameProduct:
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._exps
 
-    def exponent(self, base: int) -> int:
-        for b, a in self._exps:
-            if b == base:
-                return a
-        return 0
-
     def is_identity(self) -> bool:
         return not self._exps
 
@@ -353,13 +347,8 @@ def saito_dual(frame: FrameProduct, d: int) -> FrameProduct:
     for base, _ in frame.items():
         if d % base:
             raise SaitoDomainError(f"frame base {base} does not divide {d}")
-    table = {}
-    for m in range(1, d + 1):
-        if d % m == 0:
-            alpha = frame.exponent(d // m)
-            if alpha:
-                table[m] = -alpha
-    return FrameProduct(table)
+    # Only m = d / base for a frame base can carry an exponent.
+    return FrameProduct({d // base: -alpha for base, alpha in frame.items()})
 
 
 def frame_to_polynomial(frame: FrameProduct) -> UniPolynomial:
@@ -436,6 +425,13 @@ def format_frame(frame: FrameProduct) -> str:
     return f"{side(numerator)} / {side(denominator)}"
 
 
+def _frame_int(digits: str, offset: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise FrameSyntaxError("number too long", offset) from None
+
+
 def parse_frame(text: str, warnings: list[str] | None = None) -> FrameProduct:
     """Parse the ``a^p*b*c / d^q*e`` notation ('*' or a unicode dot).
 
@@ -460,24 +456,24 @@ def parse_frame(text: str, warnings: list[str] | None = None) -> FrameProduct:
                 expecting_item = True
                 i += 1
                 continue
-            if not ch.isdigit():
+            if not ch.isdecimal():
                 raise FrameSyntaxError(f"unexpected character {ch!r}", offset0 + i + 1)
             if not expecting_item:
                 raise FrameSyntaxError("missing '*' between factors", offset0 + i + 1)
             j = i
-            while j < len(chunk) and chunk[j].isdigit():
+            while j < len(chunk) and chunk[j].isdecimal():
                 j += 1
-            base = int(chunk[i:j])
+            base = _frame_int(chunk[i:j], offset0 + i + 1)
             exponent = 1
             explicit = False
             if j < len(chunk) and chunk[j] == "^":
                 j += 1
                 k = j
-                while k < len(chunk) and chunk[k].isdigit():
+                while k < len(chunk) and chunk[k].isdecimal():
                     k += 1
                 if k == j:
                     raise FrameSyntaxError("expected exponent", offset0 + j + 1)
-                exponent = int(chunk[j:k])
+                exponent = _frame_int(chunk[j:k], offset0 + j + 1)
                 explicit = True
                 j = k
             if base <= 0:

@@ -207,3 +207,22 @@ def test_kernel_case_mismatch_rejected(tmp_path):
 def test_unknown_entry_lookup(catalog):
     with pytest.raises(CatalogError):
         catalog.get("Zq")
+
+
+def test_non_string_polynomial_field_rejected(tmp_path):
+    data = _raw_catalog()
+    entry = next(e for e in data["entries"] if e["name"] == "L")
+    entry["relation"] = 5
+    with pytest.raises(CatalogError, match="field 'relation': expected a string, got int"):
+        load_catalog(_write(tmp_path, data))
+
+
+@pytest.mark.parametrize("target", ["dolgachev_pair", "split_newton"])
+def test_programming_error_in_check_propagates(catalog, monkeypatch, target):
+    # Only domain errors become FAIL lines; a bug must surface as a traceback.
+    def broken(*args):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(f"strangedual.catalog.{target}", broken)
+    with pytest.raises(TypeError, match="injected"):
+        verify_entry(catalog.get("Kb"), catalog)

@@ -177,3 +177,22 @@ def test_bad_polynomial_status(capsys):
     code, _, err = run(capsys, "transpose", "x^^2")
     assert code == 1
     assert "offset 3" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: [raw], "expected a JSON object at the top level, got list"),
+        (lambda raw: {**raw, "entries": {}}, "'entries' must be a list of JSON objects"),
+        (lambda raw: {**raw, "entries": [dict(raw["entries"][0], kernel="ab")]}, "kernel: expected integers"),
+    ],
+    ids=["top-level-array", "entries-object", "kernel-string"],
+)
+def test_malformed_catalog_status(tmp_path, capsys, edit, message):
+    raw = json.loads(open(default_catalog_path(), encoding="utf-8").read())
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(edit(raw)), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--catalog", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot load catalog: ") and err.count("\n") == 1
+    assert message in err

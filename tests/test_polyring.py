@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +209,117 @@ def test_evaluate():
     p = parse_poly("x*y - w^2")
     assert p.evaluate((1, 1, 0, 1)) == 0
     assert p.evaluate((2, 3, 0, 1)) == 5
+
+
+# -- reference loops ------------------------------------------------------------
+# The kernels build one table per result, share image powers and stop
+# squaring at the top bit; these loops are the plain definitions they must
+# agree with exactly.
+
+
+def _naive_mul(p, q):
+    table = {}
+    for m1, c1 in p.terms():
+        for m2, c2 in q.terms():
+            mono = Monomial(tuple(a + b for a, b in zip(m1.exponents, m2.exponents)))
+            table[mono] = table.get(mono, 0) + c1 * c2
+    return Polynomial(table)
+
+
+def _naive_pow(p, e):
+    result = Polynomial.one()
+    for _ in range(e):
+        result = result * p
+    return result
+
+
+def _naive_substitute(p, images):
+    result = Polynomial.zero()
+    for mono, coeff in p.terms():
+        term = Polynomial.constant(coeff)
+        for image, e in zip(images, mono.exponents):
+            term = term * _naive_pow(image, e)
+        result = result + term
+    return result
+
+
+def _mixed_image(rng, index):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return _random_poly(rng, max_terms=3, max_exp=2)  # general
+    if kind == 1:
+        mono = Monomial(tuple(rng.randint(0, 2) for _ in range(4)))
+        return Polynomial({mono: Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))})
+    if kind == 2:
+        return Polynomial.constant(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    if kind == 3:
+        return Polynomial.zero()
+    return Polynomial.variable("xyzw"[index])  # identity
+
+
+def test_kernels_match_reference_loops_random():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        p = _random_poly(rng, max_terms=5, max_exp=3)
+        q = _random_poly(rng, max_terms=5, max_exp=3)
+        assert p * q == _naive_mul(p, q)
+        for e in range(7):
+            assert p ** e == _naive_pow(p, e)
+        images = tuple(_mixed_image(rng, i) for i in range(4))
+        image = p.substitute(Substitution(images))
+        assert image == _naive_substitute(p, images)
+        assert all(type(c) is Fraction for _, c in image.terms())  # exact, never float
+        text = format_poly(p) if rng.randrange(2) else format_poly(p).replace(" ", "") + " + 0*x - y + y"
+        total = Polynomial.zero()
+        for term in parse_poly_terms(text):
+            total = total + term
+        assert parse_poly(text) == total
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x^^2", "expected exponent at offset 3"),
+        ("", "empty input at offset 1"),
+        ("   ", "empty input at offset 4"),
+        ("x + q^2", "expected variable, found 'q' at offset 5"),
+        ("1/0*x", "zero denominator at offset 3"),
+        ("2/", "expected denominator at offset 3"),
+        ("x*", "expected variable at offset 3"),
+        ("3 x", "expected '+' or '-', found 'x' at offset 3"),
+        ("1/2/3*x", "expected '+' or '-', found '/' at offset 4"),
+        ("- -x", "expected variable, found '-' at offset 3"),
+        ("x^2*3", "expected variable, found '3' at offset 5"),
+        # Not ASCII decimal digits, or past int()'s digit limit: syntax errors.
+        ("x^\u00b2", "expected exponent at offset 3"),
+        ("9" * 5000 + "*x", "coefficient too long at offset 1"),
+        ("x^" + "9" * 5000, "exponent too long at offset 3"),
+    ],
+    ids=lambda v: v if len(v) < 100 else f"{v[:6]}...({len(v)} chars)",
+)
+def test_syntax_error_messages(text, message):
+    for parse in (parse_poly, parse_poly_terms):
+        with pytest.raises(PolySyntaxError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+
+def test_parse_poly_terms_keeps_zero_and_repeated_terms():
+    terms = parse_poly_terms("0*x + y - y + 2/4*z")
+    assert terms == (Polynomial.zero(), Y, -Y, parse_poly("1/2*z"))
+    assert parse_poly("0*x + y - y + 2/4*z") == parse_poly("1/2*z")
+
+
+def test_power_of_four_term_sum_is_fast():
+    # Squaring past the top bit made this take about 10 s.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = (
+        "from strangedual.polyring import monomial, parse_poly\n"
+        "p = parse_poly('x+y+z+w') ** 16\n"
+        "print(len(p), p.coefficient(monomial(4, 4, 4, 4)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["969", "63063000"]

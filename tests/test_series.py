@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +258,25 @@ def test_or_polynomial_times_one_minus_t_squared():
         for g in gammas:
             table[g] = table.get(g, 0) + 1
         assert lhs == FrameProduct(table)
+
+
+def test_saito_dual_huge_degree_is_immediate():
+    # The dual is read off the frame's bases, never by scanning 1..d; its
+    # bases d/1 and d/2 = 5*10^10 exceed the frame limit, rejected at once.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "strangedual.cli", "saito-dual", "2 / 1^1", "--degree", "100000000000"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: frame base ") and "exceeds limit 1000000" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["\u00b2 / 1", "2^\u00b2", "9" * 5000, "2^" + "9" * 5000],
+    ids=["superscript-base", "superscript-exponent", "long-base", "long-exponent"],
+)
+def test_parse_frame_rejects_non_decimal_and_overlong_numbers(text):
+    # A superscript digit or a number past int()'s digit limit is a syntax
+    # error, not a ValueError.
+    with pytest.raises(FrameSyntaxError):
+        parse_frame(text)
