@@ -1,14 +1,18 @@
-"""Small exact linear-algebra helpers over the rationals.
+"""Small exact linear-algebra helpers.
 
-Everything here works on tuples/lists of ``fractions.Fraction`` (or ints)
-and is meant for the tiny matrices (at most 4x5) that show up in this
-package.  No pivoting heuristics beyond exactness are needed.
+``rref``, ``solve_affine`` and ``nullspace`` work over the rationals, on
+tuples/lists of ``fractions.Fraction`` (or ints).  ``mat_det`` is
+integer-only: it takes integer entries and returns an ``int``, by
+fraction-free elimination.  Everything is meant for the tiny matrices
+(at most 4x5) that show up in this package.  No pivoting heuristics
+beyond exactness are needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 Row = tuple[Fraction, ...]
 Matrix = list[list[Fraction]]
@@ -18,28 +22,33 @@ def _to_matrix(rows) -> Matrix:
     return [[Fraction(entry) for entry in row] for row in rows]
 
 
-def mat_det(rows) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    m = _to_matrix(rows)
+def mat_det(rows) -> int:
+    """Determinant of an integer matrix by Bareiss elimination.
+
+    Every division is exact (Sylvester's identity), so the work stays in
+    the integers.  An entry that is not an integer raises ``TypeError``.
+    """
+    m = [[index(entry) for entry in row] for row in rows]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
+    sign = 1
+    previous = 1
+    for col in range(n - 1):
+        if m[col][col] == 0:
+            pivot = next((r for r in range(col + 1, n) if m[r][col] != 0), None)
+            if pivot is None:
+                return 0
             m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+            sign = -sign
+        top = m[col]
+        head = top[col]
+        for row in m[col + 1 :]:
+            lead = row[col]
+            for c in range(col + 1, n):
+                row[c] = (row[c] * head - lead * top[c]) // previous
+        previous = head
+    return sign * m[-1][-1] if n else 1
 
 
 def rref(rows, rhs=None):

@@ -249,10 +249,18 @@ def _load_entry(raw: dict, index: int) -> SeriesEntry:
     name = raw.get("name", f"#{index}")
     where = f"entry {name}"
 
-    def need(key: str):
+    def need(key: str, kind: type = object, length: int | None = None):
         if key not in raw:
             raise CatalogError(f"{where}: missing field {key!r}")
-        return raw[key]
+        return shaped(key, raw[key], kind, length)
+
+    def shaped(key: str, value, kind: type, length: int | None = None):
+        if isinstance(value, kind) and (length is None or len(value) == length):
+            return value
+        size = "" if length is None else f" of {length}"
+        raise CatalogError(
+            f"{where}: field {key!r}: expected a {kind.__name__}{size}, got {type(value).__name__}"
+        )
 
     def string(key: str, value) -> str:
         if not isinstance(value, str):
@@ -294,6 +302,7 @@ def _load_entry(raw: dict, index: int) -> SeriesEntry:
     if k0_raw is None:
         k0_equations = None
     else:
+        k0_raw = shaped("k0_equations", k0_raw, list, 2)
         k0_equations = (poly("k0_equations", k0_raw[0]), poly("k0_equations", k0_raw[1]))
 
     try:
@@ -302,10 +311,10 @@ def _load_entry(raw: dict, index: int) -> SeriesEntry:
     except SeriesError as exc:
         raise CatalogError(f"{where}: weight system: {exc}") from None
 
-    wall_raw = need("wall_equations")
+    wall_raw = need("wall_equations", list, 2)
     wall = (poly("wall_equations", wall_raw[0]), poly("wall_equations", wall_raw[1]))
 
-    virt_raw = need("virtual_equations")
+    virt_raw = need("virtual_equations", list, 2)
     try:
         virtual = mf.CompleteIntersectionPair(
             poly("virtual_equations", virt_raw[0]), poly("virtual_equations", virt_raw[1])
@@ -313,7 +322,7 @@ def _load_entry(raw: dict, index: int) -> SeriesEntry:
     except mf.MatfacError as exc:
         raise CatalogError(f"{where}: virtual_equations: {exc}") from None
 
-    mf_raw = need("matfac")
+    mf_raw = need("matfac", dict)
     try:
         triple = mf.FactorizationTriple(
             poly("matfac.a", mf_raw["a"]),
@@ -325,9 +334,9 @@ def _load_entry(raw: dict, index: int) -> SeriesEntry:
     except mf.MatfacError as exc:
         raise CatalogError(f"{where}: matfac: {exc}") from None
 
-    parent_raw = need("parent")
+    parent_raw = need("parent", dict)
     try:
-        change_raw = parent_raw["change"]
+        change_raw = shaped("parent.change", parent_raw["change"], dict)
         parent = ParentData(
             name=parent_raw["name"],
             series=parent_raw["series"],
@@ -340,16 +349,19 @@ def _load_entry(raw: dict, index: int) -> SeriesEntry:
     except KeyError as exc:
         raise CatalogError(f"{where}: parent: missing {exc}") from None
 
-    decomposition_raw = need("decomposition")
-    if len(decomposition_raw) != 2:
-        raise CatalogError(f"{where}: decomposition must have 2 pieces")
-    decomposition = tuple(
-        Decomposition(
-            poly("decomposition.poly", piece["poly"]),
-            parse_weight_system(piece["weights"]),
+    pieces = [shaped("decomposition", piece, dict) for piece in need("decomposition", list, 2)]
+    try:
+        decomposition = tuple(
+            Decomposition(
+                poly("decomposition.poly", piece["poly"]),
+                parse_weight_system(string("decomposition.weights", piece["weights"])),
+            )
+            for piece in pieces
         )
-        for piece in decomposition_raw
-    )
+    except KeyError as exc:
+        raise CatalogError(f"{where}: decomposition: missing {exc}") from None
+    except SeriesError as exc:
+        raise CatalogError(f"{where}: decomposition: {exc}") from None
 
     dolgachev = _parse_pair_list(need("dolgachev"), f"{where}: dolgachev")
     gabrielov = _parse_pair_list(need("gabrielov"), f"{where}: gabrielov")
@@ -361,7 +373,7 @@ def _load_entry(raw: dict, index: int) -> SeriesEntry:
     except SeriesError as exc:
         raise CatalogError(f"{where}: zeta_frame: {exc}") from None
 
-    dk = need("dynkin")
+    dk = need("dynkin", dict)
     try:
         dynkin = DynkinData(
             germ=dk["germ"],

@@ -19,7 +19,7 @@ import sys
 from . import catalog as cat
 from . import invertible as inv
 from . import matfac as mf
-from .coxeter import charpoly_Pi, charpoly_S, emit_graph
+from .coxeter import GabrielovQuadruple, charpoly_Pi, charpoly_S, emit_graph
 from .orbits import CStarAction, OrbitError, dolgachev_pair, exceptional_orbits, split_newton
 from .polyring import Polynomial, PolynomialError, parse_poly, parse_poly_terms
 from .series import (
@@ -134,9 +134,10 @@ def _cmd_saito_dual(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    quadruple = (args.g1, args.g2, args.g3, args.g4)
-    if any(g < 1 for g in quadruple):
-        raise CommandError("arm parameters must be >= 1")
+    try:
+        quadruple = GabrielovQuadruple.of(args.g1, args.g2, args.g3, args.g4)
+    except ValueError as exc:
+        raise CommandError(str(exc)) from None
     print(charpoly_S(quadruple) if args.graph == "S" else charpoly_Pi(quadruple))
     if args.dot:
         print(emit_graph(quadruple, args.graph).to_dot())

@@ -6,9 +6,16 @@ For a quadruple (g1, g2; g3, g4) the closed form
     D_S(t) = (t^3 - 2t^2 - 2t + 1) * prod_i (t^(g_i) - 1)/(t - 1)
            + t^2 * sum_i (t^(g_i - 1) - 1)/(t - 1) * prod_{j != i} (t^(g_j) - 1)/(t - 1)
 
-is the normative computation (the divisions are exact geometric sums and
-are implemented as such); the graph with two extra vertices satisfies
-D_Pi(t) = (1 - t)^2 D_S(t).
+is the normative computation; the graph with two extra vertices satisfies
+D_Pi(t) = (1 - t)^2 D_S(t).  Both are computed over Z from the numerator
+
+    N(t) = (t - 1)^4 D_S(t)
+         = (t^3 - 2t^2 - 2t + 1) * prod_i (t^(g_i) - 1)
+           + t^2 * sum_i (t^(g_i - 1) - 1) * prod_{j != i} (t^(g_j) - 1),
+
+a sum of sparse products of binomials, followed by exact synthetic
+division by (t - 1): four times for D_S and twice for D_Pi, as
+(1 - t)^2 = (t - 1)^2.  The work is linear in g1 + g2 + g3 + g4.
 
 The graphs are emitted for documentation only: their doubled and dashed
 edges carry sign conventions defined in external sources, so nothing is
@@ -18,8 +25,10 @@ computed from them here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import index
 
-from .series import UniPolynomial
+from .series import MAX_FRAME_BASE, UniPolynomial
 
 __all__ = [
     "GabrielovQuadruple",
@@ -33,13 +42,20 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class GabrielovQuadruple:
-    """Four arm parameters, grouped as two pairs (g1, g2; g3, g4)."""
+    """Four arm parameters, grouped as two pairs (g1, g2; g3, g4).
+
+    Each parameter is an integer in [1, MAX_FRAME_BASE], the bound that
+    already caps the frame bases of the orbit polynomial of the quadruple;
+    a non-integer raises ``TypeError`` rather than being truncated.
+    """
 
     gammas: tuple[int, int, int, int]
 
     def __post_init__(self):
-        if len(self.gammas) != 4 or any(g < 1 for g in self.gammas):
-            raise ValueError(f"need 4 integers >= 1, got {self.gammas!r}")
+        if len(self.gammas) != 4 or any(not 1 <= index(g) <= MAX_FRAME_BASE for g in self.gammas):
+            raise ValueError(
+                f"need 4 arm parameters in [1, {MAX_FRAME_BASE}], got {self.gammas!r}"
+            )
 
     @staticmethod
     def of(g1: int, g2: int, g3: int, g4: int) -> "GabrielovQuadruple":
@@ -58,41 +74,55 @@ class GabrielovQuadruple:
         return f"{g[0]},{g[1]};{g[2]},{g[3]}"
 
 
-def _geometric(n: int) -> UniPolynomial:
-    """(t^n - 1)/(t - 1) = 1 + t + ... + t^(n-1); zero for n = 0."""
-    return UniPolynomial([1] * n)
-
-
 def _as_quadruple(gamma) -> GabrielovQuadruple:
     if isinstance(gamma, GabrielovQuadruple):
         return gamma
-    return GabrielovQuadruple(tuple(int(g) for g in gamma))
+    return GabrielovQuadruple(tuple(gamma))
+
+
+def _binomial_product(exponents) -> dict[int, int]:
+    """prod (t^g - 1) over ``exponents``, sparse as {power: coefficient}."""
+    terms = {0: 1}
+    for g in exponents:
+        product: dict[int, int] = {}
+        for power, coeff in terms.items():
+            product[power + g] = product.get(power + g, 0) + coeff
+            product[power] = product.get(power, 0) - coeff
+        terms = product
+    return terms
+
+
+def _over_t_minus_one(gamma, times: int) -> UniPolynomial:
+    """N(t) / (t - 1)^times for the numerator N of the module docstring."""
+    gs = _as_quadruple(gamma).gammas
+    numerator = [0] * (sum(gs) + 4)
+    for power, coeff in _binomial_product(gs).items():
+        for shift, head in enumerate((1, -2, -2, 1)):  # t^3 - 2t^2 - 2t + 1
+            numerator[power + shift] += head * coeff
+    for i in range(4):
+        arms = [g - 1 if j == i else g for j, g in enumerate(gs)]
+        for power, coeff in _binomial_product(arms).items():
+            numerator[power + 2] += coeff
+    # Synthetic division by (t - 1): from the top down, each quotient
+    # coefficient is the running sum of the coefficients above it, and the
+    # sum of all of them is the remainder N(1).
+    descending = numerator[::-1]
+    for _ in range(times):
+        sums = list(accumulate(descending))
+        if sums[-1]:
+            raise ArithmeticError(f"(t - 1) does not divide the numerator for {gs!r}")
+        descending = sums[:-1]
+    return UniPolynomial(descending[::-1])
 
 
 def charpoly_S(gamma) -> UniPolynomial:
     """Characteristic polynomial of the Coxeter element of the S-graph."""
-    quad = _as_quadruple(gamma)
-    gs = quad.gammas
-    head = UniPolynomial([1, -2, -2, 1])  # t^3 - 2t^2 - 2t + 1
-    arms = [_geometric(g) for g in gs]
-    product = UniPolynomial.one()
-    for arm in arms:
-        product = product * arm
-    result = head * product
-    t_squared = UniPolynomial([0, 0, 1])
-    for i in range(4):
-        term = _geometric(gs[i] - 1)
-        for j in range(4):
-            if j != i:
-                term = term * arms[j]
-        result = result + t_squared * term
-    return result
+    return _over_t_minus_one(gamma, 4)
 
 
 def charpoly_Pi(gamma) -> UniPolynomial:
     """Characteristic polynomial for the Pi-graph: (1 - t)^2 * charpoly_S."""
-    one_minus_t_sq = UniPolynomial([1, -2, 1])
-    return one_minus_t_sq * charpoly_S(gamma)
+    return _over_t_minus_one(gamma, 2)
 
 
 @dataclass(frozen=True, slots=True)

@@ -97,7 +97,7 @@ class ExponentMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def det(self) -> Fraction:
+    def det(self) -> int:
         return _linalg.mat_det(self.rows)
 
     def is_invertible(self) -> bool:
@@ -224,8 +224,9 @@ class WeightSolution:
 def canonical_weights(matrix: ExponentMatrix) -> WeightSolution:
     """Canonical system of weights of the exponent matrix.
 
-    For det E != 0 this solves E.w = det(E).(1,..,1) exactly (the solution
-    is integral).  For det E = 0 with nullity one the degree is 0 and the
+    For det E != 0 this solves E.w = det(E).(1,..,1) by Cramer's rule:
+    w_i is the determinant of E with column i replaced by (1,..,1), an
+    integer.  For det E = 0 with nullity one the degree is 0 and the
     weight vector is the primitive kernel generator, so the defining
     identity E.w = d.1 still holds.
     """
@@ -239,11 +240,11 @@ def canonical_weights(matrix: ExponentMatrix) -> WeightSolution:
         weights = kernel[0]
         degree = 0
     else:
-        ones = [Fraction(det)] * matrix.n
-        solution = _linalg.solve_affine([list(row) for row in matrix.rows], ones)
-        assert solution is not None and not solution[1]
-        weights = tuple(int(v) for v in solution[0])
-        degree = int(det)
+        weights = tuple(
+            _linalg.mat_det([row[:i] + (1,) + row[i + 1 :] for row in matrix.rows])
+            for i in range(matrix.n)
+        )
+        degree = det
     g = 0
     for value in (*weights, degree):
         g = gcd(g, abs(value))

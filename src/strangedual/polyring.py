@@ -543,7 +543,11 @@ def _parse_term(tok: _Tokenizer, sign: int) -> tuple[Monomial, Fraction]:
 
 
 def _format_coeff(coeff: Fraction) -> str:
-    return str(coeff) if coeff.denominator != 1 else str(coeff.numerator)
+    try:
+        return str(coeff) if coeff.denominator != 1 else str(coeff.numerator)
+    except ValueError:
+        # str(int) refuses numbers past the interpreter's digit limit.
+        raise PolynomialError("coefficient has too many digits to print") from None
 
 
 def format_poly(p: Polynomial) -> str:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,10 +164,33 @@ def test_computation_error_status(capsys):
         (("transpose", "x^2 + x^3", "--vars", "x,x"), "error: bad variable list"),
         (("weights", "x^2 + y^3 + z^5", "--vars", "x,y"), "error: term z^5 uses inactive variables"),
         (("reduce", "x*y", "y"), "error: a must have degree >= 2: 0"),
+        # a*b has about 8000 digits, past the limit of str(int).
+        (
+            ("reduce", f"x*y - {'9' * 4000}*w^2", f"-x^2*z + {'9' * 4000}*y*w + z^2"),
+            "error: coefficient has too many digits to print",
+        ),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith(message) and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize(
+    "gammas, code, stderr",
+    [
+        (("3000", "3000", "3000", "3000"), 0, ""),
+        (("10000000", "1", "1", "1"), 1, "error: need 4 arm parameters in [1, 1000000], got "),
+    ],
+    ids=["large-arms", "arm-past-limit"],
+)
+def test_charpoly_arm_bounds(gammas, code, stderr):
+    # Linear in the arm lengths; an arm past the frame-base limit is
+    # refused before any polynomial is built.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "strangedual.cli", "charpoly", *gammas]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == code
 
 
 def test_usage_error_status(capsys):
@@ -179,14 +205,30 @@ def test_bad_polynomial_status(capsys):
     assert "offset 3" in err
 
 
+def _first_entry_with(field, value):
+    return lambda raw: {**raw, "entries": [dict(raw["entries"][0], **{field: value})]}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda raw: [raw], "expected a JSON object at the top level, got list"),
         (lambda raw: {**raw, "entries": {}}, "'entries' must be a list of JSON objects"),
         (lambda raw: {**raw, "entries": [dict(raw["entries"][0], kernel="ab")]}, "kernel: expected integers"),
+        (_first_entry_with("decomposition", [1, 2]), "field 'decomposition': expected a dict, got int"),
+        (_first_entry_with("matfac", 5), "field 'matfac': expected a dict, got int"),
+        (_first_entry_with("parent", 7), "field 'parent': expected a dict, got int"),
+        (_first_entry_with("dynkin", 3), "field 'dynkin': expected a dict, got int"),
     ],
-    ids=["top-level-array", "entries-object", "kernel-string"],
+    ids=[
+        "top-level-array",
+        "entries-object",
+        "kernel-string",
+        "decomposition-ints",
+        "matfac-int",
+        "parent-int",
+        "dynkin-int",
+    ],
 )
 def test_malformed_catalog_status(tmp_path, capsys, edit, message):
     raw = json.loads(open(default_catalog_path(), encoding="utf-8").read())

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -47,9 +48,42 @@ def test_symmetry_under_permutations():
         assert len(polys) == 1
 
 
+def _geometric_product_charpoly(gammas):
+    # The closed form as a sum of products of geometric sums
+    # 1 + t + ... + t^(n-1), one dense product at a time.
+    def geometric(n):
+        return UniPolynomial([1] * n)
+
+    arms = [geometric(g) for g in gammas]
+    total = UniPolynomial([1, -2, -2, 1])
+    for arm in arms:
+        total = total * arm
+    for i in range(4):
+        term = UniPolynomial([0, 0, 1]) * geometric(gammas[i] - 1)
+        for j in range(4):
+            if j != i:
+                term = term * arms[j]
+        total = total + term
+    return total
+
+
+def test_charpoly_matches_geometric_product_oracle():
+    rng = random.Random(11)
+    seeded = [tuple(rng.randint(1, 60) for _ in range(4)) for _ in range(200)]
+    one_minus_t_sq = UniPolynomial([1, -2, 1])
+    for gammas in [*product(range(1, 9), repeat=4), *seeded]:
+        expected = _geometric_product_charpoly(gammas)
+        assert charpoly_S(gammas) == expected, gammas
+        assert charpoly_Pi(gammas) == one_minus_t_sq * expected, gammas
+
+
 def test_quadruple_validation():
-    with pytest.raises(ValueError):
-        GabrielovQuadruple((0, 1, 1, 1))
+    for bad in ((0, 1, 1, 1), (1, 1, 1, 10**6 + 1), (1, 1, 1)):
+        with pytest.raises(ValueError, match=r"in \[1, 1000000\]"):
+            GabrielovQuadruple(bad)
+    assert GabrielovQuadruple((10**6, 1, 1, 1)).total() == 10**6 + 3
+    with pytest.raises(TypeError):
+        charpoly_S((2.5, 2, 2, 6))
     quad = GabrielovQuadruple.of(2, 2, 3, 5)
     assert quad.pairs == ((2, 2), (3, 5))
     assert quad.total() == 12

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from strangedual._linalg import mat_det
 from strangedual.invertible import (
     ExponentMatrix,
     SingularMatrixError,
@@ -186,6 +187,61 @@ def _det_int(rows):
         sign = -1 if j % 2 else 1
         total += sign * rows[0][j] * _det_int(minor)
     return total
+
+
+def test_mat_det_cofactor_oracle():
+    # Seeded integer matrices 1x1 to 5x5 with negative entries; each also
+    # appears with its first row made a sum of two others (singular) and
+    # with a zero top-left entry (a pivot swap).
+    rng = random.Random(7)
+    singular = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        cases = [rows, [[0] + rows[0][1:]] + rows[1:]]
+        if n >= 3:
+            cases.append([[a + b for a, b in zip(rows[1], rows[2])]] + rows[1:])
+        for case in cases:
+            det = mat_det(case)
+            assert type(det) is int
+            assert det == _det_int(case)
+            singular += det == 0
+    assert singular >= 50
+
+
+def test_mat_det_rejects_non_integer_entries():
+    with pytest.raises(TypeError):
+        mat_det([[Fraction(1, 2)]])
+    with pytest.raises(TypeError):
+        mat_det([[1, 0], [0, 2.0]])
+
+
+def _adjugate_times_ones(rows):
+    # (adj E).1: entry i is sum_j (-1)^(i+j) det(E without row j, column i).
+    n = len(rows)
+    if n == 1:
+        return (1,)
+    return tuple(
+        sum(
+            (-1) ** (i + j) * _det_int([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def test_canonical_weights_adjugate_oracle():
+    rng = random.Random(29)
+    checked = 0
+    while checked < 80:
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(0, 5) for _ in range(n)] for _ in range(n)]
+        det = _det_int(rows)
+        if det == 0:
+            continue
+        solution = canonical_weights(ExponentMatrix.make(rows, ("x", "y", "z", "w")[:n]))
+        assert (solution.weights, solution.degree) == (_adjugate_times_ones(rows), det)
+        checked += 1
 
 
 def test_smith_normal_form_minor_gcd_oracle():
