@@ -1,25 +1,20 @@
-"""Small exact linear-algebra helpers.
+"""Small exact linear-algebra helpers, all fraction-free.
 
-``rref``, ``solve_affine`` and ``nullspace`` work over the rationals, on
-tuples/lists of ``fractions.Fraction`` (or ints).  ``mat_det`` is
-integer-only: it takes integer entries and returns an ``int``, by
-fraction-free elimination.  Everything is meant for the tiny matrices
-(at most 4x5) that show up in this package.  No pivoting heuristics
-beyond exactness are needed.
+``mat_det`` is Bareiss elimination over ``int``.  ``rref`` is Gauss–Jordan
+over ``int``: each row is scaled to integers, and each new row is divided
+by its content.  ``mat_rank``, ``solve_affine`` and ``nullspace`` build on
+it and take ``int`` or ``fractions.Fraction`` entries; a ``Fraction`` is
+formed only for each solution entry, by one division by its pivot.
+Everything is meant for the tiny matrices (at most 4x5) that show up in
+this package.  No pivoting heuristics beyond exactness are needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import repeat
+from math import gcd, lcm
 from operator import index
-
-Row = tuple[Fraction, ...]
-Matrix = list[list[Fraction]]
-
-
-def _to_matrix(rows) -> Matrix:
-    return [[Fraction(entry) for entry in row] for row in rows]
 
 
 def mat_det(rows) -> int:
@@ -51,16 +46,27 @@ def mat_det(rows) -> int:
     return sign * m[-1][-1] if n else 1
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` divided by its content (unchanged when it is zero)."""
+    content = gcd(*row)
+    return [v // content for v in row] if content > 1 else row
+
+
 def rref(rows, rhs=None):
     """Reduced row echelon form of ``rows`` (augmented with ``rhs`` if given).
 
-    Returns ``(matrix, rhs, pivot_columns)``; the rhs is ``None`` when no
-    right-hand side was supplied.
+    Returns ``(matrix, rhs, pivot_columns)`` in integers.  Row r is the
+    reduced row r times its pivot ``matrix[r][pivot_columns[r]]``: pivots
+    are not scaled to 1, so no ``Fraction`` is formed.  The rhs is ``None``
+    when no right-hand side was supplied.
     """
-    m = _to_matrix(rows)
-    b = [Fraction(v) for v in rhs] if rhs is not None else None
+    m = []
+    for row, b in zip(rows, repeat(0) if rhs is None else rhs):
+        row = [*row, b]
+        scale = lcm(*(v.denominator for v in row))
+        m.append(_primitive([v.numerator * (scale // v.denominator) for v in row]))
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    ncols = len(m[0]) - 1 if m else 0
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -68,23 +74,18 @@ def rref(rows, rhs=None):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        if b is not None:
-            b[r], b[pivot] = b[pivot], b[r]
-        inv = Fraction(1) / m[r][col]
-        m[r] = [entry * inv for entry in m[r]]
-        if b is not None:
-            b[r] *= inv
-        for k in range(nrows):
-            if k != r and m[k][col] != 0:
-                factor = m[k][col]
-                m[k] = [a - factor * c for a, c in zip(m[k], m[r])]
-                if b is not None:
-                    b[k] -= factor * b[r]
+        top = m[r]
+        head = top[col]
+        for k, row in enumerate(m):
+            lead = row[col]
+            if k != r and lead != 0:
+                m[k] = _primitive([head * a - lead * c for a, c in zip(row, top)])
         pivots.append(col)
         r += 1
         if r == nrows:
             break
-    return m, b, pivots
+    b = [row.pop() for row in m]
+    return m, (None if rhs is None else b), pivots
 
 
 def mat_rank(rows) -> int:
@@ -102,20 +103,20 @@ def solve_affine(rows, rhs):
     homogeneous solutions; returns ``None`` if the system is inconsistent.
     """
     m, b, pivots = rref(rows, rhs)
+    # The rows past the pivot rows are zero; a nonzero rhs there is 0 = b.
+    if any(b[len(pivots) :]):
+        return None
     ncols = len(rows[0]) if rows else 0
-    for i in range(len(m)):
-        if all(entry == 0 for entry in m[i]) and b[i] != 0:
-            return None
     particular = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
-        particular[col] = b[r]
+        particular[col] = Fraction(b[r], m[r][col])
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for free in free_cols:
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for r, col in enumerate(pivots):
-            vec[col] = -m[r][free]
+            vec[col] = Fraction(-m[r][free], m[r][col])
         basis.append(vec)
     return particular, basis
 
@@ -136,17 +137,7 @@ def primitive_integer_vector(vec) -> tuple[int, ...]:
     The sign is normalised so that the first nonzero entry is positive.
     """
     fracs = [Fraction(v) for v in vec]
-    if all(v == 0 for v in fracs):
-        return tuple(0 for _ in fracs)
-    denom_lcm = 1
-    for v in fracs:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    scale = lcm(*(v.denominator for v in fracs))
+    ints = _primitive([v.numerator * (scale // v.denominator) for v in fracs])
+    first = next((v for v in ints if v != 0), 0)
+    return tuple(-v if first < 0 else v for v in ints)

@@ -18,6 +18,7 @@ shipped catalog every check is an exact identity.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -239,7 +240,7 @@ def default_catalog_path() -> str:
 
 def _parse_pair_list(value, where: str) -> tuple[tuple[int, int], ...]:
     try:
-        pairs = tuple((int(a), int(b)) for a, b in value)
+        pairs = tuple((operator.index(a), operator.index(b)) for a, b in value)
     except (TypeError, ValueError) as exc:
         raise CatalogError(f"{where}: expected [base, extra] pairs: {exc}") from None
     return pairs
@@ -279,7 +280,7 @@ def _load_entry(raw: dict, index: int) -> SeriesEntry:
     if case not in SUBSTITUTION_CASES:
         raise CatalogError(f"{where}: unknown substitution case {case!r}")
     try:
-        kernel = tuple(int(v) for v in need("kernel"))
+        kernel = tuple(operator.index(v) for v in need("kernel"))
     except (TypeError, ValueError) as exc:
         raise CatalogError(f"{where}: kernel: expected integers: {exc}") from None
     if kernel != SUBSTITUTION_CASES[case]["kernel"]:

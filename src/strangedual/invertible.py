@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 from . import _linalg
 from .polyring import Monomial, Polynomial, VARIABLES
@@ -85,7 +86,9 @@ class ExponentMatrix:
 
     @staticmethod
     def make(rows, variables=None, coefficients=None) -> "ExponentMatrix":
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        """Build from any integer rows; an exponent that is not an integer
+        (``2.7``, ``"2"``) raises ``TypeError`` instead of being truncated."""
+        rows = tuple(tuple(index(e) for e in row) for row in rows)
         n = len(rows)
         if variables is None:
             variables = VARIABLES[:n]
@@ -305,9 +308,10 @@ def smith_normal_form(rows) -> list[int]:
 
     Exact integer row/column reduction, pivoting on the entry of smallest
     absolute value.  Returns non-negative diagonal entries satisfying the
-    divisibility chain d_1 | d_2 | ...
+    divisibility chain d_1 | d_2 | ...  An entry that is not an integer
+    raises ``TypeError``.
     """
-    m = [[int(e) for e in row] for row in rows]
+    m = [[index(e) for e in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     size = min(nrows, ncols)

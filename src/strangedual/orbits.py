@@ -7,10 +7,14 @@ share a common factor.  Enumerating the strata, slicing each orbit by
 fixing the lowest-weight coordinate to 1 and solving the restricted
 system exactly over the rationals yields explicit orbit representatives,
 their isotropy orders and a singular-locus flag from the exact Jacobian
-rank.  The univariate steps use :class:`~strangedual.series.UniPolynomial`:
-a gcd over Q, then the rational roots of its primitive integer form, with
-candidate numerators and denominators from divisor pairs up to the square
-root.
+rank (the gradient is built once per pair).  The univariate steps use
+:class:`~strangedual.series.UniPolynomial`: a gcd over Q, then the
+rational roots of its primitive integer form.  Candidate numerators and
+denominators come from divisor pairs up to the square root; only coprime
+pairs p/q are tried, each by the integer q^n*f(p/q), and each root found
+is divided out exactly by q*t - p (Gauss's lemma).  The rational images of
+a point under the slice's cyclic group are sign patterns, found from one
+lcm of the support weights, not by walking the group.
 
 The case (A)/(B)/(C) classification and the principal-orbit filter turn
 this enumeration into the pair of isotropy orders attached to each half
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import _linalg
 from .polyring import Monomial, Polynomial, QuasiFailure, VARIABLES, quasi_degree
@@ -127,9 +131,19 @@ class UnresolvedOrbit:
 
 # -- univariate root finding ---------------------------------------------------
 
-#: Each candidate root is tested through this module global, one call per
-#: candidate, so a wrapper installed here sees every candidate tried.
-_uni_eval = UniPolynomial.evaluate
+def _uni_eval(coeffs, p: int, q: int) -> int:
+    """q^n * f(p/q) for the integer coefficients of f (constant term first,
+    degree n), by homogeneous Horner: zero exactly when p/q is a root.
+
+    Each candidate root is tested through this module global, one call per
+    candidate, so a wrapper installed here sees every candidate tried.
+    """
+    total = 0
+    q_power = 1
+    for coeff in reversed(coeffs):
+        total = total * p + coeff * q_power
+        q_power *= q
+    return total
 
 
 def _divisors(n: int) -> list[int]:
@@ -155,24 +169,33 @@ def _rational_roots(coeffs) -> tuple[set[Fraction], tuple[int, ...] | None]:
     # and dividing by q*t - p keeps the quotient primitive (Gauss's lemma).
     ints = work.primitive()
     low = next(i for i, c in enumerate(ints) if c != 0)
-    work = UniPolynomial(ints[low:])
+    work = ints[low:]
     roots: set[Fraction] = set()
-    while work.degree() > 0:
+    while len(work) > 1:
+        denominators = _divisors(work[-1])
         found = next(
             (
-                candidate
-                for p in _divisors(work.coefficients[0])
-                for q in _divisors(work.coefficients[-1])
-                for candidate in (Fraction(p, q), Fraction(-p, q))
-                if _uni_eval(work, candidate) == 0
+                (p, q)
+                for a in _divisors(work[0])
+                for q in denominators
+                if gcd(a, q) == 1
+                for p in (a, -a)
+                if _uni_eval(work, p, q) == 0
             ),
             None,
         )
         if found is None:
             break
-        roots.add(found)
-        work = work.divide(UniPolynomial((-found.numerator, found.denominator)))[0]
-    return roots, (work.coefficients if work.degree() > 0 else None)
+        p, q = found
+        roots.add(Fraction(p, q))
+        # Synthetic division by q*t - p, from the top: g_{i-1} = (f_i + p*g_i) / q.
+        quotient = [0] * (len(work) - 1)
+        carry = 0
+        for i in range(len(work) - 1, 0, -1):
+            carry = (work[i] + p * carry) // q
+            quotient[i - 1] = carry
+        work = tuple(quotient)
+    return roots, (work if len(work) > 1 else None)
 
 
 def _restrict_to_univariate(p: Polynomial, var_index: int) -> UniPolynomial:
@@ -325,24 +348,19 @@ def _solve_stratum(h1: Polynomial, h2: Polynomial, stratum: tuple[int, ...], sli
 
 def _rational_group_images(point, weights, slice_index):
     """Orbit of a rational point under the residual cyclic group of the
-    slice, keeping only the rational images (sign patterns)."""
+    slice, keeping only the rational images (sign patterns).
+
+    Element j multiplies coordinate i by exp(2*pi*i*j*w_i/order), where
+    order is the slice weight: a sign exactly when 2*j*w_i = 0 (mod order).
+    Over the support these j are the multiples of ``step``, and j -> signs
+    is a homomorphism, so the rational images are the point and its image
+    under j = step.
+    """
     order = weights[slice_index]
-    images = set()
-    for j in range(order):
-        signs = []
-        rational = True
-        for i in range(4):
-            e = (j * weights[i]) % order
-            if point[i] == 0 or e == 0:
-                signs.append(1)
-            elif 2 * e == order:
-                signs.append(-1)
-            else:
-                rational = False
-                break
-        if rational:
-            images.add(tuple(s * v for s, v in zip(signs, point)))
-    return images
+    support = [i for i in range(4) if point[i] != 0]
+    step = lcm(*(order // gcd(order, 2 * weights[i]) for i in support))
+    flipped = tuple(-v if step * w % order else v for v, w in zip(point, weights))
+    return {tuple(point), flipped}
 
 
 def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
@@ -357,6 +375,7 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
         if isinstance(verdict, QuasiFailure):
             raise OrbitError(f"{label} equation is not quasi-homogeneous: {verdict}")
     weights = action.weights
+    gradient = [[p.partial(v) for v in VARIABLES] for p in (h1, h2i)]
     results: list = []
     strata = []
     for size in range(1, 5):
@@ -378,10 +397,7 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
             seen |= orbit_images
             if h1.evaluate(point) != 0 or h2i.evaluate(point) != 0:
                 raise OrbitError(f"internal error: representative {point} misses the variety")
-            jacobian = [
-                [h1.partial(v).evaluate(point) for v in VARIABLES],
-                [h2i.partial(v).evaluate(point) for v in VARIABLES],
-            ]
+            jacobian = [[d.evaluate(point) for d in row] for row in gradient]
             results.append(
                 OrbitRep(
                     point=point,

@@ -272,15 +272,27 @@ class Polynomial:
         return _raw({m: c for m, c in table.items() if c != 0})
 
     def evaluate(self, point) -> Fraction:
-        """Evaluate at a rational 4-tuple (order x, y, z, w)."""
-        values = [Fraction(v) for v in point]
+        """Evaluate at a rational 4-tuple (order x, y, z, w).
+
+        ``int`` and ``Fraction`` coordinates are used as given; a term with
+        a zero coordinate is skipped, and each power v**e is formed once
+        per call.
+        """
+        values = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in point]
+        powers: dict[tuple[int, int], int | Fraction] = {}
         total = Fraction(0)
         for mono, coeff in self._terms.items():
             factor = coeff
-            for v, e in zip(values, mono.exponents):
+            for i, e in enumerate(mono.exponents):
                 if e:
-                    factor *= v ** e
-            total += factor
+                    if not values[i]:
+                        break
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = values[i] ** e
+                    factor *= power
+            else:
+                total += factor
         return total
 
     def substitute(self, sub: "Substitution | Mapping[str, Polynomial]") -> "Polynomial":

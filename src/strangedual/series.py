@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 MAX_FRAME_BASE = 10**6
+#: Largest work ``frame_expand`` takes on: (order + 1) * (1 + sum |alpha_l|)
+#: coefficient updates, one pass per unit of exponent plus the list itself,
+#: so ``poincare --expand N`` ends in about a second or with a SeriesError.
+MAX_EXPAND_WORK = 10**7
 
 
 class SeriesError(Exception):
@@ -263,12 +267,6 @@ class UniPolynomial:
         lead = a.coefficients[-1]
         return UniPolynomial(Fraction(c, lead) for c in a.coefficients)
 
-    def evaluate(self, value: int | Fraction) -> int | Fraction:
-        total = 0
-        for coeff in reversed(self.coefficients):
-            total = total * value + coeff
-        return total
-
     def primitive(self) -> tuple[int, ...]:
         """The coprime integer coefficients of the same polynomial up to a
         positive scalar: denominators cleared and the content divided out."""
@@ -383,10 +381,13 @@ def frame_expand(frame: FrameProduct, order: int) -> tuple[int, ...]:
 
     Works factor by factor in increasing l: multiplying by (1-t^l) is a
     shifted subtraction, dividing is the inverse recurrence; both are
-    integer-exact.
+    integer-exact.  Work past ``MAX_EXPAND_WORK`` raises ``SeriesError``.
     """
     if order < 0:
         raise SeriesError("expansion order must be non-negative")
+    work = (order + 1) * (1 + sum(abs(alpha) for _, alpha in frame.items()))
+    if work > MAX_EXPAND_WORK:
+        raise SeriesError(f"expansion work {work} exceeds limit {MAX_EXPAND_WORK}")
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
     for base, alpha in frame.items():

@@ -193,6 +193,30 @@ def test_charpoly_arm_bounds(gammas, code, stderr):
     assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == code
 
 
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (("poincare", "2,6,5,4;8,10", "--expand", "100000000000"), "error: expansion work "),
+        (("poincare", "2,6,5,4;8,10", "--expand", "50000000"), "error: expansion work "),
+        (
+            ("dolgachev", "x*y - z*w", "-x^2*w + z^2 + x*w^2", "--weights")
+            + ("400000", "600000", "600000", "400000"),
+            "error: system too complex",
+        ),
+    ],
+    ids=["expand-huge", "expand-large", "dolgachev-large-weights"],
+)
+def test_bounded_work_inputs(argv, stderr):
+    # Each input once ran out of memory or took longer than the timeout:
+    # the expansion before its work bound, the orbit search while it
+    # walked the slice's cyclic group, O(weight) steps.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "strangedual.cli", *argv]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == 1
+
+
 def test_usage_error_status(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["charpoly", "2", "2"])
@@ -215,6 +239,9 @@ def _first_entry_with(field, value):
         (lambda raw: [raw], "expected a JSON object at the top level, got list"),
         (lambda raw: {**raw, "entries": {}}, "'entries' must be a list of JSON objects"),
         (lambda raw: {**raw, "entries": [dict(raw["entries"][0], kernel="ab")]}, "kernel: expected integers"),
+        # int() would truncate these to the shipped values and load them.
+        (_first_entry_with("kernel", [1.5, 1.5, 0.5, -2.5]), "kernel: expected integers"),
+        (_first_entry_with("dolgachev", [[2.5, 2], [2, 6]]), "dolgachev: expected [base, extra] pairs"),
         (_first_entry_with("decomposition", [1, 2]), "field 'decomposition': expected a dict, got int"),
         (_first_entry_with("matfac", 5), "field 'matfac': expected a dict, got int"),
         (_first_entry_with("parent", 7), "field 'parent': expected a dict, got int"),
@@ -224,6 +251,8 @@ def _first_entry_with(field, value):
         "top-level-array",
         "entries-object",
         "kernel-string",
+        "kernel-floats",
+        "pair-floats",
         "decomposition-ints",
         "matfac-int",
         "parent-int",

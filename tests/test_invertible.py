@@ -267,6 +267,20 @@ def test_smith_normal_form_known():
     assert smith_normal_form([[2, 4], [4, 2]]) == [2, 6]
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExponentMatrix.make([[2.7, 1], [0, 3]]),
+        lambda: smith_normal_form([[2.7, 1], [0, 3]]),
+    ],
+    ids=["make", "smith"],
+)
+def test_non_integer_exponents_rejected(build):
+    # int() would truncate 2.7 to 2 and go on with the wrong matrix.
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_symmetry_group_singular_rejected():
     with pytest.raises(SingularMatrixError):
         symmetry_group(_ordered_matrix(KFLAT_F))

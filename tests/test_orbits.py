@@ -1,12 +1,16 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from strangedual.orbits import (
+    _rational_group_images,
+    _rational_roots,
     CStarAction,
     NewtonStructureError,
     OrbitError,
@@ -182,6 +186,75 @@ def test_rational_roots_large_constant_term():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "(set(), (1000000007, 0, 1))"
+
+
+def _group_images_by_enumeration(point, weights, slice_index):
+    # Walks the whole cyclic group of the slice: O(weight), kept as the oracle.
+    order = weights[slice_index]
+    images = set()
+    for j in range(order):
+        signs = []
+        for i in range(4):
+            e = (j * weights[i]) % order
+            if point[i] == 0 or e == 0:
+                signs.append(1)
+            elif 2 * e == order:
+                signs.append(-1)
+            else:
+                break
+        else:
+            images.add(tuple(s * v for s, v in zip(signs, point)))
+    return images
+
+
+def test_rational_group_images_match_enumeration():
+    rng = random.Random(6)
+    values = (0, 0, 1, -1, 2, Fraction(-3, 2), Fraction(5, 7))
+    flips = 0
+    for _ in range(300):
+        weights = tuple(rng.randint(1, 60) for _ in range(4))
+        point = [rng.choice(values) for _ in range(4)]
+        slice_index = rng.randrange(4)
+        point[slice_index] = Fraction(1)
+        point = tuple(point)
+        images = _rational_group_images(point, weights, slice_index)
+        assert images == _group_images_by_enumeration(point, weights, slice_index)
+        flips += len(images) == 2
+    assert flips > 30
+
+
+def _times_linear(coeffs, p, q):
+    # coeffs (constant term first) times q*t - p.
+    out = [0] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        out[i] -= p * c
+        out[i + 1] += q * c
+    return out
+
+
+def test_rational_roots_recover_known_factors():
+    rng = random.Random(7)
+    for _ in range(100):
+        # A primitive quadratic with negative discriminant has no real root.
+        while True:
+            a, b, c = rng.randint(1, 9), rng.randint(-9, 9), rng.randint(1, 9)
+            if b * b < 4 * a * c and gcd(a, b, c) == 1:
+                break
+        residual = (c, b, a) if rng.random() < 0.8 else None
+        coeffs = list(residual or (1,))
+        roots = set()
+        for _ in range(rng.randint(0 if residual else 1, 4)):
+            q = rng.randint(1, 12)
+            p = rng.choice((1, -1)) * rng.randint(1, 12)
+            coeffs = _times_linear(coeffs, p, q)
+            roots.add(Fraction(p, q))
+        coeffs = [0] * rng.randint(0, 2) + coeffs  # a factor t^k
+        scale = Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 5))
+        found, rest = _rational_roots([scale * v for v in coeffs])
+        assert found == roots
+        if rest is not None and scale < 0:
+            rest = tuple(-v for v in rest)
+        assert rest == residual
 
 
 def test_orbit_report_format():
