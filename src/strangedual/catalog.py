@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import matfac as mf
 from .coxeter import charpoly_S
@@ -121,8 +120,7 @@ def canonical_name(name: str) -> str:
     return _ALIASES.get(name.strip().lower(), name.strip())
 
 
-@dataclass(frozen=True, slots=True)
-class ParentData:
+class ParentData(NamedTuple):
     """Parent hypersurface of a series: cusp equation f, the coordinate
     change turning f - xzw into h - xzw, and the reduced polynomial h."""
 
@@ -135,16 +133,14 @@ class ParentData:
     h: Polynomial
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """One face polynomial of the Newton split with its weight system."""
 
     polynomial: Polynomial
     weights: WeightSystem
 
 
-@dataclass(frozen=True, slots=True)
-class DynkinData:
+class DynkinData(NamedTuple):
     """Coxeter-Dynkin bookkeeping: germ name, thimble multiplicities with
     their '+1' annotations, and the annotated arm parameters."""
 
@@ -159,8 +155,7 @@ class DynkinData:
         return tuple(base + extra for base, extra in self.gamma)
 
 
-@dataclass(frozen=True, slots=True)
-class SeriesEntry:
+class SeriesEntry(NamedTuple):
     name: str
     display: str
     dual_name: str
@@ -210,8 +205,7 @@ class SeriesEntry:
         return self.gabrielov[0] + self.gabrielov[1]
 
 
-@dataclass(frozen=True, slots=True)
-class Catalog:
+class Catalog(NamedTuple):
     entries: tuple[SeriesEntry, ...]
 
     def names(self) -> tuple[str, ...]:
@@ -469,8 +463,7 @@ def load_catalog(source: str | None = None) -> Catalog:
 # -- verification -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     number: int
     label: str
     passed: bool
@@ -485,8 +478,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class EntryReport:
+class EntryReport(NamedTuple):
     name: str
     checks: tuple[CheckResult, ...]
 
@@ -498,8 +490,7 @@ class EntryReport:
         return {"name": self.name, "checks": [c.to_json() for c in self.checks]}
 
 
-@dataclass(frozen=True, slots=True)
-class CatalogReport:
+class CatalogReport(NamedTuple):
     entries: tuple[EntryReport, ...]
     warnings: tuple[str, ...] = ()
 
@@ -572,10 +563,7 @@ def _check_matfac(entry: SeriesEntry) -> CheckResult:
     except mf.MatfacError as exc:
         failures.append(f"factorization identity failed: {exc}")
     lifted = mf.lift(triple)
-    if (lifted.first, lifted.second) != (
-        entry.virtual_equations.first,
-        entry.virtual_equations.second,
-    ):
+    if lifted != entry.virtual_equations:
         failures.append(f"lift gives {lifted}, catalog has {entry.virtual_equations}")
     try:
         reduced = mf.reduce(entry.virtual_equations)

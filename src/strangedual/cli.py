@@ -114,13 +114,14 @@ def _cmd_lift(args) -> int:
 
 def _cmd_poincare(args) -> int:
     try:
-        ws = parse_weight_system(args.weightsystem)
-        frame = poincare(ws)
-        print(format_frame(frame))
+        frame = poincare(parse_weight_system(args.weightsystem))
+        lines = [format_frame(frame)]
         if args.expand is not None:
-            print(",".join(str(c) for c in frame_expand(frame, args.expand)))
+            # Expand before printing, so a refused expansion prints nothing.
+            lines.append(",".join(str(c) for c in frame_expand(frame, args.expand)))
     except SeriesError as exc:
         raise CommandError(str(exc)) from None
+    print("\n".join(lines))
     return 0
 
 

@@ -24,9 +24,10 @@ computed from them here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from operator import index
+from typing import NamedTuple
 
 from .series import MAX_FRAME_BASE, UniPolynomial
 
@@ -40,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class GabrielovQuadruple:
+class GabrielovQuadruple(namedtuple("GabrielovQuadruple", "gammas")):
     """Four arm parameters, grouped as two pairs (g1, g2; g3, g4).
 
     Each parameter is an integer in [1, MAX_FRAME_BASE], the bound that
@@ -49,13 +49,15 @@ class GabrielovQuadruple:
     a non-integer raises ``TypeError`` rather than being truncated.
     """
 
-    gammas: tuple[int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, gammas: tuple[int, int, int, int]):
+        self = tuple.__new__(cls, (gammas,))
         if len(self.gammas) != 4 or any(not 1 <= index(g) <= MAX_FRAME_BASE for g in self.gammas):
             raise ValueError(
                 f"need 4 arm parameters in [1, {MAX_FRAME_BASE}], got {self.gammas!r}"
             )
+        return self
 
     @staticmethod
     def of(g1: int, g2: int, g3: int, g4: int) -> "GabrielovQuadruple":
@@ -125,15 +127,13 @@ def charpoly_Pi(gamma) -> UniPolynomial:
     return _over_t_minus_one(gamma, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     u: str
     v: str
     style: str = "single"  # single | double | dashed
 
 
-@dataclass(frozen=True, slots=True)
-class Graph:
+class Graph(NamedTuple):
     name: str
     vertices: tuple[str, ...]
     edges: tuple[GraphEdge, ...]

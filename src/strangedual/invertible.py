@@ -23,10 +23,11 @@ degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
+from typing import NamedTuple
 
 from . import _linalg
 from .polyring import Monomial, Polynomial, VARIABLES
@@ -60,8 +61,7 @@ class SingularMatrixError(InvertibleError):
     """The exponent matrix is singular where invertibility is required."""
 
 
-@dataclass(frozen=True, slots=True)
-class ExponentMatrix:
+class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")):
     """Square integer exponent matrix with per-row coefficients.
 
     ``variables`` names the active variables (columns); coefficients
@@ -69,11 +69,15 @@ class ExponentMatrix:
     coefficient.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    variables: tuple[str, ...]
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        rows: tuple[tuple[int, ...], ...],
+        variables: tuple[str, ...],
+        coefficients: tuple[Fraction, ...],
+    ):
+        self = tuple.__new__(cls, (rows, variables, coefficients))
         n = len(self.rows)
         if n < 1 or n != len(self.variables) or n != len(self.coefficients):
             raise InvertibleError("rows, variables and coefficients must have equal length")
@@ -83,6 +87,7 @@ class ExponentMatrix:
             raise InvertibleError("exponents must be non-negative")
         if any(c == 0 for c in self.coefficients):
             raise InvertibleError("coefficients must be nonzero")
+        return self
 
     @staticmethod
     def make(rows, variables=None, coefficients=None) -> "ExponentMatrix":
@@ -102,9 +107,6 @@ class ExponentMatrix:
 
     def det(self) -> int:
         return _linalg.mat_det(self.rows)
-
-    def is_invertible(self) -> bool:
-        return self.det() != 0
 
     def transpose(self) -> "ExponentMatrix":
         n = self.n
@@ -199,8 +201,7 @@ def bh_transpose(matrix: ExponentMatrix) -> ExponentMatrix:
     return matrix.transpose()
 
 
-@dataclass(frozen=True, slots=True)
-class WeightSolution:
+class WeightSolution(NamedTuple):
     """Solution of E.w = d.(1,...,1) with d = det E.
 
     ``weights``/``degree`` is the raw system (d = det E, unreduced);
@@ -261,8 +262,7 @@ def canonical_weights(matrix: ExponentMatrix) -> WeightSolution:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class GradingOperator:
+class GradingOperator(NamedTuple):
     """Exponential grading operator data: charges q_i = w_i/d and order."""
 
     charges: tuple[Fraction, ...]
@@ -285,8 +285,7 @@ def grading_operator(matrix: ExponentMatrix) -> GradingOperator:
     return GradingOperator(charges, order)
 
 
-@dataclass(frozen=True, slots=True)
-class DiagonalGroup:
+class DiagonalGroup(NamedTuple):
     """Maximal group of diagonal symmetries, by invariant factors.
 
     ``invariant_factors`` lists the nontrivial factors d_1 | d_2 | ...;

@@ -17,7 +17,7 @@ and reduce are mutually inverse on well-shaped inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .polyring import Monomial, Polynomial, parse_poly
 
@@ -50,19 +50,17 @@ class ShapeError(MatfacError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class FactorizationTriple:
+class FactorizationTriple(namedtuple("FactorizationTriple", "a b c")):
     """The data (a, b, c) of a size-two matrix factorization.
 
     a and b live in (z, w) with deg a >= 2 and deg b >= 1; c lives in
     (x, z, w).  b != 0 guarantees that x, b form a regular sequence.
     """
 
-    a: Polynomial
-    b: Polynomial
-    c: Polynomial
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a: Polynomial, b: Polynomial, c: Polynomial):
+        self = tuple.__new__(cls, (a, b, c))
         if self.a.variables() - {"z", "w"}:
             raise FactorizationError(f"a must lie in (z, w): {self.a}")
         if self.b.variables() - {"z", "w"}:
@@ -75,6 +73,7 @@ class FactorizationTriple:
             raise FactorizationError(f"b must have degree >= 1: {self.b}")
         if self.c.degree() < 2:
             raise FactorizationError(f"c must have degree >= 2: {self.c}")
+        return self
 
     @staticmethod
     def parse(a: str, b: str, c: str) -> "FactorizationTriple":
@@ -88,24 +87,20 @@ class FactorizationTriple:
         return f"a = {self.a}; b = {self.b}; c = {self.c}"
 
 
-@dataclass(frozen=True, slots=True)
-class CompleteIntersectionPair:
+class CompleteIntersectionPair(namedtuple("CompleteIntersectionPair", "first second")):
     """A pair of equations cutting out a complete intersection in C^4."""
 
-    first: Polynomial
-    second: Polynomial
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, first: Polynomial, second: Polynomial):
+        self = tuple.__new__(cls, (first, second))
         if self.first.is_zero() or self.second.is_zero():
             raise MatfacError("complete intersection equations must be nonzero")
+        return self
 
     @staticmethod
     def parse(first: str, second: str) -> "CompleteIntersectionPair":
         return CompleteIntersectionPair(parse_poly(first), parse_poly(second))
-
-    def __iter__(self):
-        yield self.first
-        yield self.second
 
     def __str__(self) -> str:
         return f"({self.first}, {self.second})"

@@ -24,10 +24,11 @@ equation produces those halves in the first place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from . import _linalg
 from .polyring import Monomial, Polynomial, QuasiFailure, VARIABLES, quasi_degree
@@ -63,15 +64,16 @@ class NewtonStructureError(OrbitError):
     """The Newton polygon did not produce exactly two qualifying faces."""
 
 
-@dataclass(frozen=True, slots=True)
-class CStarAction:
+class CStarAction(namedtuple("CStarAction", "weights")):
     """Diagonal C*-action with positive integer weights on (x, y, z, w)."""
 
-    weights: tuple[int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, weights: tuple[int, int, int, int]):
+        self = tuple.__new__(cls, (weights,))
         if len(self.weights) != 4 or any(w <= 0 for w in self.weights):
             raise OrbitError(f"need 4 positive weights, got {self.weights!r}")
+        return self
 
 
 def isotropy_order(action: CStarAction, point) -> int:
@@ -87,8 +89,7 @@ def isotropy_order(action: CStarAction, point) -> int:
     return g
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitRep:
+class OrbitRep(NamedTuple):
     """One exceptional orbit: a rational representative, its isotropy
     order, the singular-locus flag and the coordinate stratum."""
 
@@ -106,8 +107,7 @@ class OrbitRep:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class UnresolvedOrbit:
+class UnresolvedOrbit(NamedTuple):
     """A stratum solution with no rational representative: the residual
     univariate factor is reported instead of a point."""
 
@@ -213,16 +213,6 @@ def _restrict_to_univariate(p: Polynomial, var_index: int) -> UniPolynomial:
 # -- stratum solving ----------------------------------------------------------
 
 
-def _zero_substitution(keep: set[int], fixed: dict[int, Fraction]) -> dict[str, Polynomial]:
-    mapping: dict[str, Polynomial] = {}
-    for i, name in enumerate(VARIABLES):
-        if i in fixed:
-            mapping[name] = Polynomial.constant(fixed[i])
-        elif i not in keep:
-            mapping[name] = Polynomial.zero()
-    return mapping
-
-
 def _linear_eliminable(p: Polynomial, candidates: list[int]) -> tuple[int, Fraction, Polynomial] | None:
     """Find a variable in which p is linear with a constant coefficient.
 
@@ -260,11 +250,10 @@ def _solve_stratum(h1: Polynomial, h2: Polynomial, stratum: tuple[int, ...], sli
     Returns ``(points, unresolved)`` where points are full rational
     4-tuples with all stratum coordinates nonzero.
     """
-    keep = set(stratum)
-    free = sorted(keep - {slice_index})
-    sub = _zero_substitution(keep, {slice_index: Fraction(1)})
-    q1 = h1.substitute(sub)
-    q2 = h2.substitute(sub)
+    free = sorted(i for i in stratum if i != slice_index)
+    zeroed = tuple(i for i in range(4) if i not in stratum)
+    q1 = h1.restrict(zeroed, (slice_index,))
+    q2 = h2.restrict(zeroed, (slice_index,))
 
     def assemble(assignment: dict[int, Fraction]):
         point = [Fraction(0)] * 4
@@ -414,8 +403,7 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
 # -- case classification and Dolgachev numbers --------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CaseInfo:
+class CaseInfo(NamedTuple):
     """Outcome of the (A)/(B)/(C) trichotomy.
 
     (A) carries the two coordinates whose vanishing cuts the linear
@@ -439,9 +427,10 @@ class CaseInfo:
 
 def classify_case(h1: Polynomial, h2i: Polynomial) -> CaseInfo:
     """Classify the pair per the (A)/(B)/(C) trichotomy."""
+    monos = h1.support() | h2i.support()
     for i, j in combinations(range(4), 2):
-        sub = {VARIABLES[i]: Polynomial.zero(), VARIABLES[j]: Polynomial.zero()}
-        if h1.substitute(sub).is_zero() and h2i.substitute(sub).is_zero():
+        # x_i = x_j = 0 kills both equations exactly when every term uses x_i or x_j.
+        if all(m.exponents[i] or m.exponents[j] for m in monos):
             return CaseInfo("A", subspace=(VARIABLES[i], VARIABLES[j]))
     if "z" not in h1.variables():
         z_index = VARIABLES.index("z")
@@ -496,16 +485,14 @@ def dolgachev_pair(h1: Polynomial, h2i: Polynomial, action: CStarAction) -> tupl
 # -- Newton polygon split -----------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class NewtonFace:
+class NewtonFace(NamedTuple):
     """One origin-avoiding face: its terms and the face weight system."""
 
     polynomial: Polynomial
     weights: WeightSystem
 
 
-@dataclass(frozen=True, slots=True)
-class NewtonSplit:
+class NewtonSplit(NamedTuple):
     """The two faces, ordered by ascending face degrees."""
 
     faces: tuple[NewtonFace, NewtonFace]

@@ -23,14 +23,15 @@ every term straight into an exponent tuple and a coefficient; ``**`` squares
 only up to the top bit of the exponent; ``substitute`` forms each image
 power ``img ** e`` at most once per call, and applies an image of one term
 (a variable, a constant, ``c*x`` or zero) term-wise, with no polynomial
-product.
+product; ``restrict`` sets coordinates to 0 or 1 by dropping terms and
+clearing exponents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 VARIABLES = ("x", "y", "z", "w")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -53,15 +54,16 @@ class ZeroPolynomialError(PolynomialError):
     """An operation that requires a nonzero polynomial received zero."""
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "exponents")):
     """A power product x^a * y^b * z^c * w^d with non-negative exponents."""
 
-    exponents: tuple[int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, exponents: tuple[int, int, int, int]):
+        self = tuple.__new__(cls, (exponents,))
         if len(self.exponents) != 4 or any(e < 0 for e in self.exponents):
             raise ValueError(f"bad exponent tuple {self.exponents!r}")
+        return self
 
     @property
     def degree(self) -> int:
@@ -107,9 +109,7 @@ class Monomial:
 def _monomial(exponents: tuple[int, int, int, int]) -> Monomial:
     # Unchecked constructor for exponent tuples known to be valid, such as
     # the sum of two valid tuples.
-    mono = object.__new__(Monomial)
-    object.__setattr__(mono, "exponents", exponents)
-    return mono
+    return tuple.__new__(Monomial, (exponents,))
 
 
 MONOMIAL_ONE = Monomial((0, 0, 0, 0))
@@ -336,6 +336,20 @@ class Polynomial:
                         _add_term(table, base * m, coeff * c)
         return _raw(table)
 
+    def restrict(self, zero, one) -> "Polynomial":
+        """Set the coordinates at the indices ``zero`` to 0 and those at
+        ``one`` to 1: a term that uses a zeroed coordinate is dropped, and
+        the exponents at ``one`` are cleared in the others."""
+        table: dict[Monomial, Fraction] = {}
+        for mono, coeff in self._terms.items():
+            exps = mono.exponents
+            if any(exps[i] for i in zero):
+                continue
+            if any(exps[i] for i in one):
+                mono = _monomial(tuple(0 if i in one else e for i, e in enumerate(exps)))
+            _add_term(table, mono, coeff)
+        return _raw(table)
+
     def __str__(self) -> str:
         return format_poly(self)
 
@@ -365,8 +379,7 @@ def _add_term(table: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) 
 _IDENTITY_IMAGES = tuple(Polynomial.variable(v) for v in VARIABLES)
 
 
-@dataclass(frozen=True, slots=True)
-class Substitution:
+class Substitution(NamedTuple):
     """A replacement for each of the four ambient variables."""
 
     images: tuple[Polynomial, Polynomial, Polynomial, Polynomial]
@@ -398,8 +411,7 @@ class Substitution:
         return "; ".join(parts) if parts else "identity"
 
 
-@dataclass(frozen=True, slots=True)
-class QuasiFailure:
+class QuasiFailure(NamedTuple):
     """Witness that a polynomial is not quasi-homogeneous: two terms of
     different weighted degree."""
 

@@ -21,7 +21,7 @@ stands for (1-t^2)^2 (1-t^8)(1-t^10) / (1-t)^2 (1-t^4)(1-t^5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -75,19 +75,19 @@ class SaitoDomainError(SeriesError):
     """A frame exponent sits at an l that does not divide the degree."""
 
 
-@dataclass(frozen=True, slots=True)
-class WeightSystem:
+class WeightSystem(namedtuple("WeightSystem", "weights degrees")):
     """Weights (w_1..w_n) and degrees (d_1..d_k) of a graded complete
     intersection; printed as ``w1,w2,w3,w4;d1,d2``."""
 
-    weights: tuple[int, ...]
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, weights: tuple[int, ...], degrees: tuple[int, ...]):
+        self = tuple.__new__(cls, (weights, degrees))
         if not self.weights or not self.degrees:
             raise SeriesError("weight system needs weights and degrees")
         if any(v <= 0 for v in self.weights + self.degrees):
             raise SeriesError(f"weight system entries must be positive: {self}")
+        return self
 
     @staticmethod
     def parse(text: str) -> "WeightSystem":
@@ -142,9 +142,6 @@ class FrameProduct:
 
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._exps
-
-    def is_identity(self) -> bool:
-        return not self._exps
 
     def __mul__(self, other: "FrameProduct") -> "FrameProduct":
         table = dict(self._exps)

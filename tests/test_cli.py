@@ -214,6 +214,7 @@ def test_bounded_work_inputs(argv, stderr):
     argv = [sys.executable, "-m", "strangedual.cli", *argv]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 1
+    assert proc.stdout == ""
     assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == 1
 
 

@@ -29,22 +29,22 @@ def _ordered_matrix(text):
     return from_terms(parse_poly_terms(text), allow_singular=True)
 
 
-def test_from_polynomial_small():
+def test_from_terms_small():
     matrix = from_terms(parse_poly_terms("x^2*y + y^3"), ("x", "y"))
     assert matrix.rows == ((2, 1), (0, 3))
 
 
-def test_from_polynomial_kflat_rows():
+def test_from_terms_kflat_rows():
     matrix = _ordered_matrix(KFLAT_F)
     assert matrix.rows == ((4, 2, 0, 3), (0, 0, 2, 0), (0, 2, 1, 1), (4, 0, 1, 2))
 
 
-def test_from_polynomial_term_count_error():
+def test_from_terms_term_count_error():
     with pytest.raises(TermCountError):
         from_terms(parse_poly_terms("x^2 + 2*x*y + y^2"), ("x", "y"))
 
 
-def test_from_polynomial_rejects_singular_by_default():
+def test_from_terms_rejects_singular_by_default():
     with pytest.raises(SingularMatrixError):
         from_terms(parse_poly_terms(KFLAT_F))
 

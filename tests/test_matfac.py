@@ -53,7 +53,7 @@ def test_lift_examples():
     assert lift(t) == CompleteIntersectionPair.parse("x*y - w^3", "-x*w + z^2 + y*z + x*z")
 
 
-def test_lift_raw_sign():
+def test_lift_negated_first_equation():
     t = triple("w^2", "w", "-x^2*z + z^2 + x*w^2")
     raw = CompleteIntersectionPair(-lift(t).first, lift(t).second)
     assert raw.first == parse_poly("w^2 - x*y")

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from strangedual.orbits import (
     isotropy_order,
     split_newton,
 )
-from strangedual.polyring import parse_poly
+from strangedual.polyring import Monomial, Polynomial, parse_poly
 from strangedual.series import parse_weight_system
 
 
@@ -255,6 +256,35 @@ def test_rational_roots_recover_known_factors():
         if rest is not None and scale < 0:
             rest = tuple(-v for v in rest)
         assert rest == residual
+
+
+def test_classify_case_a_matches_substitution():
+    # Case (A) holds exactly when setting some x_i = x_j = 0 by substitution
+    # kills both equations; the classifier reads it off the exponents.
+    rng = random.Random(20261020)
+    hits = 0
+    for _ in range(200):
+        h1, h2 = (
+            Polynomial(
+                {
+                    Monomial(tuple(rng.choice((0, 0, 1, 2)) for _ in range(4))): rng.randint(1, 3)
+                    for _ in range(rng.randint(1, 4))
+                }
+            )
+            for _ in range(2)
+        )
+        expected = None
+        for i, j in combinations("xyzw", 2):
+            sub = {i: Polynomial.zero(), j: Polynomial.zero()}
+            if h1.substitute(sub).is_zero() and h2.substitute(sub).is_zero():
+                expected = (i, j)
+                break
+        case = classify_case(h1, h2)
+        assert (case.kind == "A") == (expected is not None), (h1, h2)
+        if expected is not None:
+            hits += 1
+            assert case.subspace == expected
+    assert 20 < hits < 180
 
 
 def test_orbit_report_format():

@@ -53,13 +53,13 @@ def test_poincare_msharp_dual():
     assert frame == FrameProduct({6: 1, 7: 1, 2: -1, 4: -1, 3: -2})
 
 
-def test_frame_mul_identity_and_cancellation():
+def test_frame_product_mul_identity_and_cancellation():
     a = FrameProduct({2: 1, 5: -1})
     assert a * FrameProduct.identity() == a
     assert FrameProduct({2: 1}) / FrameProduct({2: 1}) == FrameProduct.identity()
 
 
-def test_frame_mul_catalog_row():
+def test_frame_product_mul_catalog_row():
     product = or_polynomial((2, 2, 2, 6)) * poincare(parse_weight_system("2,6,5,4;8,10"))
     assert product == parse_frame("2^2*8*10 / 1^2*4*5")
 
@@ -237,7 +237,7 @@ def test_frame_format_parse_roundtrip_random():
         assert parse_frame(format_frame(frame)) == frame
 
 
-def test_frame_mul_commutative_associative_random():
+def test_frame_product_mul_commutative_associative_random():
     rng = random.Random(11)
     for _ in range(150):
         frames = [
