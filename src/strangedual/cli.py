@@ -184,35 +184,40 @@ def _cmd_catalog_show(args) -> int:
         entry = catalog.get(args.name)
     except cat.CatalogError as exc:
         raise CommandError(str(exc)) from None
-    print(f"{entry.display}  (dual: {catalog.dual_of(entry).display})")
-    print(f"  virtual equations: {entry.virtual_equations}")
-    print(f"  matrix factorization: {entry.matfac}")
+    # Joined before printing, so a frame that fails to expand prints nothing.
+    print("\n".join(_show_lines(entry, catalog)))
+    return 0
+
+
+def _show_lines(entry, catalog):
+    yield f"{entry.display}  (dual: {catalog.dual_of(entry).display})"
+    yield f"  virtual equations: {entry.virtual_equations}"
+    yield f"  matrix factorization: {entry.matfac}"
     parent = entry.parent
-    print(f"  parent {parent.name}: f = {parent.f}")
-    print(f"    change {parent.change_display} gives h = {parent.h}")
-    print(f"  case ({entry.substitution_case}) polynomial: {entry.duality_poly}")
-    print(f"  kernel vector: {entry.kernel}")
+    yield f"  parent {parent.name}: f = {parent.f}"
+    yield f"    change {parent.change_display} gives h = {parent.h}"
+    yield f"  case ({entry.substitution_case}) polynomial: {entry.duality_poly}"
+    yield f"  kernel vector: {entry.kernel}"
     if entry.k0_equations is not None:
         k0 = entry.k0_equations
-        print(f"  k=0 equations: ({k0[0]}, {k0[1]})   restrictions: {entry.k0_restrictions}")
+        yield f"  k=0 equations: ({k0[0]}, {k0[1]})   restrictions: {entry.k0_restrictions}"
     else:
-        print("  k=0 equations: not recorded for this series")
-    print(f"  k=0 weight system: {entry.k0_weights}")
+        yield "  k=0 equations: not recorded for this series"
+    yield f"  k=0 weight system: {entry.k0_weights}"
     for i, piece in enumerate(entry.decomposition, start=1):
-        print(f"  h2,{i} = {piece.polynomial}   weights {piece.weights}")
+        yield f"  h2,{i} = {piece.polynomial}   weights {piece.weights}"
     dol = entry.dolgachev
     gab = entry.gabrielov
-    print(f"  Dolgachev: {dol[0][0]},{dol[0][1]};{dol[1][0]},{dol[1][1]}")
-    print(f"  Gabrielov: {gab[0][0]},{gab[0][1]};{gab[1][0]},{gab[1][1]}")
-    print(f"  zeta frame: {format_frame(entry.zeta_frame)}")
-    print(f"  expanded: {frame_to_polynomial(entry.zeta_frame)}")
+    yield f"  Dolgachev: {dol[0][0]},{dol[0][1]};{dol[1][0]},{dol[1][1]}"
+    yield f"  Gabrielov: {gab[0][0]},{gab[0][1]};{gab[1][0]},{gab[1][1]}"
+    yield f"  zeta frame: {format_frame(entry.zeta_frame)}"
+    yield f"  expanded: {frame_to_polynomial(entry.zeta_frame)}"
     t9 = entry.dynkin
     ms = ", ".join(
         f"M{k}={base}+{extra}" if extra else f"M{k}={base}"
         for k, (base, extra) in zip((2, 4, 5, 6, 7), t9.multiplicities)
     )
-    print(f"  germ at 0: {t9.germ}   {ms}")
-    return 0
+    yield f"  germ at 0: {t9.germ}   {ms}"
 
 
 def _cmd_verify(args) -> int:

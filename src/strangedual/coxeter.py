@@ -13,9 +13,10 @@ D_Pi(t) = (1 - t)^2 D_S(t).  Both are computed over Z from the numerator
          = (t^3 - 2t^2 - 2t + 1) * prod_i (t^(g_i) - 1)
            + t^2 * sum_i (t^(g_i - 1) - 1) * prod_{j != i} (t^(g_j) - 1),
 
-a sum of sparse products of binomials, followed by exact synthetic
-division by (t - 1): four times for D_S and twice for D_Pi, as
-(1 - t)^2 = (t - 1)^2.  The work is linear in g1 + g2 + g3 + g4.
+a sum of sparse products of binomials, followed by an exact division by
+(1 - t)^4 for D_S and (1 - t)^2 for D_Pi through the frame kernel of
+:mod:`strangedual.series` and its tail check; both exponents are even, so
+(1 - t)^k = (t - 1)^k.  The work is linear in g1 + g2 + g3 + g4.
 
 The graphs are emitted for documentation only: their doubled and dashed
 edges carry sign conventions defined in external sources, so nothing is
@@ -25,11 +26,10 @@ computed from them here.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate
 from operator import index
 from typing import NamedTuple
 
-from .series import MAX_FRAME_BASE, UniPolynomial
+from .series import MAX_FRAME_BASE, UniPolynomial, _polynomial_part, _times_frame
 
 __all__ = [
     "GabrielovQuadruple",
@@ -95,7 +95,8 @@ def _binomial_product(exponents) -> dict[int, int]:
 
 
 def _over_t_minus_one(gamma, times: int) -> UniPolynomial:
-    """N(t) / (t - 1)^times for the numerator N of the module docstring."""
+    """N(t) / (t - 1)^times for the numerator N of the module docstring
+    (``times`` even)."""
     gs = _as_quadruple(gamma).gammas
     numerator = [0] * (sum(gs) + 4)
     for power, coeff in _binomial_product(gs).items():
@@ -105,16 +106,8 @@ def _over_t_minus_one(gamma, times: int) -> UniPolynomial:
         arms = [g - 1 if j == i else g for j, g in enumerate(gs)]
         for power, coeff in _binomial_product(arms).items():
             numerator[power + 2] += coeff
-    # Synthetic division by (t - 1): from the top down, each quotient
-    # coefficient is the running sum of the coefficients above it, and the
-    # sum of all of them is the remainder N(1).
-    descending = numerator[::-1]
-    for _ in range(times):
-        sums = list(accumulate(descending))
-        if sums[-1]:
-            raise ArithmeticError(f"(t - 1) does not divide the numerator for {gs!r}")
-        descending = sums[:-1]
-    return UniPolynomial(descending[::-1])
+    degree = len(numerator) - 1 - times
+    return _polynomial_part(_times_frame(numerator, ((1, -times),)), degree)
 
 
 def charpoly_S(gamma) -> UniPolynomial:

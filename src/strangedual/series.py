@@ -6,9 +6,10 @@ A *frame product* is a formal product
 
 the common carrier for Poincare series of graded rings, reduced zeta
 functions of monodromy operators and the orbit polynomials Or(t).  Frame
-products multiply by adding exponents, expand to exact integer power
-series, and convert to honest integer polynomials when the denominator
-divides the numerator.
+products multiply by adding exponents.  One integer kernel, shared with
+the Coxeter polynomials, multiplies a truncated power series by a frame
+product: ``frame_expand`` is that kernel under ``MAX_EXPAND_WORK``, and
+``frame_to_polynomial`` is ``frame_expand`` plus a tail check.
 
 :class:`UniPolynomial` is the package's one univariate polynomial type:
 dense, over Q, with integral coefficients kept as ``int``.  Frame
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from operator import index, sub
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "WeightSystem",
@@ -48,7 +50,8 @@ __all__ = [
 MAX_FRAME_BASE = 10**6
 #: Largest work ``frame_expand`` takes on: (order + 1) * (1 + sum |alpha_l|)
 #: coefficient updates, one pass per unit of exponent plus the list itself,
-#: so ``poincare --expand N`` ends in about a second or with a SeriesError.
+#: so ``poincare --expand N`` and ``frame_to_polynomial`` end in about a
+#: second or with a SeriesError.
 MAX_EXPAND_WORK = 10**7
 
 
@@ -63,7 +66,9 @@ class FrameSyntaxError(SeriesError):
 
 
 class NotPolynomialError(SeriesError):
-    """The frame product is not a polynomial; carries the offending term."""
+    """P/Q is not a polynomial.  ``remainder_degree`` and ``remainder_coeff``
+    are the degree and value of the first nonzero Taylor coefficient of
+    P/Q from deg P - deg Q + 1 through deg P."""
 
     def __init__(self, message: str, remainder_degree: int, remainder_coeff: int):
         super().__init__(message)
@@ -122,8 +127,8 @@ class FrameProduct:
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
         table: dict[int, int] = {}
         for base, alpha in items:
-            base = int(base)
-            alpha = int(alpha)
+            base = index(base)
+            alpha = index(alpha)
             if base <= 0:
                 raise SeriesError(f"frame base must be positive, got {base}")
             if base > MAX_FRAME_BASE:
@@ -144,16 +149,10 @@ class FrameProduct:
         return self._exps
 
     def __mul__(self, other: "FrameProduct") -> "FrameProduct":
-        table = dict(self._exps)
-        for base, alpha in other._exps:
-            table[base] = table.get(base, 0) + alpha
-        return FrameProduct(table)
+        return FrameProduct(self._exps + other._exps)
 
     def __truediv__(self, other: "FrameProduct") -> "FrameProduct":
-        table = dict(self._exps)
-        for base, alpha in other._exps:
-            table[base] = table.get(base, 0) - alpha
-        return FrameProduct(table)
+        return self * other.inverse()
 
     def inverse(self) -> "FrameProduct":
         return FrameProduct({b: -a for b, a in self._exps})
@@ -198,13 +197,6 @@ class UniPolynomial:
     @staticmethod
     def one() -> "UniPolynomial":
         return UniPolynomial((1,))
-
-    @staticmethod
-    def one_minus_t_power(l: int) -> "UniPolynomial":
-        coeffs = [0] * (l + 1)
-        coeffs[0] = 1
-        coeffs[l] = -1
-        return UniPolynomial(coeffs)
 
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -316,23 +308,15 @@ def _exact(value) -> int | Fraction:
 
 def poincare(ws: WeightSystem) -> FrameProduct:
     """Poincare series prod (1-t^d_j) / prod (1-t^w_i) as a frame product."""
-    table: dict[int, int] = {}
-    for d in ws.degrees:
-        table[d] = table.get(d, 0) + 1
-    for w in ws.weights:
-        table[w] = table.get(w, 0) - 1
-    return FrameProduct(table)
+    return FrameProduct([(d, 1) for d in ws.degrees] + [(w, -1) for w in ws.weights])
 
 
 def or_polynomial(gammas) -> FrameProduct:
     """Orbit polynomial (1-t)^(-2) * prod_i (1-t^(gamma_i))."""
-    gammas = tuple(int(g) for g in gammas)
+    gammas = tuple(index(g) for g in gammas)
     if len(gammas) != 4 or any(g < 1 for g in gammas):
         raise SeriesError(f"need 4 positive integers, got {gammas!r}")
-    table = {1: -2}
-    for g in gammas:
-        table[g] = table.get(g, 0) + 1
-    return FrameProduct(table)
+    return FrameProduct([(1, -2)] + [(g, 1) for g in gammas])
 
 
 def saito_dual(frame: FrameProduct, d: int) -> FrameProduct:
@@ -346,39 +330,47 @@ def saito_dual(frame: FrameProduct, d: int) -> FrameProduct:
     return FrameProduct({d // base: -alpha for base, alpha in frame.items()})
 
 
-def frame_to_polynomial(frame: FrameProduct) -> UniPolynomial:
-    """Expand the frame product into a polynomial (integral coefficients).
-
-    Raises :class:`NotPolynomialError` when the denominator does not
-    divide the numerator exactly.
-    """
-    numerator = UniPolynomial.one()
-    denominator = UniPolynomial.one()
-    for base, alpha in frame.items():
-        factor = UniPolynomial.one_minus_t_power(base)
+def _times_frame(coeffs: list[int], items: Iterable[tuple[int, int]]) -> list[int]:
+    """Multiply the power series ``coeffs`` in place by prod (1-t^l)^alpha
+    over the pairs (l, alpha) of ``items``, truncated to its length: times
+    (1-t^l) subtracts the list shifted by l, over (1-t^l) takes running
+    sums along each residue class mod l."""
+    for base, alpha in items:
         for _ in range(abs(alpha)):
             if alpha > 0:
-                numerator = numerator * factor
+                coeffs[base:] = list(map(sub, coeffs[base:], coeffs))
             else:
-                denominator = denominator * factor
-    quotient, remainder = numerator.divide(denominator)
-    if not remainder.is_zero():
-        deg = remainder.degree()
-        raise NotPolynomialError(
-            f"not a polynomial: remainder has leading term "
-            f"{remainder.coefficients[-1]}*t^{deg}",
-            deg,
-            remainder.coefficients[-1],
-        )
-    return quotient
+                for start in range(min(base, len(coeffs))):
+                    coeffs[start::base] = list(accumulate(coeffs[start::base]))
+    return coeffs
+
+
+def _polynomial_part(coeffs: Sequence[int], degree: int) -> UniPolynomial:
+    """P/Q of ``degree`` = deg P - deg Q from its Taylor coefficients
+    through t^(deg P).  They obey Q's recurrence of order deg Q past deg P,
+    so P/Q is a polynomial exactly when the deg Q above ``degree`` vanish
+    (R. Stanley, *Enumerative Combinatorics I*, Thm 4.1.1)."""
+    for power in range(max(degree + 1, 0), len(coeffs)):
+        if coeffs[power]:
+            raise NotPolynomialError(
+                f"not a polynomial: expansion has {coeffs[power]}*t^{power} "
+                f"above degree {degree}",
+                power,
+                coeffs[power],
+            )
+    return UniPolynomial(coeffs[: degree + 1])
+
+
+def frame_to_polynomial(frame: FrameProduct) -> UniPolynomial:
+    """The frame product as an integer polynomial, or NotPolynomialError."""
+    top = sum(base * alpha for base, alpha in frame.items() if alpha > 0)
+    return _polynomial_part(frame_expand(frame, top), frame.degree())
 
 
 def frame_expand(frame: FrameProduct, order: int) -> tuple[int, ...]:
     """Exact Taylor coefficients of the frame product up to t^order.
 
-    Works factor by factor in increasing l: multiplying by (1-t^l) is a
-    shifted subtraction, dividing is the inverse recurrence; both are
-    integer-exact.  Work past ``MAX_EXPAND_WORK`` raises ``SeriesError``.
+    Work past ``MAX_EXPAND_WORK`` raises ``SeriesError``.
     """
     if order < 0:
         raise SeriesError("expansion order must be non-negative")
@@ -387,15 +379,7 @@ def frame_expand(frame: FrameProduct, order: int) -> tuple[int, ...]:
         raise SeriesError(f"expansion work {work} exceeds limit {MAX_EXPAND_WORK}")
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
-    for base, alpha in frame.items():
-        for _ in range(abs(alpha)):
-            if alpha > 0:
-                for i in range(order, base - 1, -1):
-                    coeffs[i] -= coeffs[i - base]
-            else:
-                for i in range(base, order + 1):
-                    coeffs[i] += coeffs[i - base]
-    return tuple(coeffs)
+    return tuple(_times_frame(coeffs, frame.items()))
 
 
 # -- frame text I/O -----------------------------------------------------------
@@ -499,9 +483,9 @@ def parse_frame(text: str, warnings: list[str] | None = None) -> FrameProduct:
         pairs += parse_side(den_text, len(num_text) + 1, -1)
     else:
         pairs = parse_side(normalised, 0, +1)
-    merged: dict[int, int] = {}
-    for base, alpha in pairs:
-        if base in merged and warnings is not None:
+    seen: set[int] = set()
+    for base, _ in pairs:
+        if base in seen and warnings is not None:
             warnings.append(f"repeated base {base} merged")
-        merged[base] = merged.get(base, 0) + alpha
-    return FrameProduct(merged)
+        seen.add(base)
+    return FrameProduct(pairs)

@@ -29,7 +29,15 @@ def _write(tmp_path, data):
 
 def test_shipped_catalog_loads(catalog):
     assert catalog.names() == ("J'", "K'", "Kb", "L", "Ls", "M", "Ms", "I")
-    assert len(catalog) == 8
+    assert len(catalog.entries) == 8
+
+
+def test_catalog_replace_and_make_round_trip(catalog):
+    # The record has one field; nothing overrides the tuple's length.
+    smaller = catalog._replace(entries=catalog.entries[:2])
+    assert smaller.names() == ("J'", "K'")
+    assert smaller._replace(entries=catalog.entries) == catalog
+    assert type(catalog)._make([catalog.entries]) == catalog
 
 
 def test_duality_involution_structure(catalog):

@@ -218,6 +218,43 @@ def test_bounded_work_inputs(argv, stderr):
     assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "frame, reason",
+    [
+        ("12^500 / 3^400*4^300", "not a polynomial: expansion has "),
+        ("2^3000 / 1^1", "expansion work 18015002 exceeds limit 10000000"),
+    ],
+    ids=["not-polynomial-large", "past-expansion-bound"],
+)
+def test_zeta_frame_past_bound_is_a_failed_check(tmp_path, frame, reason):
+    # The first frame once took about 12 s to refuse; the second is a
+    # polynomial whose expansion is past the work bound, which once
+    # aborted the whole report.
+    raw = json.loads(open(default_catalog_path(), encoding="utf-8").read())
+    raw["entries"][0]["zeta_frame"] = frame
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "strangedual.cli", "verify", "--catalog", str(path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    lines = proc.stdout.splitlines()
+    failed = [i for i, line in enumerate(lines) if line.endswith(" FAIL")]
+    assert len(failed) == 1 and lines[failed[0]].startswith("J'  [ 9] zeta identity")
+    assert any(reason in line for line in lines if line.startswith("      - "))
+    assert lines[-1] == "79/80 checks passed"
+
+
+def test_catalog_show_failure_prints_nothing(tmp_path, capsys):
+    raw = json.loads(open(default_catalog_path(), encoding="utf-8").read())
+    raw["entries"][0]["zeta_frame"] = "1 / 1^1"
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run(capsys, "catalog", "show", "J'", "--catalog", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: not a polynomial: ") and err.count("\n") == 1
+
+
 def test_usage_error_status(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["charpoly", "2", "2"])

@@ -163,6 +163,34 @@ def test_frame_expand_examples():
     assert frame_expand(FrameProduct({1: 1}), 3) == (1, -1, 0, 0)
 
 
+def _dense_numerator_denominator(frame):
+    """P and Q of the frame product P/Q, by dense products of (1 - t^l)."""
+    numerator = UniPolynomial.one()
+    denominator = UniPolynomial.one()
+    for base, alpha in frame.items():
+        for _ in range(abs(alpha)):
+            factor = UniPolynomial([1] + [0] * (base - 1) + [-1])
+            if alpha > 0:
+                numerator = numerator * factor
+            else:
+                denominator = denominator * factor
+    return numerator, denominator
+
+
+def _long_division_series(numerator, denominator, order):
+    """Taylor coefficients of numerator/denominator through t^order, by
+    power-series division on the coefficient lists."""
+    series = []
+    pad = order + 1 + len(denominator.coefficients) + len(numerator.coefficients)
+    carry = list(numerator.coefficients) + [0] * pad
+    for k in range(order + 1):
+        coeff = carry[k] // denominator.coefficients[0]
+        series.append(coeff)
+        for j, b in enumerate(denominator.coefficients):
+            carry[k + j] -= coeff * b
+    return tuple(series)
+
+
 def test_frame_expand_matches_longdivision_oracle():
     # Independent route: expand numerator/denominator polynomials and do
     # power-series division on the coefficient lists.
@@ -170,24 +198,44 @@ def test_frame_expand_matches_longdivision_oracle():
     for _ in range(50):
         frame = FrameProduct({rng.randint(1, 5): rng.randint(-2, 2) for _ in range(rng.randint(1, 3))})
         order = 25
-        numerator = UniPolynomial.one()
-        denominator = UniPolynomial.one()
-        for base, alpha in frame.items():
-            for _ in range(abs(alpha)):
-                factor = UniPolynomial.one_minus_t_power(base)
-                if alpha > 0:
-                    numerator = numerator * factor
-                else:
-                    denominator = denominator * factor
-        series = []
-        pad = order + 1 + len(denominator.coefficients) + len(numerator.coefficients)
-        carry = list(numerator.coefficients) + [0] * pad
-        for k in range(order + 1):
-            coeff = carry[k] // denominator.coefficients[0]
-            series.append(coeff)
-            for j, b in enumerate(denominator.coefficients):
-                carry[k + j] -= coeff * b
-        assert frame_expand(frame, order) == tuple(series)
+        numerator, denominator = _dense_numerator_denominator(frame)
+        assert frame_expand(frame, order) == _long_division_series(numerator, denominator, order)
+
+
+def test_frame_to_polynomial_matches_dense_division_oracle():
+    # Reference route: dense products of the factors, then Euclidean
+    # division.  On a non-polynomial frame the error names the first nonzero
+    # Taylor coefficient above deg P - deg Q of a long-division expansion.
+    rng = random.Random(404)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        pairs = [(rng.randint(1, 8), rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:  # each denominator factor over a multiple of its base
+            pairs += [(rng.randint(1, 3) * base, -alpha) for base, alpha in pairs if alpha < 0]
+        frame = FrameProduct(pairs)
+        numerator, denominator = _dense_numerator_denominator(frame)
+        quotient, remainder = numerator.divide(denominator)
+        outcomes[remainder.is_zero()] += 1
+        if remainder.is_zero():
+            assert frame_to_polynomial(frame) == quotient
+            continue
+        with pytest.raises(NotPolynomialError) as info:
+            frame_to_polynomial(frame)
+        top = numerator.degree()
+        series = _long_division_series(numerator, denominator, top)
+        tail = range(max(frame.degree() + 1, 0), top + 1)
+        first = next((power, series[power]) for power in tail if series[power])
+        assert (info.value.remainder_degree, info.value.remainder_coeff) == first
+    assert min(outcomes.values()) >= 50
+
+
+def test_frame_product_refuses_non_integers():
+    with pytest.raises(TypeError):
+        FrameProduct({2.7: 1.9})
+    with pytest.raises(TypeError):
+        FrameProduct([(2, 1.0)])
+    with pytest.raises(TypeError):
+        or_polynomial((2.5, 2, 2, 6))
 
 
 def test_parse_frame_catalog_rows():
