@@ -18,8 +18,12 @@ Whitespace is insignificant.  ``parse_poly`` and ``format_poly`` are
 mutually inverse on canonical forms; printing uses the degree-lexicographic
 order with x > y > z > w, highest term first.
 
-Each kernel builds its result in one table of terms.  ``parse_poly`` reads
-every term straight into an exponent tuple and a coefficient; ``**`` squares
+Each kernel builds its result in one table of terms.  ``parse_poly`` splits
+the text with one regular expression into tokens (a run of decimal digits or
+any other non-space character) and walks them in one grammar loop, straight
+into exponent tuples and coefficients; a token's offset is found only to
+report an error.  ``format_poly`` sorts the terms once and prints each
+coefficient from its integer numerator and denominator.  ``**`` squares
 only up to the top bit of the exponent; ``substitute`` forms each image
 power ``img ** e`` at most once per call, and applies an image of one term
 (a variable, a constant, ``c*x`` or zero) term-wise, with no polynomial
@@ -29,6 +33,7 @@ clearing exponents.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Union
@@ -92,15 +97,7 @@ class Monomial(namedtuple("Monomial", "exponents")):
         return frozenset(v for v, e in zip(VARIABLES, self.exponents) if e > 0)
 
     def __str__(self) -> str:
-        if self.degree == 0:
-            return "1"
-        parts = []
-        for name, e in zip(VARIABLES, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return _monomial_text(self.exponents)
 
     def __repr__(self) -> str:
         return f"Monomial({str(self)})"
@@ -452,65 +449,87 @@ def quasi_degree(p: Polynomial, weights) -> "int | QuasiFailure":
 # -- text I/O ----------------------------------------------------------------
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def offset(self) -> int:
-        # 1-based position of the next significant character.
-        self.skip_ws()
-        return self.pos + 1
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def read_uint(self, what: str) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise PolySyntaxError(f"expected {what}", start + 1)
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # more digits than int() converts
-            raise PolySyntaxError(f"{what} too long", start + 1) from None
+#: One token per maximal run of decimal digits or per other non-space
+#: character.  ``\d`` and ``\s`` agree with ``str.isdecimal`` and
+#: ``str.isspace`` on every code point.
+_TOKEN = re.compile(r"\d+|\S")
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
-def _scan_terms(text: str) -> Iterator[tuple[Monomial, Fraction]]:
+def _offset(text: str, index: int) -> int:
+    # 1-based position of token ``index``, or one past the end of the text.
+    for i, match in enumerate(_TOKEN.finditer(text)):
+        if i == index:
+            return match.start() + 1
+    return len(text) + 1
+
+
+def _uint(text: str, tokens: list[str], index: int, what: str) -> int:
+    try:
+        return int(tokens[index])
+    except ValueError:  # not a digit run, or more digits than int() converts
+        problem = f"{what} too long" if tokens[index].isdecimal() else f"expected {what}"
+        raise PolySyntaxError(problem, _offset(text, index)) from None
+
+
+def _scan_terms(text: str) -> list[tuple[Monomial, Fraction]]:
     # Each written term as (monomial, signed coefficient), in text order.
-    tok = _Tokenizer(text)
-    sign = 1
-    ch = tok.peek()
-    if ch == "":
-        raise PolySyntaxError("empty input", tok.offset())
-    if ch in "+-":
-        if ch == "-":
-            sign = -1
-        tok.take()
+    tokens = _TOKEN.findall(text)
+    end = len(tokens)
+    if not end:
+        raise PolySyntaxError("empty input", len(text) + 1)
+    tokens.append("")  # end marker, equal to no symbol of the grammar
+    negative = tokens[0] == "-"
+    i = 1 if negative or tokens[0] == "+" else 0
+    terms = []
     while True:
-        yield _parse_term(tok, sign)
-        ch = tok.peek()
-        if ch == "":
-            return
-        if ch == "+":
-            sign = 1
-        elif ch == "-":
-            sign = -1
+        has_factors = True
+        if tokens[i].isdecimal():
+            num = _uint(text, tokens, i, "coefficient")
+            num = -num if negative else num
+            if tokens[i + 1] == "/":
+                i += 2
+                den = _uint(text, tokens, i, "denominator")
+                if not den:
+                    raise PolySyntaxError("zero denominator", _offset(text, i))
+                coeff = Fraction(num, den)
+            else:
+                coeff = Fraction(num)
+            i += 1
+            has_factors = tokens[i] == "*"
+            if has_factors:
+                i += 1
         else:
-            raise PolySyntaxError(f"expected '+' or '-', found {ch!r}", tok.offset())
-        tok.take()
+            coeff = _MINUS_ONE if negative else _ONE
+        mono = MONOMIAL_ONE
+        if has_factors:
+            exps = [0, 0, 0, 0]
+            while True:
+                tok = tokens[i]
+                var = _VAR_INDEX.get(tok)
+                if var is None:
+                    found = f", found {tok[0]!r}" if tok else ""
+                    raise PolySyntaxError(f"expected variable{found}", _offset(text, i))
+                if tokens[i + 1] == "^":
+                    exps[var] += _uint(text, tokens, i + 2, "exponent")
+                    i += 3
+                else:
+                    exps[var] += 1
+                    i += 1
+                if tokens[i] != "*":
+                    break
+                i += 1
+            mono = _monomial(tuple(exps))
+        terms.append((mono, coeff))
+        tok = tokens[i]
+        if tok == "+" or tok == "-":
+            negative = tok == "-"
+        elif i == end:
+            return terms
+        else:
+            raise PolySyntaxError(f"expected '+' or '-', found {tok[0]!r}", _offset(text, i))
+        i += 1
 
 
 def parse_poly_terms(text: str) -> tuple[Polynomial, ...]:
@@ -528,67 +547,42 @@ def parse_poly(text: str) -> Polynomial:
     return _raw(table)
 
 
-def _parse_factor(tok: _Tokenizer) -> Monomial:
-    ch = tok.peek()
-    if ch not in _VAR_INDEX:
-        found = f", found {ch!r}" if ch else ""
-        raise PolySyntaxError(f"expected variable{found}", tok.offset())
-    tok.take()
-    exponent = 1
-    if tok.peek() == "^":
-        tok.take()
-        exponent = tok.read_uint("exponent")
-    exps = [0, 0, 0, 0]
-    exps[_VAR_INDEX[ch]] = exponent
-    return _monomial(tuple(exps))
-
-
-def _parse_term(tok: _Tokenizer, sign: int) -> tuple[Monomial, Fraction]:
-    if not tok.peek().isdecimal():
-        coeff = Fraction(sign)
-    else:
-        num = tok.read_uint("coefficient")
-        den = 1
-        if tok.peek() == "/":
-            tok.take()
-            den_off = tok.offset()
-            den = tok.read_uint("denominator")
-            if den == 0:
-                raise PolySyntaxError("zero denominator", den_off)
-        coeff = Fraction(sign * num, den)
-        if tok.peek() != "*":
-            return MONOMIAL_ONE, coeff
-        tok.take()
-    mono = _parse_factor(tok)
-    while tok.peek() == "*":
-        tok.take()
-        mono = mono * _parse_factor(tok)
-    return mono, coeff
-
-
-def _format_coeff(coeff: Fraction) -> str:
+def _monomial_text(exponents: tuple[int, int, int, int]) -> str:
+    # x^a*y^b*z^c*w^d without the zero exponents and with ^1 left out.
     try:
-        return str(coeff) if coeff.denominator != 1 else str(coeff.numerator)
-    except ValueError:
-        # str(int) refuses numbers past the interpreter's digit limit.
-        raise PolynomialError("coefficient has too many digits to print") from None
+        text = "*".join(
+            [name if e == 1 else f"{name}^{e}" for name, e in zip(VARIABLES, exponents) if e]
+        )
+    except ValueError:  # str(int) refuses numbers past the interpreter's digit limit
+        raise PolynomialError("exponent has too many digits to print") from None
+    return text or "1"
+
+
+def _degree_lex(term: tuple[Monomial, Fraction]) -> tuple:
+    exps = term[0].exponents
+    return (sum(exps), exps)
 
 
 def format_poly(p: Polynomial) -> str:
     """Canonical text form: degree-lex order x > y > z > w, highest first."""
-    if p.is_zero():
+    if not p._terms:
         return "0"
     pieces: list[str] = []
-    for index, (mono, coeff) in enumerate(p.terms()):
-        magnitude = abs(coeff)
-        if mono.degree == 0:
-            body = _format_coeff(magnitude)
-        elif magnitude == 1:
-            body = str(mono)
+    for mono, coeff in sorted(p._terms.items(), key=_degree_lex, reverse=True):
+        num, den = coeff.numerator, coeff.denominator
+        magnitude = -num if num < 0 else num
+        exps = mono.exponents
+        if magnitude == 1 and den == 1 and any(exps):
+            body = _monomial_text(exps)
         else:
-            body = f"{_format_coeff(magnitude)}*{mono}"
-        if index == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            try:
+                body = str(magnitude) if den == 1 else f"{magnitude}/{den}"
+            except ValueError:
+                raise PolynomialError("coefficient has too many digits to print") from None
+            if any(exps):
+                body = f"{body}*{_monomial_text(exps)}"
+        if pieces:
+            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
         else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            pieces.append(body if num > 0 else f"-{body}")
     return " ".join(pieces)

@@ -396,9 +396,12 @@ def format_frame(frame: FrameProduct) -> str:
     def side(pairs) -> str:
         if not pairs:
             return "1"
-        return "*".join(
-            f"{b}^{a}" if (a > 1 or b == 1) else str(b) for b, a in pairs
-        )
+        try:
+            return "*".join(
+                f"{b}^{a}" if (a > 1 or b == 1) else str(b) for b, a in pairs
+            )
+        except ValueError:  # str(int) refuses numbers past the interpreter's digit limit
+            raise SeriesError("exponent has too many digits to print") from None
 
     numerator = [(b, a) for b, a in frame.items() if a > 0]
     denominator = [(b, -a) for b, a in frame.items() if a < 0]

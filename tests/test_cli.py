@@ -119,7 +119,7 @@ def test_verify_output_matches_golden(capsys, argv, golden):
 
 
 def test_verify_failure_exit_status(tmp_path, capsys):
-    raw = json.loads(open(default_catalog_path(), encoding="utf-8").read())
+    raw = json.loads(Path(default_catalog_path()).read_text(encoding="utf-8"))
     entry = next(e for e in raw["entries"] if e["name"] == "Ms")
     entry["zeta_frame"] = "6*7 / 1^2*2"
     path = tmp_path / "broken.json"
@@ -130,7 +130,7 @@ def test_verify_failure_exit_status(tmp_path, capsys):
 
 
 def test_catalog_env_variable(tmp_path, capsys, monkeypatch):
-    raw = json.loads(open(default_catalog_path(), encoding="utf-8").read())
+    raw = json.loads(Path(default_catalog_path()).read_text(encoding="utf-8"))
     raw["entries"] = []
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
@@ -203,13 +203,30 @@ def test_charpoly_arm_bounds(gammas, code, stderr):
             + ("400000", "600000", "600000", "400000"),
             "error: system too complex",
         ),
+        # Each exponent is at the parser's digit limit; their sum is past
+        # the limit of str(int).
+        (
+            ("reduce", f"x*y - z^{'9' * 4300}", f"-x^2*z + y*z^{'9' * 4300} + z^2"),
+            "error: exponent has too many digits to print",
+        ),
+        (
+            ("saito-dual", f"2^{'9' * 4300}*2^{'9' * 4300} / 1", "--degree", "2"),
+            "error: exponent has too many digits to print",
+        ),
     ],
-    ids=["expand-huge", "expand-large", "dolgachev-large-weights"],
+    ids=[
+        "expand-huge",
+        "expand-large",
+        "dolgachev-large-weights",
+        "reduce-exponent-past-print-limit",
+        "saito-dual-exponent-past-print-limit",
+    ],
 )
 def test_bounded_work_inputs(argv, stderr):
-    # Each input once ran out of memory or took longer than the timeout:
-    # the expansion before its work bound, the orbit search while it
-    # walked the slice's cyclic group, O(weight) steps.
+    # Each input once ran out of memory, took longer than the timeout or
+    # ended in a traceback: the expansion before its work bound, the orbit
+    # search while it walked the slice's cyclic group, O(weight) steps, and
+    # the printing of an exponent with more digits than str(int) converts.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     argv = [sys.executable, "-m", "strangedual.cli", *argv]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
@@ -230,7 +247,7 @@ def test_zeta_frame_past_bound_is_a_failed_check(tmp_path, frame, reason):
     # The first frame once took about 12 s to refuse; the second is a
     # polynomial whose expansion is past the work bound, which once
     # aborted the whole report.
-    raw = json.loads(open(default_catalog_path(), encoding="utf-8").read())
+    raw = json.loads(Path(default_catalog_path()).read_text(encoding="utf-8"))
     raw["entries"][0]["zeta_frame"] = frame
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
@@ -246,7 +263,7 @@ def test_zeta_frame_past_bound_is_a_failed_check(tmp_path, frame, reason):
 
 
 def test_catalog_show_failure_prints_nothing(tmp_path, capsys):
-    raw = json.loads(open(default_catalog_path(), encoding="utf-8").read())
+    raw = json.loads(Path(default_catalog_path()).read_text(encoding="utf-8"))
     raw["entries"][0]["zeta_frame"] = "1 / 1^1"
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
@@ -298,7 +315,7 @@ def _first_entry_with(field, value):
     ],
 )
 def test_malformed_catalog_status(tmp_path, capsys, edit, message):
-    raw = json.loads(open(default_catalog_path(), encoding="utf-8").read())
+    raw = json.loads(Path(default_catalog_path()).read_text(encoding="utf-8"))
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(edit(raw)), encoding="utf-8")
     code, out, err = run(capsys, "verify", "--catalog", str(path))

@@ -244,12 +244,16 @@ def test_canonical_weights_adjugate_oracle():
         checked += 1
 
 
-def test_smith_normal_form_minor_gcd_oracle():
-    # d_1 * ... * d_k equals the gcd of all k x k minors.
+def test_smith_normal_form_minor_gcd_oracle(catalog):
+    # d_1 * ... * d_k equals the gcd of all k x k minors, on the catalog's
+    # exponent matrices (each singular, of rank 3) and on seeded matrices.
+    matrices = [entry.exponent_matrix().rows for entry in catalog.entries]
     rng = random.Random(42)
     for _ in range(60):
         n = rng.randint(2, 4)
-        rows = [[rng.randint(-4, 6) for _ in range(n)] for _ in range(n)]
+        matrices.append([[rng.randint(-4, 6) for _ in range(n)] for _ in range(n)])
+    for rows in matrices:
+        n = len(rows)
         diagonal = smith_normal_form(rows)
         for i in range(n - 1):
             if diagonal[i]:

@@ -10,6 +10,7 @@ import pytest
 from strangedual.polyring import (
     Monomial,
     Polynomial,
+    PolynomialError,
     PolySyntaxError,
     QuasiFailure,
     Substitution,
@@ -335,3 +336,252 @@ def test_power_of_four_term_sum_is_fast():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["969", "63063000"]
+
+
+# -- reference text layer -------------------------------------------------------
+# The character-level parser and the formatter that the one-pass scanner and
+# the integer formatter replaced, kept as oracles: both must agree with them
+# on every input, errors and their offsets included.
+
+_REF_VAR_INDEX = {name: i for i, name in enumerate("xyzw")}
+_REF_VAR_INDEX.update({name.upper(): i for i, name in enumerate("xyzw")})
+
+
+class _RefTokenizer:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def offset(self):
+        self.skip_ws()
+        return self.pos + 1
+
+    def take(self):
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def read_uint(self, what):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == start:
+            raise PolySyntaxError(f"expected {what}", start + 1)
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            raise PolySyntaxError(f"{what} too long", start + 1) from None
+
+
+def _ref_scan_terms(text):
+    tok = _RefTokenizer(text)
+    sign = 1
+    ch = tok.peek()
+    if ch == "":
+        raise PolySyntaxError("empty input", tok.offset())
+    if ch in "+-":
+        if ch == "-":
+            sign = -1
+        tok.take()
+    while True:
+        yield _ref_parse_term(tok, sign)
+        ch = tok.peek()
+        if ch == "":
+            return
+        if ch == "+":
+            sign = 1
+        elif ch == "-":
+            sign = -1
+        else:
+            raise PolySyntaxError(f"expected '+' or '-', found {ch!r}", tok.offset())
+        tok.take()
+
+
+def _ref_parse_factor(tok):
+    ch = tok.peek()
+    if ch not in _REF_VAR_INDEX:
+        found = f", found {ch!r}" if ch else ""
+        raise PolySyntaxError(f"expected variable{found}", tok.offset())
+    tok.take()
+    exponent = 1
+    if tok.peek() == "^":
+        tok.take()
+        exponent = tok.read_uint("exponent")
+    exps = [0, 0, 0, 0]
+    exps[_REF_VAR_INDEX[ch]] = exponent
+    return Monomial(tuple(exps))
+
+
+def _ref_parse_term(tok, sign):
+    if not tok.peek().isdecimal():
+        coeff = Fraction(sign)
+    else:
+        num = tok.read_uint("coefficient")
+        den = 1
+        if tok.peek() == "/":
+            tok.take()
+            den_off = tok.offset()
+            den = tok.read_uint("denominator")
+            if den == 0:
+                raise PolySyntaxError("zero denominator", den_off)
+        coeff = Fraction(sign * num, den)
+        if tok.peek() != "*":
+            return Monomial((0, 0, 0, 0)), coeff
+        tok.take()
+    mono = _ref_parse_factor(tok)
+    while tok.peek() == "*":
+        tok.take()
+        mono = mono * _ref_parse_factor(tok)
+    return mono, coeff
+
+
+def _ref_outcomes(text):
+    # What parse_poly and parse_poly_terms each gave on ``text``.
+    try:
+        terms = list(_ref_scan_terms(text))
+    except PolySyntaxError as exc:
+        error = ("error", str(exc), exc.offset)
+        return error, error
+    return ("parsed", Polynomial(terms)), ("parsed", tuple(Polynomial([t]) for t in terms))
+
+
+def _ref_monomial_text(mono):
+    if mono.degree == 0:
+        return "1"
+    parts = []
+    for name, e in zip("xyzw", mono.exponents):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
+
+
+def _ref_format_coeff(coeff):
+    try:
+        return str(coeff) if coeff.denominator != 1 else str(coeff.numerator)
+    except ValueError:
+        raise PolynomialError("coefficient has too many digits to print") from None
+
+
+def _ref_format_poly(p):
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for index, (mono, coeff) in enumerate(p.terms()):
+        magnitude = abs(coeff)
+        if mono.degree == 0:
+            body = _ref_format_coeff(magnitude)
+        elif magnitude == 1:
+            body = _ref_monomial_text(mono)
+        else:
+            body = f"{_ref_format_coeff(magnitude)}*{_ref_monomial_text(mono)}"
+        if index == 0:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+def _outcome(parse, text):
+    try:
+        return ("parsed", parse(text))
+    except PolySyntaxError as exc:
+        return ("error", str(exc), exc.offset)
+
+
+_NOISE = "xyzwXYZW0123456789+-*/^\t\n \u00a0\u3000\u0663\u00b2qa"
+
+
+def _poly_text(rng):
+    # A well-formed polynomial in the grammar's full freedom of spelling.
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        factors = [
+            rng.choice("xyzwXYZW") + rng.choice(("", "", f"^{rng.randint(0, 12)}"))
+            for _ in range(rng.randint(0, 3))
+        ]
+        coeff = rng.choice(("", str(rng.randint(0, 99)), f"{rng.randint(0, 99)}/{rng.randint(1, 9)}"))
+        terms.append("*".join(([coeff] if coeff or not factors else ["1"]) + factors))
+    signs = (" + ", " - ", "+", "-", "\t-\n", "\u3000+ ")
+    return rng.choice(("", "-", "+ ")) + terms[0] + "".join(rng.choice(signs) + t for t in terms[1:])
+
+
+def _fuzz_text(rng):
+    if rng.randrange(3) == 0:  # character soup
+        return "".join(rng.choice(_NOISE) for _ in range(rng.randint(0, 12)))
+    chars = list(_poly_text(rng))
+    for _ in range(rng.randint(0, 2)):  # insert, delete or replace a character
+        at = rng.randint(0, len(chars))
+        chars[at : at + rng.randrange(2)] = rng.choice(("", rng.choice(_NOISE)))
+    return "".join(chars)
+
+
+#: Digit runs past int()'s limit in each numeric position.
+_TOO_LONG = "9" * 4301
+_DIGIT_LIMIT_TEXTS = (
+    f"{_TOO_LONG}*x",
+    f"-x + {_TOO_LONG}",
+    f"x^{_TOO_LONG}",
+    f"y*x^ {_TOO_LONG}*z",
+    f"1/{_TOO_LONG}*x",
+    f"2 - 3/ {_TOO_LONG}",
+    f"x^{'0' * 4300}1",
+)
+
+
+def test_parser_matches_character_level_reference():
+    rng = random.Random(20261018)
+    texts = [_fuzz_text(rng) for _ in range(20000)] + list(_DIGIT_LIMIT_TEXTS)
+    messages = set()
+    for text in texts:
+        expected = _ref_outcomes(text)
+        assert (_outcome(parse_poly, text), _outcome(parse_poly_terms, text)) == expected, text
+        if expected[0][0] == "error":
+            messages.add(expected[0][1].split(" at offset")[0].split(",")[0])
+    # The fuzz reaches every error the grammar has.
+    assert messages >= {
+        "empty input",
+        "expected variable",
+        "expected '+' or '-'",
+        "expected exponent",
+        "expected denominator",
+        "zero denominator",
+        "coefficient too long",
+        "exponent too long",
+        "denominator too long",
+    }
+
+
+def test_formatter_matches_reference():
+    rng = random.Random(20261019)
+    polys = [Polynomial.zero(), Polynomial.one(), -Polynomial.one(), X, -X]
+    for _ in range(3000):
+        table = {}
+        for _ in range(rng.randint(0, 6)):
+            mono = Monomial(tuple(rng.choice((0, 0, 1, 1, 2, 13)) for _ in range(4)))
+            num = rng.choice((-1, 1, rng.randint(-10**6, 10**6)))
+            table[mono] = Fraction(num, rng.choice((1, 1, 2, rng.randint(1, 10**4))))
+        polys.append(Polynomial(table))
+    for p in polys:
+        text = format_poly(p)
+        assert text == _ref_format_poly(p)
+        assert parse_poly(text) == p
+    huge = Fraction(10**5000)
+    for coeff in (huge, -huge, 1 / huge):
+        for mono in (Monomial((0, 0, 0, 0)), Monomial((1, 0, 2, 0))):
+            with pytest.raises(PolynomialError, match="coefficient has too many digits to print"):
+                format_poly(Polynomial({mono: coeff}))
+    past_limit = Polynomial({Monomial((10**5000, 0, 0, 1)): 1})
+    for show in (format_poly, lambda p: str(next(iter(p.support())))):
+        with pytest.raises(PolynomialError, match="exponent has too many digits to print"):
+            show(past_limit)
