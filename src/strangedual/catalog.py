@@ -18,10 +18,11 @@ shipped catalog every check is an exact identity.
 from __future__ import annotations
 
 import json
-import operator
+import re
 from fractions import Fraction
+from collections import namedtuple
 from importlib import resources
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import matfac as mf
 from .coxeter import charpoly_S
@@ -228,178 +229,171 @@ def default_catalog_path() -> str:
     return str(resources.files("strangedual").joinpath("data/catalog.json"))
 
 
-def _parse_pair_list(value, where: str) -> tuple[tuple[int, int], ...]:
+_MISSING = object()  # the value of an absent key
+
+
+#: How one JSON value of a catalog entry loads: what an error says was
+#: expected; the exact JSON types taken (a bool is not an int); the function
+#: that builds the value, which may raise a domain error; the kind of each
+#: list item or mapping value; the length of a list; an object's (key, kind)
+#: fields, in record-field order; whether null loads as None; and a missing
+#: key's value (_MISSING refuses it).
+_Kind = namedtuple(
+    "_Kind",
+    "label types load item size fields null default",
+    defaults=(None, None, None, (), False, _MISSING),
+)
+
+
+def _refused(path: str, kind: _Kind, value) -> CatalogError:
+    if value is _MISSING:
+        return CatalogError(f"missing field {path!r}")
+    got = f"a list of {len(value)}" if type(value) is list else type(value).__name__
+    expected = f"{kind.label} or null" if kind.null else kind.label
+    return CatalogError(f"field {path!r}: expected {expected}, got {got}")
+
+
+def _walk(kind: _Kind, value, path: str):
+    """Check ``value`` against ``kind`` and load it; ``path`` names it in errors."""
+    _, types, load, item, size, fields, null, default = kind
+    if type(value) not in types or (size is not None and len(value) != size):
+        if value is _MISSING and default is not _MISSING:
+            return default
+        if value is None and null:
+            return None
+        raise _refused(path, kind, value)
+    # Plain loops: a comprehension would make cells of this frame's locals on every call.
     try:
-        pairs = tuple((operator.index(a), operator.index(b)) for a, b in value)
-    except (TypeError, ValueError) as exc:
-        raise CatalogError(f"{where}: expected [base, extra] pairs: {exc}") from None
-    return pairs
+        if fields:
+            prefix = f"{path}." if path else ""
+            values = []
+            for key, sub in fields:
+                values.append(_walk(sub, value.get(key, _MISSING), prefix + key))
+            value = tuple(values)
+        elif item is not None:  # an item's path is its container's
+            # An item of a plain string or integer kind, of the right type, is taken as it is.
+            plain = () if item.item or item.fields or item.load else item.types
+            values = []
+            for v in value.values() if type(value) is dict else value:
+                values.append(v if type(v) in plain else _walk(item, v, path))
+            value = dict(zip(value, values)) if type(value) is dict else tuple(values)
+        return value if load is None else load(value)
+    except (PolynomialError, SeriesError, mf.MatfacError) as exc:
+        raise CatalogError(f"field {path!r}: {exc}") from None
+
+
+#: An integer, or p/q with q > 0, in ASCII digits.
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/0*([1-9][0-9]*))?")
+
+
+def _rational(value: int | str) -> Fraction:
+    if type(value) is int:
+        return Fraction(value)
+    match = _RATIONAL_TEXT.fullmatch(value)
+    if match is None:
+        raise PolynomialError("not an integer or a fraction p/q")
+    try:  # integers, as Fraction(str) is several times slower
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except ValueError:  # more digits than int() converts
+        raise PolynomialError("coefficient too long") from None
+
+
+def _monic_monomial(text: str) -> Polynomial:
+    term = parse_poly(text)
+    if len(term) != 1 or term.coefficient(term.leading_monomial()) != 1:
+        raise PolynomialError(f"{term} is not a monic monomial")
+    return term
+
+
+def _weight_system(text: str) -> WeightSystem:
+    weights = parse_weight_system(text)
+    if len(weights.weights) != 4 or len(weights.degrees) != 2:
+        raise SeriesError(f"need 4 weights and 2 degrees, got {weights}")
+    return weights
+
+
+def _change(mapping: dict) -> tuple[Substitution, str]:
+    return Substitution.from_mapping(mapping), "; ".join(f"{k} -> {v}" for k, v in mapping.items())
+
+
+def _parent(values: tuple) -> ParentData:
+    name, series, coefficients, f, (change, display), h = values
+    return ParentData(name, series, coefficients, f, change, display, h)
+
+
+def _list(item: _Kind, size: int | None = None, load: Callable | None = None) -> _Kind:
+    label = "a list" if size is None else f"a list of {size}"
+    return _Kind(label, (list,), load, item, size)
+
+
+def _record(load: Callable, *fields: tuple[str, _Kind]) -> _Kind:
+    return _Kind("a dict", (dict,), load, fields=fields)
+
+
+_STRING = _Kind("a string", (str,))
+# Looked up at call time, so a wrapper on the module global sees each call.
+_POLY = _STRING._replace(load=lambda text: parse_poly(text))
+_MONOMIAL = _STRING._replace(load=_monic_monomial)
+_WEIGHTS = _STRING._replace(load=_weight_system)
+_INTEGER = _Kind("an integer", (int,))
+_PAIR = _list(_INTEGER, 2)
+_PARENT = _record(
+    _parent,
+    ("name", _STRING),
+    ("series", _STRING),
+    ("coefficients", _list(_Kind("an exact rational", (int, str), _rational))),
+    ("f", _POLY),
+    ("change", _Kind("a dict", (dict,), _change, _STRING)),
+    ("h", _POLY),
+)
+_DECOMPOSITION = _record(Decomposition._make, ("poly", _POLY), ("weights", _WEIGHTS))
+_DYNKIN = _record(
+    lambda v: DynkinData(v[0], v[1:6], v[6]),
+    ("germ", _STRING),
+    *((key, _PAIR) for key in ("M2", "M4", "M5", "M6", "M7")),
+    ("gamma", _list(_PAIR, 4)),
+)
+
+#: A catalog entry, key by key in ``SeriesEntry`` field order.
+_ENTRY = _record(
+    SeriesEntry._make,
+    ("name", _STRING),
+    ("display", _STRING),
+    ("dual", _STRING),
+    ("substitution_case", _STRING),
+    ("kernel", _list(_INTEGER, 4)),
+    ("relation", _POLY),
+    ("source_terms", _list(_MONOMIAL, 4)),
+    ("duality_poly_terms", _list(_MONOMIAL, 4)),
+    ("k0_equations", _list(_POLY, 2)._replace(null=True)),
+    ("k0_restrictions", _STRING._replace(null=True, default=None)),
+    ("k0_weights", _WEIGHTS),
+    ("dual_k0_weights", _WEIGHTS),
+    ("wall_equations", _list(_POLY, 2)),
+    ("sign_note", _STRING._replace(default="")),
+    ("virtual_equations", _list(_POLY, 2, lambda pair: mf.CompleteIntersectionPair(*pair))),
+    ("matfac", _record(lambda abc: mf.FactorizationTriple(*abc), *((k, _POLY) for k in "abc"))),
+    ("parent", _PARENT),
+    ("decomposition", _list(_DECOMPOSITION, 2)),
+    ("dolgachev", _list(_PAIR, 2)),
+    ("gabrielov", _list(_PAIR, 2)),
+    ("zeta_frame", _STRING._replace(load=lambda text: parse_frame(text))),
+    ("dynkin", _DYNKIN),
+)
 
 
 def _load_entry(raw: dict, index: int) -> SeriesEntry:
-    name = raw.get("name", f"#{index}")
-    where = f"entry {name}"
-
-    def need(key: str, kind: type = object, length: int | None = None):
-        if key not in raw:
-            raise CatalogError(f"{where}: missing field {key!r}")
-        return shaped(key, raw[key], kind, length)
-
-    def shaped(key: str, value, kind: type, length: int | None = None):
-        if isinstance(value, kind) and (length is None or len(value) == length):
-            return value
-        size = "" if length is None else f" of {length}"
-        raise CatalogError(
-            f"{where}: field {key!r}: expected a {kind.__name__}{size}, got {type(value).__name__}"
-        )
-
-    def string(key: str, value) -> str:
-        if not isinstance(value, str):
-            raise CatalogError(
-                f"{where}: field {key!r}: expected a string, got {type(value).__name__}"
-            )
-        return value
-
-    def poly(key: str, text) -> Polynomial:
-        try:
-            return parse_poly(string(key, text))
-        except PolynomialError as exc:
-            raise CatalogError(f"{where}: field {key!r}: {exc}") from None
-
-    case = need("substitution_case")
-    if case not in SUBSTITUTION_CASES:
-        raise CatalogError(f"{where}: unknown substitution case {case!r}")
+    name = raw.get("name")
     try:
-        kernel = tuple(operator.index(v) for v in need("kernel"))
-    except (TypeError, ValueError) as exc:
-        raise CatalogError(f"{where}: kernel: expected integers: {exc}") from None
-    if kernel != SUBSTITUTION_CASES[case]["kernel"]:
-        raise CatalogError(
-            f"{where}: kernel {kernel} does not match case ({case})"
-        )
-
-    source_terms = tuple(poly("source_terms", t) for t in need("source_terms"))
-    duality_terms = tuple(poly("duality_poly_terms", t) for t in need("duality_poly_terms"))
-    for key, terms in (("source_terms", source_terms), ("duality_poly_terms", duality_terms)):
-        if len(terms) != 4:
-            raise CatalogError(f"{where}: field {key!r}: need 4 terms, got {len(terms)}")
-        for term in terms:
-            if len(term) != 1 or term.coefficient(term.leading_monomial()) != 1:
-                raise CatalogError(
-                    f"{where}: field {key!r}: {term} is not a monic monomial"
-                )
-
-    k0_raw = need("k0_equations")
-    if k0_raw is None:
-        k0_equations = None
-    else:
-        k0_raw = shaped("k0_equations", k0_raw, list, 2)
-        k0_equations = (poly("k0_equations", k0_raw[0]), poly("k0_equations", k0_raw[1]))
-
-    try:
-        k0_weights = parse_weight_system(string("k0_weights", need("k0_weights")))
-        dual_k0_weights = parse_weight_system(string("dual_k0_weights", need("dual_k0_weights")))
-    except SeriesError as exc:
-        raise CatalogError(f"{where}: weight system: {exc}") from None
-
-    wall_raw = need("wall_equations", list, 2)
-    wall = (poly("wall_equations", wall_raw[0]), poly("wall_equations", wall_raw[1]))
-
-    virt_raw = need("virtual_equations", list, 2)
-    try:
-        virtual = mf.CompleteIntersectionPair(
-            poly("virtual_equations", virt_raw[0]), poly("virtual_equations", virt_raw[1])
-        )
-    except mf.MatfacError as exc:
-        raise CatalogError(f"{where}: virtual_equations: {exc}") from None
-
-    mf_raw = need("matfac", dict)
-    try:
-        triple = mf.FactorizationTriple(
-            poly("matfac.a", mf_raw["a"]),
-            poly("matfac.b", mf_raw["b"]),
-            poly("matfac.c", mf_raw["c"]),
-        )
-    except KeyError as exc:
-        raise CatalogError(f"{where}: matfac: missing {exc}") from None
-    except mf.MatfacError as exc:
-        raise CatalogError(f"{where}: matfac: {exc}") from None
-
-    parent_raw = need("parent", dict)
-    try:
-        change_raw = shaped("parent.change", parent_raw["change"], dict)
-        parent = ParentData(
-            name=parent_raw["name"],
-            series=parent_raw["series"],
-            coefficients=tuple(Fraction(c) for c in parent_raw["coefficients"]),
-            f=poly("parent.f", parent_raw["f"]),
-            change=Substitution.from_mapping(change_raw),
-            change_display="; ".join(f"{k} -> {v}" for k, v in change_raw.items()),
-            h=poly("parent.h", parent_raw["h"]),
-        )
-    except KeyError as exc:
-        raise CatalogError(f"{where}: parent: missing {exc}") from None
-
-    pieces = [shaped("decomposition", piece, dict) for piece in need("decomposition", list, 2)]
-    try:
-        decomposition = tuple(
-            Decomposition(
-                poly("decomposition.poly", piece["poly"]),
-                parse_weight_system(string("decomposition.weights", piece["weights"])),
-            )
-            for piece in pieces
-        )
-    except KeyError as exc:
-        raise CatalogError(f"{where}: decomposition: missing {exc}") from None
-    except SeriesError as exc:
-        raise CatalogError(f"{where}: decomposition: {exc}") from None
-
-    dolgachev = _parse_pair_list(need("dolgachev"), f"{where}: dolgachev")
-    gabrielov = _parse_pair_list(need("gabrielov"), f"{where}: gabrielov")
-    if len(dolgachev) != 2 or len(gabrielov) != 2:
-        raise CatalogError(f"{where}: dolgachev/gabrielov must be two pairs")
-
-    try:
-        zeta = parse_frame(string("zeta_frame", need("zeta_frame")))
-    except SeriesError as exc:
-        raise CatalogError(f"{where}: zeta_frame: {exc}") from None
-
-    dk = need("dynkin", dict)
-    try:
-        dynkin = DynkinData(
-            germ=dk["germ"],
-            multiplicities=_parse_pair_list(
-                [dk[k] for k in ("M2", "M4", "M5", "M6", "M7")], f"{where}: dynkin"
-            ),
-            gamma=_parse_pair_list(dk["gamma"], f"{where}: dynkin.gamma"),
-        )
-    except KeyError as exc:
-        raise CatalogError(f"{where}: dynkin: missing field {exc}") from None
-
-    return SeriesEntry(
-        name=name,
-        display=need("display"),
-        dual_name=need("dual"),
-        substitution_case=case,
-        kernel=kernel,
-        relation=poly("relation", need("relation")),
-        source_terms=source_terms,
-        duality_terms=duality_terms,
-        k0_equations=k0_equations,
-        k0_restrictions=raw.get("k0_restrictions"),
-        k0_weights=k0_weights,
-        dual_k0_weights=dual_k0_weights,
-        wall_equations=wall,
-        sign_note=raw.get("sign_note", ""),
-        virtual_equations=virtual,
-        matfac=triple,
-        parent=parent,
-        decomposition=decomposition,
-        dolgachev=tuple(tuple(p) for p in dolgachev),
-        gabrielov=tuple(tuple(p) for p in gabrielov),
-        zeta_frame=zeta,
-        dynkin=dynkin,
-    )
+        entry = _walk(_ENTRY, raw, "")
+        case = entry.substitution_case
+        if case not in SUBSTITUTION_CASES:
+            raise CatalogError(f"unknown substitution case {case!r}")
+        if entry.kernel != SUBSTITUTION_CASES[case]["kernel"]:
+            raise CatalogError(f"kernel {entry.kernel} does not match case ({case})")
+    except CatalogError as exc:
+        raise CatalogError(f"entry {name if type(name) is str else f'#{index}'}: {exc}") from None
+    return entry
 
 
 def _validate(catalog: Catalog) -> None:
@@ -434,14 +428,10 @@ def _validate(catalog: Catalog) -> None:
 
 def load_catalog(source: str | None = None) -> Catalog:
     """Load and validate a catalog file; ``None`` loads the shipped data."""
-    if source is None:
-        text = resources.files("strangedual").joinpath("data/catalog.json").read_text("utf-8")
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(default_catalog_path() if source is None else source, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, int digit limit, nesting
         raise CatalogError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise CatalogError(f"expected a JSON object at the top level, got {type(raw).__name__}")

@@ -5,7 +5,7 @@ ring is fixed once and for all: monomials are exponent 4-tuples for
 (x, y, z, w) and coefficients are exact rationals.  Polynomials in fewer
 variables simply carry zero exponents on the unused coordinates.
 
-The text grammar (ASCII) is::
+The text grammar is::
 
     poly   := ['+'|'-'] term (('+'|'-') term)*
     term   := coeff ['*' factors] | factors
@@ -14,8 +14,9 @@ The text grammar (ASCII) is::
     coeff  := uint ['/' uint]
     var    := 'x'|'y'|'z'|'w'   (uppercase accepted, normalised to lowercase)
 
-Whitespace is insignificant.  ``parse_poly`` and ``format_poly`` are
-mutually inverse on canonical forms; printing uses the degree-lexicographic
+A digit is any Unicode decimal digit and whitespace, any Unicode space, is
+insignificant; error offsets count characters.  ``parse_poly`` and ``format_poly``
+are mutually inverse on canonical forms; printing uses the degree-lexicographic
 order with x > y > z > w, highest term first.
 
 Each kernel builds its result in one table of terms.  ``parse_poly`` splits
@@ -48,7 +49,7 @@ class PolynomialError(Exception):
 
 
 class PolySyntaxError(PolynomialError):
-    """Malformed polynomial text; ``offset`` is the 1-based byte position."""
+    """Malformed polynomial text; ``offset`` is the 1-based character index."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
@@ -540,7 +541,7 @@ def parse_poly_terms(text: str) -> tuple[Polynomial, ...]:
 
 def parse_poly(text: str) -> Polynomial:
     """Parse the polynomial grammar; raises :class:`PolySyntaxError` with a
-    1-based byte offset on malformed input."""
+    1-based character offset on malformed input."""
     table: dict[Monomial, Fraction] = {}
     for mono, coeff in _scan_terms(text):
         _add_term(table, mono, coeff)

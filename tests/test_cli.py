@@ -293,10 +293,10 @@ def _first_entry_with(field, value):
     [
         (lambda raw: [raw], "expected a JSON object at the top level, got list"),
         (lambda raw: {**raw, "entries": {}}, "'entries' must be a list of JSON objects"),
-        (lambda raw: {**raw, "entries": [dict(raw["entries"][0], kernel="ab")]}, "kernel: expected integers"),
+        (lambda raw: {**raw, "entries": [dict(raw["entries"][0], kernel="ab")]}, "field 'kernel': expected a list of 4, got str"),
         # int() would truncate these to the shipped values and load them.
-        (_first_entry_with("kernel", [1.5, 1.5, 0.5, -2.5]), "kernel: expected integers"),
-        (_first_entry_with("dolgachev", [[2.5, 2], [2, 6]]), "dolgachev: expected [base, extra] pairs"),
+        (_first_entry_with("kernel", [1.5, 1.5, 0.5, -2.5]), "field 'kernel': expected an integer, got float"),
+        (_first_entry_with("dolgachev", [[2.5, 2], [2, 6]]), "field 'dolgachev': expected an integer, got float"),
         (_first_entry_with("decomposition", [1, 2]), "field 'decomposition': expected a dict, got int"),
         (_first_entry_with("matfac", 5), "field 'matfac': expected a dict, got int"),
         (_first_entry_with("parent", 7), "field 'parent': expected a dict, got int"),
@@ -322,3 +322,201 @@ def test_malformed_catalog_status(tmp_path, capsys, edit, message):
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot load catalog: ") and err.count("\n") == 1
     assert message in err
+
+
+# -- catalog file as a total input ------------------------------------------------
+
+_NAMES = ("J'", "K'", "Kb", "L", "Ls", "M", "Ms", "I")
+_DELETE = object()
+_REPLACEMENTS = (5, "x", [], {}, None, 1.5, True)
+
+
+def test_catalog_show_matches_golden(capsys):
+    # The fields only `catalog show` prints (the change display, the k = 0
+    # restrictions, the display names and the germ) are built by the loader.
+    out = ""
+    for name in _NAMES:
+        code, text, _ = run(capsys, "catalog", "show", name)
+        assert code == 0
+        out += text
+    assert out == (Path(__file__).parent / "golden" / "show.txt").read_text(encoding="utf-8")
+
+
+def _shipped_entry(name="J'"):
+    raw = json.loads(Path(default_catalog_path()).read_text(encoding="utf-8"))
+    return next(e for e in raw["entries"] if e["name"] == name)
+
+
+def _nodes(value, path=()):
+    # Every key of every object and every index of every list, outermost first.
+    children = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+def _edited(entry, path, replacement):
+    entry = json.loads(json.dumps(entry))
+    node = entry
+    for key in path[:-1]:
+        node = node[key]
+    if replacement is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = replacement
+    return entry
+
+
+def _verify_entry(capsys, tmp_path, entry):
+    # J' is its own dual, so a catalog of J' alone is complete.
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"schema": 1, "entries": [entry]}), encoding="utf-8")
+    return run(capsys, "verify", "--catalog", str(path))
+
+
+def _is_report_or_load_error(code, out, err):
+    if err:
+        one_line = err.startswith("error: cannot load catalog: ") and err.count("\n") == 1
+        return (code, out) == (1, "") and one_line
+    return code in (0, 1)
+
+
+# Edits of the shipped J' entry that keep the file well-formed: a null or
+# missing optional field, a coefficient written as an integer or dropped,
+# and an empty coordinate change.
+_WELL_FORMED_EDITS = [
+    (("k0_equations",), None),
+    (("k0_restrictions",), None),
+    (("k0_restrictions",), _DELETE),
+    (("sign_note",), _DELETE),
+    (("parent", "change", "w"), _DELETE),
+    *((("parent", "coefficients", i), edit) for i in range(4) for edit in (5, _DELETE)),
+]
+
+
+def test_every_field_of_the_shipped_entry_is_total(capsys, tmp_path):
+    # Each leaf and key of the shipped entry, replaced by a value of another
+    # JSON type or deleted: either a report or one load error, never a
+    # traceback, and a wrong type is never loaded.
+    entry = _shipped_entry()
+    wrong = []
+    for path in _nodes(entry):
+        original = entry
+        for key in path:
+            original = original[key]
+        for edit in (*(r for r in _REPLACEMENTS if type(r) is not type(original)), _DELETE):
+            case = (path, "<deleted>" if edit is _DELETE else edit)
+            try:
+                code, out, err = _verify_entry(capsys, tmp_path, _edited(entry, path, edit))
+            except Exception as exc:  # noted with its input; the test fails below
+                wrong.append((*case, repr(exc)))
+                continue
+            refused = bool(err)
+            if not _is_report_or_load_error(code, out, err):
+                wrong.append((*case, code, err))
+            elif refused == ((path, edit) in _WELL_FORMED_EDITS):
+                wrong.append((*case, "loaded" if not refused else err))
+    assert wrong == []
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("dual",), 5, "entry J': field 'dual': expected a string, got int"),
+        (("parent", "change", "w"), 5, "entry J': field 'parent.change': expected a string, got int"),
+        (("substitution_case",), ["a"], "field 'substitution_case': expected a string, got a list of 1"),
+        (("parent", "coefficients"), ["abc"], "field 'parent.coefficients': not an integer or a fraction p/q"),
+        (("parent", "coefficients"), [None], "field 'parent.coefficients': expected an exact rational, got NoneType"),
+        (("parent", "coefficients"), 3, "field 'parent.coefficients': expected a list, got int"),
+        (("source_terms",), "xyzw", "field 'source_terms': expected a list of 4, got str"),
+        (("display",), 5, "field 'display': expected a string, got int"),
+        (("sign_note",), 5, "field 'sign_note': expected a string, got int"),
+        (("sign_note",), None, "field 'sign_note': expected a string, got NoneType"),
+        (("k0_restrictions",), 5, "field 'k0_restrictions': expected a string or null, got int"),
+        (("parent", "name"), 5, "field 'parent.name': expected a string, got int"),
+        (("dynkin", "germ"), 5, "field 'dynkin.germ': expected a string, got int"),
+        (("dolgachev", 0, 0), True, "field 'dolgachev': expected an integer, got bool"),
+        (("dynkin", "gamma"), [[2, 0]] * 3, "field 'dynkin.gamma': expected a list of 4, got a list of 3"),
+        (("name",), _DELETE, "entry #0: missing field 'name'"),
+        (("matfac", "b"), _DELETE, "entry J': missing field 'matfac.b'"),
+        (("source_terms", 0), "2*x", "field 'source_terms': 2*x is not a monic monomial"),
+        (("k0_weights",), "2,6,5;8,10", "field 'k0_weights': need 4 weights and 2 degrees, got 2,6,5;8,10"),
+        (("k0_weights",), "2,6,5,4;8", "field 'k0_weights': need 4 weights and 2 degrees, got 2,6,5,4;8"),
+        (("matfac", "a"), "x", "entry J': field 'matfac': a must lie in (z, w): x"),
+        (("substitution_case",), "e", "entry J': unknown substitution case 'e'"),
+    ],
+    ids=[
+        "dual-int",
+        "change-int",
+        "case-list",
+        "coefficient-text",
+        "coefficient-null",
+        "coefficients-int",
+        "source-terms-string",
+        "display-int",
+        "sign-note-int",
+        "sign-note-null",
+        "k0-restrictions-int",
+        "parent-name-int",
+        "germ-int",
+        "dolgachev-bool",
+        "gamma-three",
+        "name-missing",
+        "matfac-b-missing",
+        "source-term-not-monic",
+        "weights-three",
+        "weights-one-degree",
+        "matfac-constructor",
+        "case-unknown",
+    ],
+)
+def test_wrong_kind_is_one_load_error(capsys, tmp_path, path, value, message):
+    # The first six and the one-degree weight system once ended in a
+    # traceback; the next nine loaded.
+    code, out, err = _verify_entry(capsys, tmp_path, _edited(_shipped_entry(), path, value))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot load catalog: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "coefficient, message",
+    [
+        ("1e1000000000", "field 'parent.coefficients': not an integer or a fraction p/q"),
+        (0.1, "field 'parent.coefficients': expected an exact rational, got float"),
+        ("1" * 5000, "field 'parent.coefficients': coefficient too long"),
+        ("1/0", "field 'parent.coefficients': not an integer or a fraction p/q"),
+    ],
+    ids=["exponent", "float", "past-digit-limit", "zero-denominator"],
+)
+def test_parent_coefficients_are_exact_and_bounded(tmp_path, coefficient, message):
+    # The first once ran past the timeout (Fraction expands the exponent),
+    # the second loaded the binary float, the third ended in a traceback.
+    entry = _edited(_shipped_entry(), ("parent", "coefficients", 0), coefficient)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"schema": 1, "entries": [entry]}), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "strangedual.cli", "verify", "--catalog", str(path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: cannot load catalog: entry J': ")
+    assert message in proc.stderr and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe{}",
+        json.dumps({"schema": 1, "entries": [dict(_shipped_entry(), kernel=[1, 1, 0, 0])]})
+        .replace("[1, 1, 0, 0]", "[1, 1, 0, " + "7" * 5000 + "]")
+        .encode(),
+        b'{"schema": 1, "entries": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ],
+    ids=["not-utf8", "integer-past-digit-limit", "nested-arrays"],
+)
+def test_undecodable_catalog_is_invalid_json(capsys, tmp_path, content):
+    path = tmp_path / "catalog.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "verify", "--catalog", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot load catalog: invalid JSON: ") and err.count("\n") == 1

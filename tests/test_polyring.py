@@ -109,6 +109,15 @@ def test_parse_error_offset():
     assert err.value.offset == 3
 
 
+def test_parse_reads_unicode_digits_and_counts_characters():
+    # Any script's decimal digits and Unicode spaces are read; offsets count
+    # characters, not UTF-8 bytes (U+3000 is three bytes).
+    assert parse_poly("x^\u0663") == parse_poly("x^3")
+    with pytest.raises(PolySyntaxError) as err:
+        parse_poly("\u3000x^^2")
+    assert err.value.offset == 4
+
+
 def test_parse_error_unknown_variable():
     with pytest.raises(PolySyntaxError):
         parse_poly("x + q^2")
