@@ -435,8 +435,9 @@ def load_catalog(source: str | None = None) -> Catalog:
         raise CatalogError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise CatalogError(f"expected a JSON object at the top level, got {type(raw).__name__}")
-    if raw.get("schema") != 1:
-        raise CatalogError(f"unsupported schema {raw.get('schema')!r}")
+    schema = raw.get("schema")
+    if type(schema) is not int or schema != 1:  # JSON true and 1.0 equal 1 too
+        raise CatalogError(f"unsupported schema {schema!r}")
     items = raw.get("entries", [])
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise CatalogError("'entries' must be a list of JSON objects")

@@ -583,18 +583,18 @@ def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
             if k in subset:
                 continue
             exps = monos[k].exponents
-            value = Fraction(1) - sum(Fraction(e) * u for e, u in zip(exps, u0))
+            value = 1 - sum(e * u for e, u in zip(exps, u0))
             row = [value]
             for vec in basis:
-                row.append(-sum(Fraction(e) * v for e, v in zip(exps, vec)))
+                row.append(-sum(e * v for e, v in zip(exps, vec)))
             constraints.append(row)
         solution = _strict_feasible(constraints, len(basis))
         if solution is None:
             continue
         u = [u0[i] + sum(t * vec[i] for t, vec in zip(solution, basis)) for i in range(4)]
         weights = _linalg.primitive_integer_vector(u)
-        d2 = int(sum(Fraction(e) * wt for e, wt in zip(monos[subset[0]].exponents, weights)))
-        d1 = int(sum(Fraction(e) * wt for e, wt in zip(h1_monos[0].exponents, weights)))
+        d2 = sum(e * wt for e, wt in zip(monos[subset[0]].exponents, weights))
+        d1 = sum(e * wt for e, wt in zip(h1_monos[0].exponents, weights))
         face_poly = Polynomial({monos[i]: h2.coefficient(monos[i]) for i in subset})
         faces.append(
             (

@@ -19,17 +19,28 @@ insignificant; error offsets count characters.  ``parse_poly`` and ``format_poly
 are mutually inverse on canonical forms; printing uses the degree-lexicographic
 order with x > y > z > w, highest term first.
 
-Each kernel builds its result in one table of terms.  ``parse_poly`` splits
-the text with one regular expression into tokens (a run of decimal digits or
-any other non-space character) and walks them in one grammar loop, straight
-into exponent tuples and coefficients; a token's offset is found only to
-report an error.  ``format_poly`` sorts the terms once and prints each
-coefficient from its integer numerator and denominator.  ``**`` squares
-only up to the top bit of the exponent; ``substitute`` forms each image
-power ``img ** e`` at most once per call, and applies an image of one term
-(a variable, a constant, ``c*x`` or zero) term-wise, with no polynomial
-product; ``restrict`` sets coordinates to 0 or 1 by dropping terms and
-clearing exponents.
+A :class:`Polynomial` maps packed exponent keys to integer numerators over
+one positive denominator shared by every term and kept prime to their gcd,
+so equal polynomials have equal tables.  A key has five fields of one
+width: the total degree on top, then the exponents of x, y, z, w.  So a
+monomial product is one integer sum and integer order is degree-lex order.
+The width is 12 bits, or the bit length of the degree when that is larger:
+a kernel repacks its operands when a result would overflow them, and each
+result takes the width of its own degree.  A ``Fraction`` or a
+:class:`Monomial` is built only at the API boundary: the constructor,
+``terms``, ``coefficient``, ``support``, ``leading_monomial`` and the value
+of ``evaluate``.
+
+The kernels build one integer table per result (S. C. Johnson, SIGSAM Bull.
+8(3), 1974; M. Monagan and R. Pearce, J. Symbolic Comput. 46(7), 2011).
+``**`` squares up to the top bit of the exponent.  ``substitute`` and
+``evaluate`` clear the denominator q of an image or a coordinate with a
+factor q**(E - e), E the top exponent of its variable, form each factor
+once per call, and apply a one-term image as a key shift.  ``restrict``
+drops terms and clears fields.  ``parse_poly`` splits the text into tokens
+(a run of decimal digits or another non-space character) with one regular
+expression and walks them in one grammar loop; a token's offset is found
+only for an error.
 """
 
 from __future__ import annotations
@@ -37,7 +48,10 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Union
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
+from typing import Iterator, Mapping, Union
 
 VARIABLES = ("x", "y", "z", "w")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -119,41 +133,69 @@ def monomial(x: int = 0, y: int = 0, z: int = 0, w: int = 0) -> Monomial:
 
 Scalar = Union[int, Fraction]
 
+#: The least field width of a packed key, in bits.
+_WIDTH = 12
+
+
+def _width(degree: int) -> int:
+    return max(_WIDTH, degree.bit_length())
+
+
+def _pack(exps, width: int) -> int:
+    a, b, c, d = exps
+    return ((((a + b + c + d) << width | a) << width | b) << width | c) << width | d
+
+
+def _unpack(key: int, width: int) -> tuple[int, int, int, int]:
+    mask = (1 << width) - 1
+    return (key >> 3 * width & mask, key >> 2 * width & mask, key >> width & mask, key & mask)
+
+
+def _repack(table: dict, width: int, new: int) -> dict:
+    if new == width:
+        return table
+    return {_pack(_unpack(key, width), new): c for key, c in table.items()}
+
+
+def _ratio(value) -> tuple[int, int]:
+    # Numerator and denominator of an int, a Fraction or what Fraction() reads.
+    if type(value) is not int and type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
 
 class Polynomial:
     """Immutable sparse polynomial over Q in x, y, z, w."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_den", "_width")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] = ()):
-        table: dict[Monomial, Fraction] = {}
+    def __new__(cls, terms: Mapping[Monomial, Scalar] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
-            _add_term(table, mono, Fraction(coeff))
-        object.__setattr__(self, "_terms", table)
-        object.__setattr__(self, "_hash", None)
+        return _collect([(mono.exponents, *_ratio(coeff)) for mono, coeff in items])
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial()
+        return _wrap({}, 1, _WIDTH)
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial({MONOMIAL_ONE: 1})
+        return _wrap({0: 1}, 1, _WIDTH)
 
     @staticmethod
     def constant(value: Scalar) -> "Polynomial":
-        return Polynomial({MONOMIAL_ONE: Fraction(value)})
+        return Polynomial.one().scale(value)
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
         if name not in _VAR_INDEX:
             raise PolynomialError(f"unknown variable {name!r}")
-        exps = [0, 0, 0, 0]
-        exps[_VAR_INDEX[name]] = 1
-        return Polynomial({Monomial(tuple(exps)): 1})
+        return _wrap({1 << 4 * _WIDTH | 1 << (3 - _VAR_INDEX[name]) * _WIDTH: 1}, 1, _WIDTH)
 
     # -- inspection --------------------------------------------------------
 
@@ -168,26 +210,27 @@ class Polynomial:
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         """Terms in canonical order (degree-lex, highest first)."""
-        for mono in sorted(self._terms, key=Monomial.sort_key, reverse=True):
-            yield mono, self._terms[mono]
+        table, den, width = self._terms, self._den, self._width
+        for key in sorted(table, reverse=True):
+            yield _monomial(_unpack(key, width)), _fraction(table[key], den)
 
     def support(self) -> frozenset[Monomial]:
-        return frozenset(self._terms)
+        return frozenset(_monomial(_unpack(key, self._width)) for key in self._terms)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+        exps, width = mono.exponents, self._width
+        if sum(exps) >> width:  # past the field width, so past the degree
+            return Fraction(0)
+        return _fraction(self._terms.get(_pack(exps, width), 0), self._den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(m.degree for m in self._terms)
+        return max(self._terms) >> 4 * self._width if self._terms else -1
 
     def variables(self) -> frozenset[str]:
-        used: set[str] = set()
-        for mono in self._terms:
-            used |= mono.variables()
-        return frozenset(used)
+        # A field of the bitwise or of the keys is nonzero when some key's is.
+        used = _unpack(reduce(or_, self._terms, 0), self._width)
+        return frozenset(name for name, e in zip(VARIABLES, used) if e)
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
@@ -195,60 +238,55 @@ class Polynomial:
     def leading_monomial(self) -> Monomial:
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no leading monomial")
-        return max(self._terms, key=Monomial.sort_key)
+        return _monomial(_unpack(max(self._terms), self._width))
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        table = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            _add_term(table, mono, coeff)
-        return _raw(table)
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        table = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            _add_term(table, mono, -coeff)
-        return _raw(table)
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return _raw({m: -c for m, c in self._terms.items()})
+        return _wrap({key: -c for key, c in self._terms.items()}, self._den, self._width)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        table: dict[Monomial, Fraction] = {}
-        right = other._terms.items()
-        for m1, c1 in self._terms.items():
-            for m2, c2 in right:
-                _add_term(table, m1 * m2, c1 * c2)
-        return _raw(table)
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return Polynomial.zero()
+        # Leading terms never cancel, so the degrees add.
+        width = _width((max(a) >> 4 * self._width) + (max(b) >> 4 * other._width))
+        a, b = _repack(a, self._width, width), _repack(b, other._width, width)
+        return _new(_product(a, b), self._den * other._den, width)
 
     def scale(self, value: Scalar) -> "Polynomial":
-        value = Fraction(value)
-        if value == 0:
+        num, den = _ratio(value)
+        if not num:
             return Polynomial.zero()
-        return _raw({m: c * value for m, c in self._terms.items()})
+        return _new({key: c * num for key, c in self._terms.items()}, self._den * den, self._width)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise PolynomialError("negative exponent")
-        result = None
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return Polynomial.one() if result is None else result
+        if not exponent:
+            return Polynomial.one()
+        table, width = self._terms, self._width
+        if not table:
+            return self
+        wide = _width((max(table) >> 4 * width) * exponent)
+        table = _repack(table, width, wide)
+        # The content of a power is the power of the content (Gauss's lemma),
+        # so it stays prime to the power of the denominator.
+        return _wrap(_power(table, exponent), self._den**exponent, wide)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self._terms == other._terms
+        return (
+            isinstance(other, Polynomial) and self._den == other._den and self._terms == other._terms
+        )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self._terms.items())))
-        return self._hash
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -257,96 +295,122 @@ class Polynomial:
 
     def partial(self, var: str) -> "Polynomial":
         """Exact partial derivative with respect to ``var``."""
-        idx = _VAR_INDEX[var]
-        table: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            e = mono.exponents[idx]
-            if e == 0:
-                continue
-            exps = list(mono.exponents)
-            exps[idx] = e - 1
-            new = Monomial(tuple(exps))
-            table[new] = table.get(new, Fraction(0)) + coeff * e
-        return _raw({m: c for m, c in table.items() if c != 0})
+        width = self._width
+        shift = (3 - _VAR_INDEX[var]) * width
+        mask = (1 << width) - 1
+        step = 1 << 4 * width | 1 << shift
+        table = {}
+        for key, c in self._terms.items():
+            e = key >> shift & mask
+            if e:
+                table[key - step] = c * e
+        return _new(table, self._den, width)
 
     def evaluate(self, point) -> Fraction:
         """Evaluate at a rational 4-tuple (order x, y, z, w).
 
-        ``int`` and ``Fraction`` coordinates are used as given; a term with
-        a zero coordinate is skipped, and each power v**e is formed once
-        per call.
+        A term with a zero coordinate is skipped.  A coordinate p/q enters
+        a term with exponent e as the integer p**e * q**(E - e), E the top
+        exponent of its variable, formed once per call; the integer sum
+        over the common denominator becomes one ``Fraction``.
         """
-        values = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in point]
-        powers: dict[tuple[int, int], int | Fraction] = {}
-        total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            factor = coeff
-            for i, e in enumerate(mono.exponents):
-                if e:
-                    if not values[i]:
-                        break
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[i, e] = values[i] ** e
-                    factor *= power
-            else:
-                total += factor
-        return total
+        terms, width, den = self._terms, self._width, self._den
+        mask = (1 << width) - 1
+        drop = 0
+        fields = []
+        for shift, value in zip((3 * width, 2 * width, width, 0), point, strict=True):
+            num, q = _ratio(value)
+            if not num:
+                drop |= mask << shift
+            elif q != 1:
+                top = max([key >> shift & mask for key in terms], default=0)
+                den *= q**top
+                fields.append((shift, num, q, top, {}))
+            elif num != 1:
+                fields.append((shift, num, 1, 0, {}))
+        total = 0
+        for key, c in terms.items():
+            if key & drop:
+                continue
+            for shift, num, q, top, powers in fields:
+                e = key >> shift & mask
+                power = powers.get(e)
+                if power is None:
+                    power = powers[e] = num**e if q == 1 else num**e * q ** (top - e)
+                c *= power
+            total += c
+        return _fraction(total, den)
 
     def substitute(self, sub: "Substitution | Mapping[str, Polynomial]") -> "Polynomial":
         """Replace each variable by its image under ``sub``.
 
-        An image of one term c*m is applied term-wise (coefficient times
-        c**e, exponents plus e*m; a zero image drops the term); the powers
-        of longer images are formed once per (variable, exponent).
+        With image i = N_i/q_i for an integer table N_i, a term with
+        exponents e gets the factor N_i**e_i * q_i**(E_i - e_i), E_i the
+        top exponent of variable i, so the result is one integer table over
+        the denominator times the q_i**E_i.  Each factor is formed once per
+        (variable, exponent).
         """
         if not isinstance(sub, Substitution):
             sub = Substitution.from_mapping(sub)
-        images = sub.images
-        powers: dict[tuple[int, int], Polynomial] = {}
-        table: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            shift = [0, 0, 0, 0]
+        terms, width, den = self._terms, self._width, self._den
+        if not terms:
+            return self
+        mask = (1 << width) - 1
+        reach = max(image.degree() for image in sub.images)
+        wide = _width((max(terms) >> 4 * width) * max(reach, 0))
+        fields = []
+        for shift, image in zip((3 * width, 2 * width, width, 0), sub.images):
+            q, table = image._den, _repack(image._terms, image._width, wide)
+            top = max([key >> shift & mask for key in terms]) if q != 1 else 0
+            den *= q**top
+            fields.append((shift, table, q, top, {}))
+        result = {}
+        for key, c in terms.items():
+            moved = 0
             factor = None
-            for i, e in enumerate(mono.exponents):
-                if not e:
+            for shift, table, q, top, powers in fields:
+                e = key >> shift & mask
+                if not e and q == 1:
                     continue
-                image = images[i]._terms
-                if len(image) == 1:
-                    ((m, c),) = image.items()
-                    if c != 1:
-                        coeff = coeff * c**e
-                    for j, a in enumerate(m.exponents):
-                        shift[j] += a * e
-                elif not image:
+                power = powers.get(e)
+                if power is None:
+                    power = powers[e] = _image_power(table, e, 1 if q == 1 else q ** (top - e))
+                step, scale, extra = power
+                if not scale:
                     break
-                else:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[(i, e)] = images[i] ** e
-                    factor = power if factor is None else factor * power
+                moved += step
+                c *= scale
+                if extra is not None:
+                    factor = extra if factor is None else _product(factor, extra)
             else:
-                base = _monomial(tuple(shift))
                 if factor is None:
-                    _add_term(table, base, coeff)
+                    result[moved] = result.get(moved, 0) + c
                 else:
-                    for m, c in factor._terms.items():
-                        _add_term(table, base * m, coeff * c)
-        return _raw(table)
+                    for step, v in factor.items():
+                        step += moved
+                        result[step] = result.get(step, 0) + c * v
+        return _new({key: c for key, c in result.items() if c}, den, wide)
 
     def restrict(self, zero, one) -> "Polynomial":
         """Set the coordinates at the indices ``zero`` to 0 and those at
         ``one`` to 1: a term that uses a zeroed coordinate is dropped, and
         the exponents at ``one`` are cleared in the others."""
-        table: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            exps = mono.exponents
-            if any(exps[i] for i in zero):
+        width = self._width
+        mask = (1 << width) - 1
+        top = 4 * width
+        drop = 0
+        for i in zero:
+            drop |= mask << (3 - i) * width
+        shifts = [(3 - i) * width for i in one]
+        table = {}
+        for key, c in self._terms.items():
+            if key & drop:
                 continue
-            if any(exps[i] for i in one):
-                mono = _monomial(tuple(0 if i in one else e for i, e in enumerate(exps)))
-            _add_term(table, mono, coeff)
-        return _raw(table)
+            for shift in shifts:
+                e = key >> shift & mask
+                key -= (e << top) + (e << shift)
+            table[key] = table.get(key, 0) + c
+        return _new({key: c for key, c in table.items() if c}, self._den, width)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -355,32 +419,110 @@ class Polynomial:
         return f"Polynomial({format_poly(self)})"
 
 
-def _raw(table: dict[Monomial, Fraction]) -> Polynomial:
-    poly = Polynomial.__new__(Polynomial)
+def _wrap(table: dict, den: int, width: int) -> Polynomial:
+    poly = object.__new__(Polynomial)
     object.__setattr__(poly, "_terms", table)
-    object.__setattr__(poly, "_hash", None)
+    object.__setattr__(poly, "_den", den)
+    object.__setattr__(poly, "_width", width)
     return poly
 
 
-def _add_term(table: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
-    # Add coeff*mono into table, keeping no zero coefficient.
-    acc = table.get(mono)
-    if acc is not None:
-        coeff = acc + coeff
-    if coeff:
-        table[mono] = coeff
-    elif acc is not None:
-        del table[mono]
+def _new(table: dict, den: int, width: int) -> Polynomial:
+    # The polynomial of a table with no zero numerator, its denominator made
+    # prime to the content and its width that of its degree.
+    if den != 1:
+        g = gcd(den, *table.values())
+        if g != 1:
+            den //= g
+            table = {key: c // g for key, c in table.items()}
+    if width != _WIDTH:
+        fit = _width(max(table) >> 4 * width) if table else _WIDTH
+        table, width = _repack(table, width, fit), fit
+    return _wrap(table, den, width)
+
+
+def _collect(rows) -> Polynomial:
+    # The sum of the terms (exponents, numerator, denominator) of ``rows``.
+    den, top = 1, 0
+    for exps, num, d in rows:
+        if num:
+            if den % d:
+                den = lcm(den, d)
+            top = max(top, sum(exps))
+    width = _width(top)
+    table: dict[int, int] = {}
+    for exps, num, d in rows:
+        if num:
+            key = _pack(exps, width)
+            num = num * (den // d) + table.get(key, 0)
+            if num:
+                table[key] = num
+            else:
+                del table[key]
+    return _new(table, den, width)
+
+
+def _sum(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
+    width = max(p._width, q._width)
+    a, b = _repack(p._terms, p._width, width), _repack(q._terms, q._width, width)
+    den = lcm(p._den, q._den)
+    scale = den // p._den
+    table = dict(a) if scale == 1 else {key: c * scale for key, c in a.items()}
+    scale = sign * (den // q._den)
+    for key, c in b.items():
+        c = c * scale + table.get(key, 0)
+        if c:
+            table[key] = c
+        else:
+            del table[key]
+    return _new(table, den, width)
+
+
+def _product(a: dict, b: dict) -> dict:
+    # Product of two integer tables of one width: a key sum per pair of terms.
+    if len(a) > len(b):
+        a, b = b, a
+    table: dict[int, int] = {}
+    get = table.get
+    inner = list(b.items())
+    for k1, c1 in a.items():
+        for k2, c2 in inner:
+            key = k1 + k2
+            table[key] = get(key, 0) + c1 * c2
+    return {key: c for key, c in table.items() if c}
+
+
+def _power(table: dict, n: int) -> dict:
+    # table**n for n >= 1, squaring only up to the top bit of n.
+    result = None
+    while True:
+        if n & 1:
+            result = table if result is None else _product(result, table)
+        n >>= 1
+        if not n:
+            return result
+        table = _product(table, table)
+
+
+def _image_power(table: dict, e: int, scale: int):
+    # scale * table**e as (key shift, integer, table or None): a one-term
+    # power is a shift and an integer, a zero image an integer 0.
+    if not e:
+        return 0, scale, None
+    if len(table) != 1:
+        return (0, 0, None) if not table else (0, scale, _power(table, e))
+    ((key, c),) = table.items()
+    return key * e, c**e * scale, None
 
 
 #: The images of the identity substitution, x -> x, ..., w -> w.
 _IDENTITY_IMAGES = tuple(Polynomial.variable(v) for v in VARIABLES)
 
 
-class Substitution(NamedTuple):
+class Substitution(namedtuple("Substitution", "images")):
     """A replacement for each of the four ambient variables."""
 
-    images: tuple[Polynomial, Polynomial, Polynomial, Polynomial]
+    __slots__ = ()
 
     @staticmethod
     def identity() -> "Substitution":
@@ -409,14 +551,11 @@ class Substitution(NamedTuple):
         return "; ".join(parts) if parts else "identity"
 
 
-class QuasiFailure(NamedTuple):
+class QuasiFailure(namedtuple("QuasiFailure", "term_a degree_a term_b degree_b")):
     """Witness that a polynomial is not quasi-homogeneous: two terms of
     different weighted degree."""
 
-    term_a: Monomial
-    degree_a: int
-    term_b: Monomial
-    degree_b: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (
@@ -437,13 +576,13 @@ def quasi_degree(p: Polynomial, weights) -> "int | QuasiFailure":
     weights = tuple(weights)
     if len(weights) != 4 or any(w <= 0 for w in weights):
         raise PolynomialError(f"weights must be 4 positive integers, got {weights!r}")
-    it = iter(p.terms())
-    first, _ = next(it)
-    degree = first.weighted_degree(weights)
-    for mono, _ in it:
-        d = mono.weighted_degree(weights)
+    width = p._width
+    first, *rest = [_unpack(key, width) for key in sorted(p._terms, reverse=True)]
+    degree = sum(e * w for e, w in zip(first, weights))
+    for exps in rest:
+        d = sum(e * w for e, w in zip(exps, weights))
         if d != degree:
-            return QuasiFailure(first, degree, mono, d)
+            return QuasiFailure(_monomial(first), degree, _monomial(exps), d)
     return degree
 
 
@@ -454,8 +593,7 @@ def quasi_degree(p: Polynomial, weights) -> "int | QuasiFailure":
 #: character.  ``\d`` and ``\s`` agree with ``str.isdecimal`` and
 #: ``str.isspace`` on every code point.
 _TOKEN = re.compile(r"\d+|\S")
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+_NO_EXPONENTS = (0, 0, 0, 0)
 
 
 def _offset(text: str, index: int) -> int:
@@ -474,8 +612,9 @@ def _uint(text: str, tokens: list[str], index: int, what: str) -> int:
         raise PolySyntaxError(problem, _offset(text, index)) from None
 
 
-def _scan_terms(text: str) -> list[tuple[Monomial, Fraction]]:
-    # Each written term as (monomial, signed coefficient), in text order.
+def _scan_terms(text: str) -> list[tuple[tuple[int, ...], int, int]]:
+    # Each written term as (exponents, signed numerator, denominator), in
+    # text order.
     tokens = _TOKEN.findall(text)
     end = len(tokens)
     if not end:
@@ -486,24 +625,21 @@ def _scan_terms(text: str) -> list[tuple[Monomial, Fraction]]:
     terms = []
     while True:
         has_factors = True
+        den = 1
         if tokens[i].isdecimal():
             num = _uint(text, tokens, i, "coefficient")
-            num = -num if negative else num
             if tokens[i + 1] == "/":
                 i += 2
                 den = _uint(text, tokens, i, "denominator")
                 if not den:
                     raise PolySyntaxError("zero denominator", _offset(text, i))
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
             i += 1
             has_factors = tokens[i] == "*"
             if has_factors:
                 i += 1
         else:
-            coeff = _MINUS_ONE if negative else _ONE
-        mono = MONOMIAL_ONE
+            num = 1
+        exps = _NO_EXPONENTS
         if has_factors:
             exps = [0, 0, 0, 0]
             while True:
@@ -521,8 +657,7 @@ def _scan_terms(text: str) -> list[tuple[Monomial, Fraction]]:
                 if tokens[i] != "*":
                     break
                 i += 1
-            mono = _monomial(tuple(exps))
-        terms.append((mono, coeff))
+        terms.append((exps, -num if negative else num, den))
         tok = tokens[i]
         if tok == "+" or tok == "-":
             negative = tok == "-"
@@ -536,16 +671,13 @@ def _scan_terms(text: str) -> list[tuple[Monomial, Fraction]]:
 def parse_poly_terms(text: str) -> tuple[Polynomial, ...]:
     """Parse into one polynomial per written term, preserving the order in
     which the terms appear in the text."""
-    return tuple(_raw({mono: coeff} if coeff else {}) for mono, coeff in _scan_terms(text))
+    return tuple(_collect([term]) for term in _scan_terms(text))
 
 
 def parse_poly(text: str) -> Polynomial:
     """Parse the polynomial grammar; raises :class:`PolySyntaxError` with a
     1-based character offset on malformed input."""
-    table: dict[Monomial, Fraction] = {}
-    for mono, coeff in _scan_terms(text):
-        _add_term(table, mono, coeff)
-    return _raw(table)
+    return _collect(_scan_terms(text))
 
 
 def _monomial_text(exponents: tuple[int, int, int, int]) -> str:
@@ -559,29 +691,29 @@ def _monomial_text(exponents: tuple[int, int, int, int]) -> str:
     return text or "1"
 
 
-def _degree_lex(term: tuple[Monomial, Fraction]) -> tuple:
-    exps = term[0].exponents
-    return (sum(exps), exps)
-
-
 def format_poly(p: Polynomial) -> str:
     """Canonical text form: degree-lex order x > y > z > w, highest first."""
-    if not p._terms:
+    table, den, width = p._terms, p._den, p._width
+    if not table:
         return "0"
     pieces: list[str] = []
-    for mono, coeff in sorted(p._terms.items(), key=_degree_lex, reverse=True):
-        num, den = coeff.numerator, coeff.denominator
+    for key in sorted(table, reverse=True):
+        num = table[key]
+        d = den
+        if den != 1:
+            g = gcd(num, den)
+            num //= g
+            d //= g
         magnitude = -num if num < 0 else num
-        exps = mono.exponents
-        if magnitude == 1 and den == 1 and any(exps):
-            body = _monomial_text(exps)
+        if magnitude == 1 and d == 1 and key:
+            body = _monomial_text(_unpack(key, width))
         else:
             try:
-                body = str(magnitude) if den == 1 else f"{magnitude}/{den}"
+                body = str(magnitude) if d == 1 else f"{magnitude}/{d}"
             except ValueError:
                 raise PolynomialError("coefficient has too many digits to print") from None
-            if any(exps):
-                body = f"{body}*{_monomial_text(exps)}"
+            if key:
+                body = f"{body}*{_monomial_text(_unpack(key, width))}"
         if pieces:
             pieces.append(f"+ {body}" if num > 0 else f"- {body}")
         else:

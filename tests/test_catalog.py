@@ -234,3 +234,11 @@ def test_programming_error_in_check_propagates(catalog, monkeypatch, target):
     monkeypatch.setattr(f"strangedual.catalog.{target}", broken)
     with pytest.raises(TypeError, match="injected"):
         verify_entry(catalog.get("Kb"), catalog)
+
+
+@pytest.mark.parametrize("schema", [True, 1.0, "1"], ids=["true", "float", "string"])
+def test_schema_must_be_the_integer_one(tmp_path, schema):
+    # JSON true and 1.0 compare equal to 1 in Python; neither names schema 1.
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(_write(tmp_path, {"schema": schema, "entries": []}))
+    assert str(exc.value) == f"unsupported schema {schema!r}"

@@ -594,3 +594,13 @@ def test_formatter_matches_reference():
     for show in (format_poly, lambda p: str(next(iter(p.support())))):
         with pytest.raises(PolynomialError, match="exponent has too many digits to print"):
             show(past_limit)
+
+
+def test_fortieth_power_of_four_term_sum_is_bounded():
+    # The stress case: with a Monomial and a Fraction per term it took
+    # about 10 s; packed integer keys bring it well inside the timeout.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = 'from strangedual.polyring import parse_poly; print(len(parse_poly("x+y+z+w") ** 40))'
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "12341\n"
