@@ -9,6 +9,7 @@ monodromy frame products, Coxeter-element characteristic polynomials,
 and a fully verified catalog of the eight series.
 """
 
+from ._errors import StrangedualError
 from .polyring import (
     Monomial,
     Polynomial,

@@ -19,11 +19,11 @@ import sys
 from . import catalog as cat
 from . import invertible as inv
 from . import matfac as mf
+from ._errors import StrangedualError
 from .coxeter import GabrielovQuadruple, charpoly_Pi, charpoly_S, emit_graph
-from .orbits import CStarAction, OrbitError, dolgachev_pair, exceptional_orbits, split_newton
+from .orbits import CStarAction, dolgachev_pair, exceptional_orbits, split_newton
 from .polyring import Polynomial, PolynomialError, parse_poly, parse_poly_terms
 from .series import (
-    SeriesError,
     format_frame,
     frame_expand,
     frame_to_polynomial,
@@ -36,7 +36,7 @@ from .series import (
 _DEFAULT_VARS = "x,y,z,w"
 
 
-class CommandError(Exception):
+class CommandError(StrangedualError):
     """Computation-level failure; maps to exit status 1."""
 
 
@@ -93,19 +93,13 @@ def _cmd_weights(args) -> int:
 
 def _cmd_reduce(args) -> int:
     pair = mf.CompleteIntersectionPair(_parse(args.first), _parse(args.second))
-    try:
-        print(mf.reduce(pair))
-    except mf.MatfacError as exc:
-        raise CommandError(str(exc)) from None
+    print(mf.reduce(pair))
     return 0
 
 
 def _cmd_lift(args) -> int:
-    try:
-        triple = mf.FactorizationTriple(_parse(args.a), _parse(args.b), _parse(args.c))
-        mf.verify_factorization(triple)
-    except mf.MatfacError as exc:
-        raise CommandError(str(exc)) from None
+    triple = mf.FactorizationTriple(_parse(args.a), _parse(args.b), _parse(args.c))
+    mf.verify_factorization(triple)
     pair = mf.lift(triple)
     print(pair.first)
     print(pair.second)
@@ -113,32 +107,22 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
-    try:
-        frame = poincare(parse_weight_system(args.weightsystem))
-        lines = [format_frame(frame)]
-        if args.expand is not None:
-            # Expand before printing, so a refused expansion prints nothing.
-            lines.append(",".join(str(c) for c in frame_expand(frame, args.expand)))
-    except SeriesError as exc:
-        raise CommandError(str(exc)) from None
+    frame = poincare(parse_weight_system(args.weightsystem))
+    lines = [format_frame(frame)]
+    if args.expand is not None:
+        # Expand before printing, so a refused expansion prints nothing.
+        lines.append(",".join(str(c) for c in frame_expand(frame, args.expand)))
     print("\n".join(lines))
     return 0
 
 
 def _cmd_saito_dual(args) -> int:
-    try:
-        frame = parse_frame(args.frame)
-        print(format_frame(saito_dual(frame, args.degree)))
-    except SeriesError as exc:
-        raise CommandError(str(exc)) from None
+    print(format_frame(saito_dual(parse_frame(args.frame), args.degree)))
     return 0
 
 
 def _cmd_charpoly(args) -> int:
-    try:
-        quadruple = GabrielovQuadruple.of(args.g1, args.g2, args.g3, args.g4)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from None
+    quadruple = GabrielovQuadruple.of(args.g1, args.g2, args.g3, args.g4)
     print(charpoly_S(quadruple) if args.graph == "S" else charpoly_Pi(quadruple))
     if args.dot:
         print(emit_graph(quadruple, args.graph).to_dot())
@@ -146,10 +130,7 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_split_newton(args) -> int:
-    try:
-        split = split_newton(_parse(args.poly), _parse(args.h1))
-    except OrbitError as exc:
-        raise CommandError(str(exc)) from None
+    split = split_newton(_parse(args.poly), _parse(args.h1))
     for i, face in enumerate(split.faces, start=1):
         print(f"face {i}: {face.polynomial}   weights {face.weights}")
     return 0
@@ -159,13 +140,10 @@ def _cmd_dolgachev(args) -> int:
     weights = tuple(args.weights)
     action = CStarAction(weights)
     h1, h2 = _parse(args.first), _parse(args.second)
-    try:
-        if args.orbits:
-            for orbit in exceptional_orbits(h1, h2, action):
-                print(orbit)
-        pair = dolgachev_pair(h1, h2, action)
-    except OrbitError as exc:
-        raise CommandError(str(exc)) from None
+    if args.orbits:
+        for orbit in exceptional_orbits(h1, h2, action):
+            print(orbit)
+    pair = dolgachev_pair(h1, h2, action)
     print(f"({pair[0]}, {pair[1]})")
     return 0
 
@@ -180,10 +158,7 @@ def _load_catalog(args) -> cat.Catalog:
 
 def _cmd_catalog_show(args) -> int:
     catalog = _load_catalog(args)
-    try:
-        entry = catalog.get(args.name)
-    except cat.CatalogError as exc:
-        raise CommandError(str(exc)) from None
+    entry = catalog.get(args.name)
     # Joined before printing, so a frame that fails to expand prints nothing.
     print("\n".join(_show_lines(entry, catalog)))
     return 0
@@ -223,13 +198,7 @@ def _show_lines(entry, catalog):
 def _cmd_verify(args) -> int:
     catalog = _load_catalog(args)
     if args.entry:
-        try:
-            entries = cat.Catalog((catalog.get(args.entry),))
-        except cat.CatalogError as exc:
-            raise CommandError(str(exc)) from None
-        report = cat.CatalogReport(
-            tuple(cat.verify_entry(entry, catalog) for entry in entries.entries)
-        )
+        report = cat.CatalogReport((cat.verify_entry(catalog.get(args.entry), catalog),))
     else:
         report = cat.verify_all(catalog)
     if args.json:
@@ -320,10 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (inv.InvertibleError, mf.MatfacError, PolynomialError, SeriesError, OrbitError) as exc:
+    except StrangedualError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,16 +29,22 @@ from collections import namedtuple
 from operator import index
 from typing import NamedTuple
 
+from ._errors import StrangedualError
 from .series import MAX_FRAME_BASE, UniPolynomial, _polynomial_part, _times_frame
 
 __all__ = [
     "GabrielovQuadruple",
+    "ArmRangeError",
     "charpoly_S",
     "charpoly_Pi",
     "Graph",
     "GraphEdge",
     "emit_graph",
 ]
+
+
+class ArmRangeError(StrangedualError, ValueError):
+    """An arm parameter outside [1, MAX_FRAME_BASE], or not four of them."""
 
 
 class GabrielovQuadruple(namedtuple("GabrielovQuadruple", "gammas")):
@@ -54,7 +60,7 @@ class GabrielovQuadruple(namedtuple("GabrielovQuadruple", "gammas")):
     def __new__(cls, gammas: tuple[int, int, int, int]):
         self = tuple.__new__(cls, (gammas,))
         if len(self.gammas) != 4 or any(not 1 <= index(g) <= MAX_FRAME_BASE for g in self.gammas):
-            raise ValueError(
+            raise ArmRangeError(
                 f"need 4 arm parameters in [1, {MAX_FRAME_BASE}], got {self.gammas!r}"
             )
         return self

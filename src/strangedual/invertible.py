@@ -30,6 +30,7 @@ from operator import index
 from typing import NamedTuple
 
 from . import _linalg
+from ._errors import StrangedualError
 from .polyring import Monomial, Polynomial, VARIABLES
 
 __all__ = [
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 
-class InvertibleError(Exception):
+class InvertibleError(StrangedualError):
     pass
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from ._errors import StrangedualError
 from .polyring import Monomial, Polynomial, parse_poly
 
 __all__ = [
@@ -38,7 +39,7 @@ _Y = Polynomial.variable("y")
 _XY = _X * _Y
 
 
-class MatfacError(Exception):
+class MatfacError(StrangedualError):
     pass
 
 

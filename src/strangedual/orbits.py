@@ -31,6 +31,7 @@ from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from . import _linalg
+from ._errors import StrangedualError
 from .polyring import Monomial, Polynomial, QuasiFailure, VARIABLES, quasi_degree
 from .series import UniPolynomial, WeightSystem
 
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 
-class OrbitError(Exception):
+class OrbitError(StrangedualError):
     pass
 
 

@@ -53,12 +53,14 @@ from math import gcd, lcm
 from operator import or_
 from typing import Iterator, Mapping, Union
 
+from ._errors import StrangedualError
+
 VARIABLES = ("x", "y", "z", "w")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _VAR_INDEX.update({name.upper(): i for i, name in enumerate(VARIABLES)})
 
 
-class PolynomialError(Exception):
+class PolynomialError(StrangedualError):
     """Base class for errors raised by this module."""
 
 

@@ -29,6 +29,8 @@ from math import gcd, lcm
 from operator import index, sub
 from typing import Iterable, Mapping, Sequence
 
+from ._errors import StrangedualError
+
 __all__ = [
     "WeightSystem",
     "FrameProduct",
@@ -55,7 +57,7 @@ MAX_FRAME_BASE = 10**6
 MAX_EXPAND_WORK = 10**7
 
 
-class SeriesError(Exception):
+class SeriesError(StrangedualError):
     pass
 
 

@@ -225,7 +225,9 @@ def test_non_string_polynomial_field_rejected(tmp_path):
         load_catalog(_write(tmp_path, data))
 
 
-@pytest.mark.parametrize("target", ["dolgachev_pair", "split_newton"])
+@pytest.mark.parametrize(
+    "target", ["dolgachev_pair", "split_newton", "frame_to_polynomial", "mf.verify_factorization"]
+)
 def test_programming_error_in_check_propagates(catalog, monkeypatch, target):
     # Only domain errors become FAIL lines; a bug must surface as a traceback.
     def broken(*args):

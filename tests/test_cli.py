@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from strangedual.catalog import default_catalog_path, report_from_json
+from strangedual.catalog import default_catalog_path, load_catalog, report_from_json, verify_all
 from strangedual.cli import main
 
 
@@ -367,11 +368,15 @@ def _edited(entry, path, replacement):
     return entry
 
 
+def _verify_catalog(capsys, tmp_path, raw):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return run(capsys, "verify", "--catalog", str(path))
+
+
 def _verify_entry(capsys, tmp_path, entry):
     # J' is its own dual, so a catalog of J' alone is complete.
-    path = tmp_path / "catalog.json"
-    path.write_text(json.dumps({"schema": 1, "entries": [entry]}), encoding="utf-8")
-    return run(capsys, "verify", "--catalog", str(path))
+    return _verify_catalog(capsys, tmp_path, {"schema": 1, "entries": [entry]})
 
 
 def _is_report_or_load_error(code, out, err):
@@ -520,3 +525,66 @@ def test_undecodable_catalog_is_invalid_json(capsys, tmp_path, content):
     code, out, err = run(capsys, "verify", "--catalog", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot load catalog: invalid JSON: ") and err.count("\n") == 1
+
+
+# -- a domain error in a check fails that check ---------------------------------
+
+#: Single-field edits of the shipped catalog whose domain error once aborted
+#: the whole report: (entry, path in the entry, value).
+_ABORTING_EDITS = [
+    ("J'", ("dolgachev",), [[0, 2], [2, 6]]),
+    ("J'", ("k0_equations", 0), "0"),
+    ("L", ("decomposition", 0, "poly"), "0"),
+    ("Kb", ("dolgachev",), [[10**30, 2], [2, 6]]),
+]
+
+
+def _catalog_edit(name, path, value):
+    raw = json.loads(Path(default_catalog_path()).read_text(encoding="utf-8"))
+    return _edited(raw, ("entries", _NAMES.index(name), *path), value)
+
+
+@pytest.mark.parametrize(
+    "edit, failing, message",
+    [
+        (_ABORTING_EDITS[0], {("J'", 8), ("J'", 9), ("J'", 10)}, "need 4 positive integers, got (0, 2, 2, 6)"),
+        (_ABORTING_EDITS[1], {("J'", 6)}, "quasi_degree of the zero polynomial"),
+        (_ABORTING_EDITS[2], {("L", 6), ("L", 7), ("L", 8)}, "quasi_degree of the zero polynomial"),
+        (_ABORTING_EDITS[3], {("Kb", 8), ("L", 9), ("L", 10)}, f"frame base {10**30} exceeds limit 1000000"),
+    ],
+    ids=["dolgachev-zero", "k0-equation-zero", "decomposition-zero", "dolgachev-huge"],
+)
+def test_domain_error_in_a_check_is_its_fail_line(capsys, tmp_path, edit, failing, message):
+    # Each input once printed only its error, with none of the 80 check lines.
+    code, out, err = _verify_catalog(capsys, tmp_path, _catalog_edit(*edit))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[-1] == f"{80 - len(failing)}/80 checks passed"
+    assert {(line[:3].strip(), int(line[5:7])) for line in lines if line.endswith(" FAIL")} == failing
+    assert f"      - {message}" in lines
+    report = verify_all(load_catalog(str(tmp_path / "catalog.json")))
+    assert not report.ok and report_from_json(report.to_json()) == report
+
+
+def test_single_field_sweep_ends_in_a_report_or_one_load_error(capsys, tmp_path):
+    # A seeded sample of leaf edits over all eight entries, plus the edits
+    # that once aborted the report.
+    raw = json.loads(Path(default_catalog_path()).read_text(encoding="utf-8"))
+    edits = []
+    for name, entry in zip(_NAMES, raw["entries"]):
+        for path in _nodes(entry):
+            leaf = entry
+            for key in path:
+                leaf = leaf[key]
+            if type(leaf) not in (dict, list):
+                edits += [(name, path, value) for value in (0, -1, 10**30, "0", "", None)]
+    wrong = []
+    for edit in random.Random(1).sample(edits, 200) + _ABORTING_EDITS:
+        try:
+            code, out, err = _verify_catalog(capsys, tmp_path, _catalog_edit(*edit))
+        except Exception as exc:  # noted with its input; the test fails below
+            wrong.append((*edit, repr(exc)))
+            continue
+        if not _is_report_or_load_error(code, out, err) or not (err or out.endswith("/80 checks passed\n")):
+            wrong.append((*edit, code, err or out[-200:]))
+    assert wrong == []

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from strangedual.coxeter import GabrielovQuadruple
+from strangedual.coxeter import ArmRangeError, GabrielovQuadruple
 from strangedual.invertible import ExponentMatrix, InvertibleError
 from strangedual.matfac import (
     CompleteIntersectionPair,
@@ -75,7 +75,7 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
         (
             GabrielovQuadruple,
             ((2, 2, 2, 0),),
-            ValueError,
+            ArmRangeError,
             "need 4 arm parameters in [1, 1000000], got (2, 2, 2, 0)",
             ((2, 2, 2, 6),),
         ),
