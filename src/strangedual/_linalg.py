@@ -3,15 +3,15 @@
 ``mat_det`` is Bareiss elimination over ``int``.  ``rref`` is Gauss–Jordan
 over ``int``: each row is scaled to integers, and each new row is divided
 by its content.  ``mat_rank``, ``solve_affine`` and ``nullspace`` build on
-it and take ``int`` or ``fractions.Fraction`` entries; a ``Fraction`` is
-formed only for each solution entry, by one division by its pivot.
-Everything is meant for the tiny matrices (at most 4x5) that show up in
-this package.  No pivoting heuristics beyond exactness are needed.
+it and take ``int`` or ``fractions.Fraction`` entries.  ``solve_affine``
+returns integer vectors over one positive denominator, the lcm of the
+pivots, so no ``Fraction`` is formed.  Everything is meant for the tiny
+matrices (at most 4x5) that show up in this package.  No pivoting
+heuristics beyond exactness are needed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import index
@@ -98,46 +98,43 @@ def mat_rank(rows) -> int:
 def solve_affine(rows, rhs):
     """Solve ``rows @ u = rhs`` exactly.
 
-    Returns ``(particular, kernel_basis)`` where ``particular`` is one
-    solution (list of Fractions) and ``kernel_basis`` a basis of the
-    homogeneous solutions; returns ``None`` if the system is inconsistent.
+    Returns ``(den, particular, kernel_basis)`` in integers: ``particular /
+    den`` is one solution and the vectors of ``kernel_basis`` span the
+    homogeneous solutions, with ``den > 0``; returns ``None`` if the system
+    is inconsistent.
     """
     m, b, pivots = rref(rows, rhs)
     # The rows past the pivot rows are zero; a nonzero rhs there is 0 = b.
     if any(b[len(pivots) :]):
         return None
     ncols = len(rows[0]) if rows else 0
-    particular = [Fraction(0)] * ncols
+    den = lcm(*(m[r][col] for r, col in enumerate(pivots)))
+    scales = [den // m[r][col] for r, col in enumerate(pivots)]
+    particular = [0] * ncols
     for r, col in enumerate(pivots):
-        particular[col] = Fraction(b[r], m[r][col])
-    free_cols = [c for c in range(ncols) if c not in pivots]
+        particular[col] = b[r] * scales[r]
     basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = Fraction(-m[r][free], m[r][col])
-        basis.append(vec)
-    return particular, basis
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [0] * ncols
+            vec[free] = den
+            for r, col in enumerate(pivots):
+                vec[col] = -m[r][free] * scales[r]
+            basis.append(vec)
+    return den, particular, basis
 
 
 def nullspace(rows):
-    """Basis of the rational nullspace of ``rows``."""
-    if not rows:
-        return []
-    zero = [Fraction(0)] * len(rows)
-    solution = solve_affine(rows, zero)
-    assert solution is not None
-    return solution[1]
+    """Integer basis of the rational nullspace of ``rows``."""
+    return solve_affine(rows, [0] * len(rows))[2] if rows else []
 
 
 def primitive_integer_vector(vec) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector.
+    """Scale a vector of ``int`` or ``Fraction`` to a primitive integer vector.
 
     The sign is normalised so that the first nonzero entry is positive.
     """
-    fracs = [Fraction(v) for v in vec]
-    scale = lcm(*(v.denominator for v in fracs))
-    ints = _primitive([v.numerator * (scale // v.denominator) for v in fracs])
+    scale = lcm(*(v.denominator for v in vec))
+    ints = _primitive([v.numerator * (scale // v.denominator) for v in vec])
     first = next((v for v in ints if v != 0), 0)
     return tuple(-v if first < 0 else v for v in ints)

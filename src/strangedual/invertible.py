@@ -127,10 +127,7 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Primitive integer generators of the rational kernel."""
-        return [
-            _linalg.primitive_integer_vector(vec)
-            for vec in _linalg.nullspace([list(row) for row in self.rows])
-        ]
+        return [_linalg.primitive_integer_vector(vec) for vec in _linalg.nullspace(self.rows)]
 
     def oriented(self) -> "ExponentMatrix":
         """The matrix with det E >= 0: a negative determinant swaps the

@@ -6,15 +6,20 @@ with nontrivial isotropy) all lie in coordinate strata whose weights
 share a common factor.  Enumerating the strata, slicing each orbit by
 fixing the lowest-weight coordinate to 1 and solving the restricted
 system exactly over the rationals yields explicit orbit representatives,
-their isotropy orders and a singular-locus flag from the exact Jacobian
-rank (the gradient is built once per pair).  The univariate steps use
+their isotropy orders and a singular-locus flag.  Per point, one integer
+jet of each equation (value and gradient over one positive denominator)
+checks membership, and the point is singular when all six 2x2 minors of
+the two gradient rows vanish.  The univariate steps start from the
+integer numerators of a restricted equation and use
 :class:`~strangedual.series.UniPolynomial`: a gcd over Q, then the
 rational roots of its primitive integer form.  Candidate numerators and
 denominators come from divisor pairs up to the square root; only coprime
 pairs p/q are tried, each by the integer q^n*f(p/q), and each root found
 is divided out exactly by q*t - p (Gauss's lemma).  The rational images of
 a point under the slice's cyclic group are sign patterns, found from one
-lcm of the support weights, not by walking the group.
+lcm of the support weights, not by walking the group.  The Newton split
+solves its affine systems in integers and runs Fourier-Motzkin on integer
+rows (A. Schrijver, Theory of Linear and Integer Programming, 1986, 12.2).
 
 The case (A)/(B)/(C) classification and the principal-orbit filter turn
 this enumeration into the pair of isotropy orders attached to each half
@@ -28,7 +33,6 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from typing import NamedTuple
 
 from . import _linalg
 from ._errors import StrangedualError
@@ -90,14 +94,12 @@ def isotropy_order(action: CStarAction, point) -> int:
     return g
 
 
-class OrbitRep(NamedTuple):
-    """One exceptional orbit: a rational representative, its isotropy
-    order, the singular-locus flag and the coordinate stratum."""
+class OrbitRep(namedtuple("OrbitRep", "point isotropy in_singular_locus stratum")):
+    """One exceptional orbit: a rational representative (4 ``Fraction``s),
+    its isotropy order, the singular-locus flag and the coordinate stratum
+    (variable names)."""
 
-    point: tuple[Fraction, Fraction, Fraction, Fraction]
-    isotropy: int
-    in_singular_locus: bool
-    stratum: tuple[str, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         coords = ", ".join(str(v) for v in self.point)
@@ -108,13 +110,12 @@ class OrbitRep(NamedTuple):
         )
 
 
-class UnresolvedOrbit(NamedTuple):
+class UnresolvedOrbit(namedtuple("UnresolvedOrbit", "stratum variable coefficients")):
     """A stratum solution with no rational representative: the residual
-    univariate factor is reported instead of a point."""
+    univariate factor (integer coefficients, constant term first) is
+    reported instead of a point."""
 
-    stratum: tuple[str, ...]
-    variable: str
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
     def defining_polynomial(self) -> str:
         pieces = []
@@ -200,13 +201,12 @@ def _rational_roots(coeffs) -> tuple[set[Fraction], tuple[int, ...] | None]:
 
 
 def _restrict_to_univariate(p: Polynomial, var_index: int) -> UniPolynomial:
-    coeffs: dict[int, Fraction] = {}
-    for mono, c in p.terms():
-        for k, e in enumerate(mono.exponents):
-            if k != var_index and e != 0:
-                raise OrbitError(f"polynomial {p} is not univariate in {VARIABLES[var_index]}")
-        power = mono.exponents[var_index]
-        coeffs[power] = coeffs.get(power, Fraction(0)) + c
+    # The integer numerators of p: a positive scale moves no root.
+    coeffs = {}
+    for exps, c in p.numerators():
+        if sum(exps) != exps[var_index]:
+            raise OrbitError(f"polynomial {p} is not univariate in {VARIABLES[var_index]}")
+        coeffs[exps[var_index]] = c
     top = max(coeffs, default=0)
     return UniPolynomial(coeffs.get(i, 0) for i in range(top + 1))
 
@@ -365,7 +365,6 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
         if isinstance(verdict, QuasiFailure):
             raise OrbitError(f"{label} equation is not quasi-homogeneous: {verdict}")
     weights = action.weights
-    gradient = [[p.partial(v) for v in VARIABLES] for p in (h1, h2i)]
     results: list = []
     strata = []
     for size in range(1, 5):
@@ -385,17 +384,14 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
                 continue
             orbit_images = _rational_group_images(point, weights, slice_index)
             seen |= orbit_images
-            if h1.evaluate(point) != 0 or h2i.evaluate(point) != 0:
+            _, v1, a = h1.jet(point)
+            _, v2, b = h2i.jet(point)
+            if v1 or v2:
                 raise OrbitError(f"internal error: representative {point} misses the variety")
-            jacobian = [[d.evaluate(point) for d in row] for row in gradient]
-            results.append(
-                OrbitRep(
-                    point=point,
-                    isotropy=g,
-                    in_singular_locus=_linalg.mat_rank(jacobian) < 2,
-                    stratum=names,
-                )
-            )
+            # Rank < 2 exactly when every 2x2 minor vanishes; the positive
+            # denominators scale whole rows, which keeps the rank.
+            singular = all(a[i] * b[j] == a[j] * b[i] for i, j in combinations(range(4), 2))
+            results.append(OrbitRep(point, g, singular, names))
         for variable, residual in unresolved:
             results.append(UnresolvedOrbit(names, variable, residual))
     return results
@@ -404,7 +400,7 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
 # -- case classification and Dolgachev numbers --------------------------------
 
 
-class CaseInfo(NamedTuple):
+class CaseInfo(namedtuple("CaseInfo", "kind subspace g1 g2", defaults=(None, None, None))):
     """Outcome of the (A)/(B)/(C) trichotomy.
 
     (A) carries the two coordinates whose vanishing cuts the linear
@@ -412,10 +408,7 @@ class CaseInfo(NamedTuple):
     the shape (g1(x,y,w), z*g2(x,y,z)).
     """
 
-    kind: str
-    subspace: tuple[str, str] | None = None
-    g1: Polynomial | None = None
-    g2: Polynomial | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == "A":
@@ -486,48 +479,43 @@ def dolgachev_pair(h1: Polynomial, h2i: Polynomial, action: CStarAction) -> tupl
 # -- Newton polygon split -----------------------------------------------------
 
 
-class NewtonFace(NamedTuple):
+class NewtonFace(namedtuple("NewtonFace", "polynomial weights")):
     """One origin-avoiding face: its terms and the face weight system."""
 
-    polynomial: Polynomial
-    weights: WeightSystem
+    __slots__ = ()
 
 
-class NewtonSplit(NamedTuple):
+class NewtonSplit(namedtuple("NewtonSplit", "faces")):
     """The two faces, ordered by ascending face degrees."""
 
-    faces: tuple[NewtonFace, NewtonFace]
+    __slots__ = ()
 
     def polynomials(self) -> tuple[Polynomial, Polynomial]:
         return (self.faces[0].polynomial, self.faces[1].polynomial)
 
 
-def _strict_feasible(inequalities: list[list[Fraction]], nvars: int):
-    """Fourier-Motzkin solver for strict inequalities c0 + sum ci ti > 0.
+def _strict_feasible(rows: list[list[int]], nvars: int):
+    """Fourier-Motzkin solver for strict inequalities c0 + sum ci ti > 0 in
+    integer rows: each pair of opposite bounds on the last variable is
+    combined with positive integer multipliers.
 
     Returns a satisfying point (list of Fractions) or ``None``.
     """
     if nvars == 0:
-        return [] if all(row[0] > 0 for row in inequalities) else None
-    lowers, uppers, passthrough = [], [], []
-    for row in inequalities:
-        coeff = row[nvars]
-        rest = row[:nvars]
-        if coeff > 0:
-            lowers.append([-(v / coeff) for v in rest])  # t > -(rest)/coeff
-        elif coeff < 0:
-            uppers.append([-(v / coeff) for v in rest])  # t < -(rest)/coeff
-        else:
-            passthrough.append(rest)
-    combined = list(passthrough)
+        return [] if all(row[0] > 0 for row in rows) else None
+    lowers = [row for row in rows if row[nvars] > 0]
+    uppers = [row for row in rows if row[nvars] < 0]
+    combined = [row[:nvars] for row in rows if not row[nvars]]
     for low in lowers:
         for up in uppers:
-            combined.append([u - l for l, u in zip(low, up)])  # up - low > 0
+            a, b = low[nvars], -up[nvars]
+            combined.append([b * l + a * u for l, u in zip(low[:nvars], up)])
     inner = _strict_feasible(combined, nvars - 1)
     if inner is None:
         return None
-    low_vals = [_affine_eval(row, inner) for row in lowers]
-    up_vals = [_affine_eval(row, inner) for row in uppers]
+    # Row r bounds the last variable by -(r . (1, inner)) / r[nvars].
+    low_vals = [Fraction(-row[0] - _dot(row[1:], inner), row[nvars]) for row in lowers]
+    up_vals = [Fraction(-row[0] - _dot(row[1:], inner), row[nvars]) for row in uppers]
     if low_vals and up_vals:
         value = (max(low_vals) + min(up_vals)) / 2
     elif low_vals:
@@ -539,11 +527,8 @@ def _strict_feasible(inequalities: list[list[Fraction]], nvars: int):
     return inner + [value]
 
 
-def _affine_eval(row, values) -> Fraction:
-    total = row[0]
-    for coeff, value in zip(row[1:], values):
-        total += coeff * value
-    return total
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
@@ -556,46 +541,35 @@ def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
     the two faces the weighted-homogeneous pairs live on.  Exactly two
     qualifying faces must exist.
     """
-    monos = [mono for mono, _ in h2.terms()]
+    monos = sorted(h2.support(), key=Monomial.sort_key, reverse=True)
     if len(monos) != 4:
         raise NewtonStructureError(f"h2 must have exactly 4 terms, found {len(monos)}")
-    h1_monos = [mono for mono, _ in h1.terms()]
+    h1_monos = [mono.exponents for mono in h1.support()]
     if len(h1_monos) < 2:
         raise NewtonStructureError("h1 must have at least 2 terms")
     faces = []
     subsets = [tuple(c) for c in combinations(range(4), 3)] + [(0, 1, 2, 3)]
     for subset in subsets:
-        rows = [list(monos[i].exponents) for i in subset]
-        rhs = [Fraction(1)] * len(subset)
-        for other in h1_monos[1:]:
-            rows.append(
-                [a - b for a, b in zip(other.exponents, h1_monos[0].exponents)]
-            )
-            rhs.append(Fraction(0))
-        solved = _linalg.solve_affine(rows, rhs)
+        rows = [monos[i].exponents for i in subset]
+        rows += [[a - b for a, b in zip(other, h1_monos[0])] for other in h1_monos[1:]]
+        solved = _linalg.solve_affine(rows, [1] * len(subset) + [0] * (len(h1_monos) - 1))
         if solved is None:
             continue
-        u0, basis = solved
-        # Strict constraints: u_i > 0 and u.a' < 1 for off-face support points.
-        constraints = []
-        for i in range(4):
-            constraints.append([u0[i]] + [vec[i] for vec in basis])
+        den, u0, basis = solved
+        # u = (u0 + sum t_k basis_k) / den with den > 0.  Strict integer
+        # constraints: u_i > 0, and u.a' < 1 for off-face support points a'.
+        constraints = [[u0[i]] + [vec[i] for vec in basis] for i in range(4)]
         for k in range(4):
-            if k in subset:
-                continue
-            exps = monos[k].exponents
-            value = 1 - sum(e * u for e, u in zip(exps, u0))
-            row = [value]
-            for vec in basis:
-                row.append(-sum(e * v for e, v in zip(exps, vec)))
-            constraints.append(row)
+            if k not in subset:
+                exps = monos[k].exponents
+                constraints.append([den - _dot(exps, u0)] + [-_dot(exps, vec) for vec in basis])
         solution = _strict_feasible(constraints, len(basis))
         if solution is None:
             continue
         u = [u0[i] + sum(t * vec[i] for t, vec in zip(solution, basis)) for i in range(4)]
         weights = _linalg.primitive_integer_vector(u)
-        d2 = sum(e * wt for e, wt in zip(monos[subset[0]].exponents, weights))
-        d1 = sum(e * wt for e, wt in zip(h1_monos[0].exponents, weights))
+        d2 = _dot(monos[subset[0]].exponents, weights)
+        d1 = _dot(h1_monos[0], weights)
         face_poly = Polynomial({monos[i]: h2.coefficient(monos[i]) for i in subset})
         faces.append(
             (

@@ -29,18 +29,18 @@ a kernel repacks its operands when a result would overflow them, and each
 result takes the width of its own degree.  A ``Fraction`` or a
 :class:`Monomial` is built only at the API boundary: the constructor,
 ``terms``, ``coefficient``, ``support``, ``leading_monomial`` and the value
-of ``evaluate``.
+of ``evaluate``.  ``jet`` and ``numerators`` return ``int``s.
 
 The kernels build one integer table per result (S. C. Johnson, SIGSAM Bull.
 8(3), 1974; M. Monagan and R. Pearce, J. Symbolic Comput. 46(7), 2011).
 ``**`` squares up to the top bit of the exponent.  ``substitute`` and
-``evaluate`` clear the denominator q of an image or a coordinate with a
-factor q**(E - e), E the top exponent of its variable, form each factor
-once per call, and apply a one-term image as a key shift.  ``restrict``
-drops terms and clears fields.  ``parse_poly`` splits the text into tokens
-(a run of decimal digits or another non-space character) with one regular
-expression and walks them in one grammar loop; a token's offset is found
-only for an error.
+``jet`` (which ``evaluate`` reads) clear the denominator q of an image or a
+coordinate with a factor q**(E - e), E the top exponent of its variable,
+form each factor once per call, and apply a one-term image as a key shift.
+``restrict`` drops terms and clears fields.  ``parse_poly`` splits the text
+into tokens (a run of decimal digits or another non-space character) with
+one regular expression and walks them in one grammar loop; a token's offset
+is found only for an error.
 """
 
 from __future__ import annotations
@@ -309,39 +309,52 @@ class Polynomial:
         return _new(table, self._den, width)
 
     def evaluate(self, point) -> Fraction:
-        """Evaluate at a rational 4-tuple (order x, y, z, w).
+        """Evaluate at a rational 4-tuple (order x, y, z, w): the value of
+        :meth:`jet` as one ``Fraction``."""
+        den, value, _ = self.jet(point)
+        return _fraction(value, den)
 
-        A term with a zero coordinate is skipped.  A coordinate p/q enters
-        a term with exponent e as the integer p**e * q**(E - e), E the top
-        exponent of its variable, formed once per call; the integer sum
-        over the common denominator becomes one ``Fraction``.
+    def jet(self, point) -> tuple[int, int, tuple[int, int, int, int]]:
+        """``(den, value, partials)``: the value and the four partials at a
+        rational 4-tuple as integers over one positive denominator.
+
+        A coordinate p/q enters a term with exponent e as p**e * q**(E - e)
+        and its partial as e * p**(e - 1) * q**(E + 1 - e), E the top
+        exponent of its variable; each pair is formed once per call.  At
+        p = 0 these vanish except for e = 0 and, in the partial, e = 1.
         """
         terms, width, den = self._terms, self._width, self._den
         mask = (1 << width) - 1
-        drop = 0
-        fields = []
+        tables = []
         for shift, value in zip((3 * width, 2 * width, width, 0), point, strict=True):
-            num, q = _ratio(value)
-            if not num:
-                drop |= mask << shift
-            elif q != 1:
-                top = max([key >> shift & mask for key in terms], default=0)
-                den *= q**top
-                fields.append((shift, num, q, top, {}))
-            elif num != 1:
-                fields.append((shift, num, 1, 0, {}))
-        total = 0
+            p, q = _ratio(value)
+            used = {key >> shift & mask for key in terms}
+            top = max(used, default=0)
+            den *= q**top
+            tables.append(
+                {e: (p**e * q ** (top - e), e and e * p ** (e - 1) * q ** (top + 1 - e)) for e in used}
+            )
+        t0, t1, t2, t3 = tables
+        value = d0 = d1 = d2 = d3 = 0
         for key, c in terms.items():
-            if key & drop:
-                continue
-            for shift, num, q, top, powers in fields:
-                e = key >> shift & mask
-                power = powers.get(e)
-                if power is None:
-                    power = powers[e] = num**e if q == 1 else num**e * q ** (top - e)
-                c *= power
-            total += c
-        return _fraction(total, den)
+            f0, g0 = t0[key >> 3 * width & mask]
+            f1, g1 = t1[key >> 2 * width & mask]
+            f2, g2 = t2[key >> width & mask]
+            f3, g3 = t3[key & mask]
+            high = f2 * f3
+            low = c * f0 * f1
+            value += low * high
+            d0 += c * g0 * f1 * high
+            d1 += c * f0 * g1 * high
+            d2 += low * g2 * f3
+            d3 += low * f2 * g3
+        return den, value, (d0, d1, d2, d3)
+
+    def numerators(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
+        """(exponents, integer numerator) per term, in no set order, over
+        one positive denominator shared by the terms."""
+        width = self._width
+        return ((_unpack(key, width), c) for key, c in self._terms.items())
 
     def substitute(self, sub: "Substitution | Mapping[str, Polynomial]") -> "Polynomial":
         """Replace each variable by its image under ``sub``.

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from strangedual._linalg import mat_rank, nullspace, solve_affine
 
@@ -29,6 +30,11 @@ def _rank(rows):
 
 def _apply(rows, vec):
     return [sum(a * v for a, v in zip(row, vec)) for row in rows]
+
+
+def _primitive(vec):
+    content = gcd(*vec)
+    return [v // content for v in vec]
 
 
 def _entry(rng, rational):
@@ -78,9 +84,12 @@ def test_elimination_matches_minor_oracle():
             assert _rank([row + [b] for row, b in zip(rows, rhs)]) > rank
             inconsistent += 1
             continue
-        particular, kernel = solution
-        assert _apply(rows, particular) == rhs
-        assert kernel == basis
+        # Integer vectors over one positive denominator.
+        den, particular, kernel = solution
+        assert den > 0 and all(type(v) is int for v in particular + sum(kernel, []))
+        assert _apply(rows, particular) == [den * b for b in rhs]
+        # Each vector is a positive multiple of the same rational one.
+        assert [_primitive(v) for v in kernel] == [_primitive(v) for v in basis]
         solved += 1
         degenerate += rank < ncols
     assert min(solved, inconsistent, degenerate) >= 30

@@ -1,0 +1,160 @@
+"""``split_newton`` against a search of a bounded box of integer weights.
+
+The oracle shares no code with the solver.  It tries every primitive
+positive weight vector whose coordinates but one lie in [1, BOX] (the last
+is fixed by a homogeneity condition of h1), keeps the vectors that make h1
+homogeneous, and records the top-degree terms of h2 when there are three
+or four of them: each such set is a face, certified by the vectors found
+for it.  When the box finds fewer faces than the solver, it is widened
+once, to 2 * BOX, before the counts must agree.
+"""
+
+import random
+from itertools import permutations, product
+from math import gcd
+
+from strangedual.cli import main
+from strangedual.orbits import NewtonStructureError, split_newton
+from strangedual.polyring import Monomial, Polynomial, VARIABLES, parse_poly
+from strangedual.series import WeightSystem
+
+BOX = 12
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _exponents(p):
+    return [m.exponents for m in p.support()]
+
+
+def _face(support, firsts, w):
+    """The top-degree exponents of ``support`` under ``w`` when ``w`` gives
+    every exponent of ``firsts`` (h1's) one degree and three or four
+    exponents share the top, else ``None``."""
+    if len({_dot(e, w) for e in firsts}) != 1:
+        return None
+    degrees = [_dot(e, w) for e in support]
+    top = max(degrees)
+    if degrees.count(top) < 3:
+        return None
+    return frozenset(e for e, d in zip(support, degrees) if d == top)
+
+
+def _box_faces(h2, h1, box):
+    """{face (frozenset of exponent tuples): primitive weight vectors}."""
+    support, firsts = _exponents(h2), _exponents(h1)
+    move = [a - b for a, b in zip(firsts[1], firsts[0])]
+    k = next(i for i, v in enumerate(move) if v)
+    others = [i for i in range(4) if i != k]
+    faces = {}
+    for free in product(range(1, box + 1), repeat=3):
+        wk, r = divmod(-sum(move[i] * v for i, v in zip(others, free)), move[k])
+        if r or wk < 1:
+            continue
+        w = list(free)
+        w.insert(k, wk)
+        if gcd(*w) == 1:
+            face = _face(support, firsts, w)
+            if face is not None:
+                faces.setdefault(face, set()).add(tuple(w))
+    return faces
+
+
+def _compare(h2, h1):
+    """Assert that the solver and the box agree; return the solver's split
+    (``None`` after an error) and its face count."""
+    try:
+        split = split_newton(h2, h1)
+        found = 2
+    except NewtonStructureError as exc:
+        split, found = None, int(str(exc).rsplit(" ", 1)[1])
+    box = _box_faces(h2, h1, BOX)
+    if len(box) < found:  # a face whose weights leave the box
+        box = _box_faces(h2, h1, 2 * BOX)
+    assert len(box) == found, (str(h2), str(h1), found, box)
+    if split is None:
+        return None, found
+    keys = []
+    for face in split.faces:
+        weights = face.weights.weights
+        terms = frozenset(m.exponents for m in face.polynomial.support())
+        # The solver's weights certify the face the box found; a face with
+        # one vector in the box gets exactly that one.
+        assert terms in box, (str(h2), str(h1), box)
+        assert _face(_exponents(h2), _exponents(h1), weights) == terms
+        if max(weights) <= BOX and len(box[terms]) == 1:
+            assert box[terms] == {weights}
+        # The face keeps h2's coefficients; the degrees are those of h1 and
+        # of the face under the weights.
+        assert face.polynomial == Polynomial({Monomial(e): h2.coefficient(Monomial(e)) for e in terms})
+        d1 = _dot(next(iter(h1.support())).exponents, weights)
+        assert face.weights.degrees == (d1, _dot(next(iter(terms)), weights))
+        keys.append((face.weights.degrees, tuple(-w for w in weights)))
+    assert keys == sorted(keys)
+    return split, found
+
+
+def test_catalog_pairs_match_the_box(catalog):
+    for entry in catalog.entries:
+        h1, h2 = entry.virtual_equations
+        split, _ = _compare(h2, h1)
+        assert [face.weights for face in split.faces] == [p.weights for p in entry.decomposition]
+        box = _box_faces(h2, h1, BOX)
+        assert sorted(map(len, box.values())) == [1, 1]
+
+
+def _permuted(p, perm):
+    images = {VARIABLES[i]: Polynomial.variable(VARIABLES[j]) for i, j in enumerate(perm)}
+    return p.substitute(images)
+
+
+def test_permuted_catalog_pairs_match_the_box(catalog):
+    # Renaming the variables permutes each face's weights the same way.
+    rng = random.Random(13)
+    for entry in catalog.entries:
+        h1, h2 = entry.virtual_equations
+        for perm in rng.sample(list(permutations(range(4))), 3):
+            split, _ = _compare(_permuted(h2, perm), _permuted(h1, perm))
+            expected = set()
+            for piece in entry.decomposition:
+                weights = [0] * 4
+                for i, j in enumerate(perm):
+                    weights[j] = piece.weights.weights[i]
+                expected.add(WeightSystem(tuple(weights), piece.weights.degrees))
+            assert {face.weights for face in split.faces} == expected
+
+
+def _random_support(rng):
+    monos = set()
+    while len(monos) < 4:
+        exps = tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(4))
+        if any(exps):
+            monos.add(Monomial(exps))
+    return Polynomial({m: rng.choice((1, -1, 2, -3)) for m in monos})
+
+
+def test_random_supports_match_the_box():
+    rng = random.Random(2027)
+    firsts = [parse_poly(t) for t in ("x*y - w^2", "x*y - z*w", "x*y - w^3", "x*z - y^2", "x^2 - y*w")]
+    counts = {}
+    for _ in range(100):
+        _, found = _compare(_random_support(rng), rng.choice(firsts))
+        counts[found] = counts.get(found, 0) + 1
+    # Zero, one and two faces all occur (70, 26 and 4 times here).
+    assert set(counts) == {0, 1, 2}, counts
+
+
+def test_free_weight_case_counts_three_faces(capsys):
+    # h1 = x^2 - y^2 leaves a one-parameter family of weights on two of the
+    # three faces, so Fourier-Motzkin substitutes back.
+    h1, h2 = parse_poly("x^2-y^2"), parse_poly("x^2+y^2+z^2+w^2")
+    assert _compare(h2, h1) == (None, 3)
+    # (1, 1, 1, 1) is the one vector of the whole support; each other face
+    # takes (a, a, a, b) or (a, a, b, a) for coprime b < a <= BOX.
+    box = _box_faces(h2, h1, BOX)
+    assert sorted(map(len, box.values())) == [1, 45, 45]
+    assert main(["split-newton", "--h1", "x^2-y^2", "x^2+y^2+z^2+w^2"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: expected exactly 2 origin-avoiding faces, found 3\n")

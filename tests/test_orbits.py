@@ -7,11 +7,14 @@ from itertools import combinations
 from math import gcd
 from pathlib import Path
 
+import _reference_polyring as ref
 import pytest
 
+from strangedual._linalg import mat_rank
 from strangedual.orbits import (
     _rational_group_images,
     _rational_roots,
+    _solve_stratum,
     CStarAction,
     NewtonStructureError,
     OrbitError,
@@ -133,6 +136,61 @@ def test_orbit_representatives_satisfy_equations(catalog):
                     if value != 0
                 }
                 assert nonzero == set(orbit.stratum)
+
+
+def _reference_orbits(h1, h2i, action):
+    """The orbit list with membership and the singular flag taken from
+    ``Fraction`` Jacobians of the frozen reference polynomials and their
+    rank by ``_linalg.mat_rank``."""
+    weights = action.weights
+    equations = [ref.Polynomial(dict(p.terms())) for p in (h1, h2i)]
+    gradient = [[p.partial(v) for v in "xyzw"] for p in equations]
+    results = []
+    for size in range(1, 5):
+        for stratum in combinations(range(4), size):
+            g = gcd(*(weights[i] for i in stratum))
+            if g <= 1:
+                continue
+            slice_index = min(stratum, key=lambda i: (weights[i], i))
+            points, unresolved = _solve_stratum(h1, h2i, stratum, slice_index)
+            names = tuple("xyzw"[i] for i in stratum)
+            seen = set()
+            for point in sorted(points):
+                if point in seen:
+                    continue
+                seen |= _rational_group_images(point, weights, slice_index)
+                assert all(p.evaluate(point) == 0 for p in equations)
+                jacobian = [[d.evaluate(point) for d in row] for row in gradient]
+                results.append(OrbitRep(point, g, mat_rank(jacobian) < 2, names))
+            results.extend(UnresolvedOrbit(names, v, r) for v, r in unresolved)
+    return results
+
+
+def _rescaled(p, factors):
+    images = {v: Polynomial.constant(f) * Polynomial.variable(v) for v, f in zip("xyzw", factors)}
+    return p.substitute(images)
+
+
+def test_singular_flags_match_fraction_jacobian_rank(catalog):
+    faces = [
+        (entry.virtual_equations.first, piece.polynomial, CStarAction(piece.weights.weights))
+        for entry in catalog.entries
+        for piece in entry.decomposition
+    ]
+    rng = random.Random(41)
+    for _ in range(50):
+        h1, h2i, action = rng.choice(faces)
+        factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 7)) for _ in range(4)]
+        faces.append((_rescaled(h1, factors), _rescaled(h2i, factors), action))
+    # Two inputs with unresolved orbits.
+    faces.append((parse_poly("x*y + z*w^2 - 2*z^3"), parse_poly("x^2*z^2 + y^2*w^2"), CStarAction((3, 3, 2, 2))))
+    faces.append((parse_poly("x^2+y^2+z^4"), parse_poly("x*z^2+y*w^2"), CStarAction((2, 2, 1, 1))))
+    kinds = set()
+    for h1, h2i, action in faces:
+        orbits = exceptional_orbits(h1, h2i, action)
+        assert orbits == _reference_orbits(h1, h2i, action)
+        kinds |= {getattr(o, "in_singular_locus", None) for o in orbits}
+    assert kinds == {True, False, None}
 
 
 def test_dolgachev_pairs_full_catalog(catalog):

@@ -144,3 +144,26 @@ def test_degree_crossing_the_default_width():
     assert parse_poly("x^4096 + x").evaluate((Fraction(1, 2), 0, 0, 0)) == Fraction(1, 2**4096) + Fraction(1, 2)
     assert x4095.coefficient(Monomial((4096, 0, 0, 0))) == 0
     assert x4095.substitute({"x": parse_poly("y^2")}) == parse_poly("y^8190")
+
+
+def test_jet_matches_reference_partials():
+    # The jet against the reference's partial-then-evaluate, at points with
+    # zero and non-integral coordinates; a third of the polynomials carry
+    # exponents around the 12-bit field width.
+    rng = random.Random(20261103)
+    for trial in range(300):
+        table = _table(rng, wide=trial % 3 == 0)
+        p, p_ref = _pair(table)
+        for _ in range(3):
+            point = _point(rng)
+            den, value, partials = p.jet(point)
+            assert type(den) is int and den > 0
+            assert all(type(v) is int for v in (value, *partials))
+            assert Fraction(value, den) == p_ref.evaluate(point) == p.evaluate(point)
+            for var, d in zip("xyzw", partials):
+                assert Fraction(d, den) == p_ref.partial(var).evaluate(point)
+    half, y = Fraction(1, 2), Fraction(-2, 3)
+    den, value, partials = parse_poly("x^4097 - 3*x^4094*y").jet((half, y, 0, 5))
+    assert Fraction(partials[0], den) == 4097 * half**4096 - 3 * 4094 * half**4093 * y
+    assert Fraction(partials[1], den) == -3 * half**4094
+    assert partials[2:] == (0, 0)
