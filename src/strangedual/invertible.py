@@ -118,9 +118,10 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
         """Rows as a sorted tuple, for order-free comparisons."""
         return tuple(sorted(self.rows))
 
-    def apply(self, vector) -> tuple[Fraction, ...]:
-        vec = [Fraction(v) for v in vector]
-        return tuple(sum(Fraction(e) * v for e, v in zip(row, vec)) for row in self.rows)
+    def apply(self, vector) -> tuple:
+        """E * vector, in the ring of the entries of ``vector``."""
+        vec = tuple(vector)
+        return tuple(sum(e * v for e, v in zip(row, vec)) for row in self.rows)
 
     def annihilates(self, vector) -> bool:
         return all(v == 0 for v in self.apply(vector))
@@ -140,15 +141,15 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
         )
 
     def to_polynomial(self) -> Polynomial:
-        var_index = {v: VARIABLES.index(v) for v in self.variables}
-        table = {}
+        # The constructor adds up equal rows.
+        columns = [VARIABLES.index(v) for v in self.variables]
+        terms = []
         for row, coeff in zip(self.rows, self.coefficients):
             exps = [0, 0, 0, 0]
-            for name, e in zip(self.variables, row):
-                exps[var_index[name]] = e
-            mono = Monomial(tuple(exps))
-            table[mono] = table.get(mono, Fraction(0)) + coeff
-        return Polynomial(table)
+            for i, e in zip(columns, row):
+                exps[i] = e
+            terms.append((Monomial(tuple(exps)), coeff))
+        return Polynomial(terms)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)

@@ -37,6 +37,7 @@ __all__ = [
 _X = Polynomial.variable("x")
 _Y = Polynomial.variable("y")
 _XY = _X * _Y
+_Y2 = (_Y * _Y).leading_monomial()
 
 
 class MatfacError(StrangedualError):
@@ -146,19 +147,14 @@ def lift(triple: FactorizationTriple) -> CompleteIntersectionPair:
 
 def _split_by_y(p: Polynomial):
     """Split p into (y^0 part, y^1 cofactor); error on higher y powers."""
-    constant = {}
-    linear = {}
-    for mono, coeff in p.terms():
-        y_exp = mono.exponents[1]
-        if y_exp == 0:
-            constant[mono] = coeff
-        elif y_exp == 1:
-            exps = list(mono.exponents)
-            exps[1] = 0
-            linear[Monomial(tuple(exps))] = coeff
-        else:
-            raise ShapeError(f"term {mono} has y-degree {y_exp} > 1")
-    return Polynomial(constant), Polynomial(linear)
+    constant, linear = p.split("y")
+    higher = linear.split("y")[1]
+    if higher:
+        # Degree-lex order is multiplicative, so this is the highest term of
+        # p with y-degree > 1.
+        mono = _Y2 * higher.leading_monomial()
+        raise ShapeError(f"term {mono} has y-degree {mono.exponents[1]} > 1")
+    return constant, linear
 
 
 def reduce(pair: CompleteIntersectionPair) -> Polynomial:
@@ -210,17 +206,7 @@ def factor_poly(f: Polynomial) -> FactorizationTriple:
     """
     if "y" in f.variables():
         raise FactorizationError(f"input must lie in (x, z, w): {f}")
-    x_part = {}
-    remainder = {}
-    for mono, coeff in f.terms():
-        if mono.exponents[0] > 0:
-            exps = list(mono.exponents)
-            exps[0] -= 1
-            x_part[Monomial(tuple(exps))] = coeff
-        else:
-            remainder[mono] = coeff
-    c = Polynomial(x_part)
-    r = Polynomial(remainder)
+    r, c = f.split("x")
     if r.is_zero():
         raise FactorizationError("no factorization of this shape: remainder is zero")
     if len(r) > 2:
@@ -238,13 +224,7 @@ def factor_poly(f: Polynomial) -> FactorizationTriple:
         for a_cand, b_cand in ((a_poly, quotient), (quotient, a_poly)):
             if a_cand.degree() >= 2 and not b_cand.is_zero() and b_cand.degree() >= 1:
                 candidates.append((a_cand, b_cand))
-    seen = set()
-    unique = []
-    for pair in candidates:
-        key = (pair[0], pair[1])
-        if key not in seen:
-            seen.add(key)
-            unique.append(pair)
+    unique = list(dict.fromkeys(candidates))
     if not unique:
         raise FactorizationError(
             f"no factorization of this shape: remainder {r} admits no a*b split"

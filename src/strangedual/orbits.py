@@ -36,7 +36,7 @@ from math import gcd, isqrt, lcm
 
 from . import _linalg
 from ._errors import StrangedualError
-from .polyring import Monomial, Polynomial, QuasiFailure, VARIABLES, quasi_degree
+from .polyring import Polynomial, QuasiFailure, VARIABLES, quasi_degree
 from .series import UniPolynomial, WeightSystem
 
 __all__ = [
@@ -84,13 +84,12 @@ class CStarAction(namedtuple("CStarAction", "weights")):
 def isotropy_order(action: CStarAction, point) -> int:
     """Order of the isotropy group: gcd of the weights of the nonzero
     coordinates."""
-    values = [Fraction(v) for v in point]
-    if all(v == 0 for v in values):
-        raise OrbitError("the origin has no isotropy order")
     g = 0
-    for weight, value in zip(action.weights, values):
+    for weight, value in zip(action.weights, point):
         if value != 0:
             g = gcd(g, weight)
+    if not g:  # the weights are positive
+        raise OrbitError("the origin has no isotropy order")
     return g
 
 
@@ -221,26 +220,10 @@ def _linear_eliminable(p: Polynomial, candidates: list[int]) -> tuple[int, Fract
     and rest free of the variable, or ``None``.
     """
     for idx in candidates:
-        linear: dict = {}
-        rest: dict = {}
-        ok = True
-        for mono, coeff in p.terms():
-            e = mono.exponents[idx]
-            if e == 0:
-                rest[mono] = coeff
-            elif e == 1:
-                exps = list(mono.exponents)
-                exps[idx] = 0
-                linear[Monomial(tuple(exps))] = coeff
-            else:
-                ok = False
-                break
-        if not ok or not linear:
-            continue
-        lin_poly = Polynomial(linear)
-        if lin_poly.is_monomial() and lin_poly.leading_monomial().degree == 0:
-            coefficient = lin_poly.coefficient(lin_poly.leading_monomial())
-            return idx, coefficient, Polynomial(rest)
+        rest, linear = p.split(VARIABLES[idx])
+        if linear.degree() == 0:
+            ((_, coefficient),) = linear.terms()
+            return idx, coefficient, rest
     return None
 
 
@@ -304,7 +287,7 @@ def _solve_stratum(h1: Polynomial, h2: Polynomial, stratum: tuple[int, ...], sli
                 continue
             idx, coeff, rest = hit
             other_idx = next(i for i in free if i != idx)
-            image = rest.scale(Fraction(-1) / coeff)
+            image = rest.scale(-1 / coeff)
             replaced = second.substitute({VARIABLES[idx]: image})
             if replaced.is_zero():
                 raise StratumError(
@@ -421,27 +404,14 @@ class CaseInfo(namedtuple("CaseInfo", "kind subspace g1 g2", defaults=(None, Non
 
 def classify_case(h1: Polynomial, h2i: Polynomial) -> CaseInfo:
     """Classify the pair per the (A)/(B)/(C) trichotomy."""
-    monos = h1.support() | h2i.support()
     for i, j in combinations(range(4), 2):
         # x_i = x_j = 0 kills both equations exactly when every term uses x_i or x_j.
-        if all(m.exponents[i] or m.exponents[j] for m in monos):
+        if not h1.restrict((i, j), ()) and not h2i.restrict((i, j), ()):
             return CaseInfo("A", subspace=(VARIABLES[i], VARIABLES[j]))
     if "z" not in h1.variables():
-        z_index = VARIABLES.index("z")
-        if all(mono.exponents[z_index] >= 1 for mono in h2i.support()):
-            g2 = Polynomial(
-                {
-                    Monomial(
-                        tuple(
-                            e - 1 if k == z_index else e
-                            for k, e in enumerate(mono.exponents)
-                        )
-                    ): coeff
-                    for mono, coeff in h2i.terms()
-                }
-            )
-            if "w" not in g2.variables():
-                return CaseInfo("B", g1=h1, g2=g2)
+        rest, g2 = h2i.split("z")
+        if not rest and "w" not in g2.variables():
+            return CaseInfo("B", g1=h1, g2=g2)
     return CaseInfo("C")
 
 
@@ -541,16 +511,17 @@ def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
     the two faces the weighted-homogeneous pairs live on.  Exactly two
     qualifying faces must exist.
     """
-    monos = sorted(h2.support(), key=Monomial.sort_key, reverse=True)
-    if len(monos) != 4:
-        raise NewtonStructureError(f"h2 must have exactly 4 terms, found {len(monos)}")
+    terms = list(h2.terms())
+    if len(terms) != 4:
+        raise NewtonStructureError(f"h2 must have exactly 4 terms, found {len(terms)}")
+    monos = [mono.exponents for mono, _ in terms]
     h1_monos = [mono.exponents for mono in h1.support()]
     if len(h1_monos) < 2:
         raise NewtonStructureError("h1 must have at least 2 terms")
     faces = []
     subsets = [tuple(c) for c in combinations(range(4), 3)] + [(0, 1, 2, 3)]
     for subset in subsets:
-        rows = [monos[i].exponents for i in subset]
+        rows = [monos[i] for i in subset]
         rows += [[a - b for a, b in zip(other, h1_monos[0])] for other in h1_monos[1:]]
         solved = _linalg.solve_affine(rows, [1] * len(subset) + [0] * (len(h1_monos) - 1))
         if solved is None:
@@ -561,16 +532,16 @@ def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
         constraints = [[u0[i]] + [vec[i] for vec in basis] for i in range(4)]
         for k in range(4):
             if k not in subset:
-                exps = monos[k].exponents
+                exps = monos[k]
                 constraints.append([den - _dot(exps, u0)] + [-_dot(exps, vec) for vec in basis])
         solution = _strict_feasible(constraints, len(basis))
         if solution is None:
             continue
         u = [u0[i] + sum(t * vec[i] for t, vec in zip(solution, basis)) for i in range(4)]
         weights = _linalg.primitive_integer_vector(u)
-        d2 = _dot(monos[subset[0]].exponents, weights)
+        d2 = _dot(monos[subset[0]], weights)
         d1 = _dot(h1_monos[0], weights)
-        face_poly = Polynomial({monos[i]: h2.coefficient(monos[i]) for i in subset})
+        face_poly = Polynomial([terms[i] for i in subset])
         faces.append(
             (
                 (d1, d2, tuple(-wt for wt in weights)),

@@ -37,10 +37,12 @@ The kernels build one integer table per result (S. C. Johnson, SIGSAM Bull.
 ``jet`` (which ``evaluate`` reads) clear the denominator q of an image or a
 coordinate with a factor q**(E - e), E the top exponent of its variable,
 form each factor once per call, and apply a one-term image as a key shift.
-``restrict`` drops terms and clears fields.  ``parse_poly`` splits the text
-into tokens (a run of decimal digits or another non-space character) with
-one regular expression and walks them in one grammar loop; a token's offset
-is found only for an error.
+``restrict`` drops terms and clears fields.  ``split`` writes p as
+p0 + v*p1 with p0 free of the variable v, moving each key that uses v one
+step down in that field and in the degree field.  ``parse_poly`` splits
+the text into tokens (a run of decimal digits or another non-space
+character) with one regular expression and walks them in one grammar loop;
+a token's offset is found only for an error.
 """
 
 from __future__ import annotations
@@ -295,18 +297,19 @@ class Polynomial:
 
     # -- calculus / evaluation ----------------------------------------------
 
-    def partial(self, var: str) -> "Polynomial":
-        """Exact partial derivative with respect to ``var``."""
+    def split(self, var: str) -> tuple["Polynomial", "Polynomial"]:
+        """``(p0, p1)`` with ``self = p0 + var*p1`` and ``p0`` free of ``var``."""
         width = self._width
         shift = (3 - _VAR_INDEX[var]) * width
-        mask = (1 << width) - 1
+        field = ((1 << width) - 1) << shift
         step = 1 << 4 * width | 1 << shift
-        table = {}
+        free, rest = {}, {}
         for key, c in self._terms.items():
-            e = key >> shift & mask
-            if e:
-                table[key - step] = c * e
-        return _new(table, self._den, width)
+            if key & field:
+                rest[key - step] = c
+            else:
+                free[key] = c
+        return _new(free, self._den, width), _new(rest, self._den, width)
 
     def evaluate(self, point) -> Fraction:
         """Evaluate at a rational 4-tuple (order x, y, z, w): the value of

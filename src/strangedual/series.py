@@ -107,15 +107,19 @@ class WeightSystem(namedtuple("WeightSystem", "weights degrees")):
 
 
 def parse_weight_system(text: str) -> WeightSystem:
-    """Parse the ``w1,..,wn;d1,..,dk`` notation."""
-    stripped = text.replace(" ", "")
-    parts = stripped.split(";")
+    """Parse the ``w1,..,wn;d1,..,dk`` notation: each item is one run of
+    decimal digits (the polynomial grammar's ``uint``), with whitespace
+    allowed around it."""
+    parts = text.split(";")
     if len(parts) != 2:
         raise SeriesError(f"expected 'weights;degrees' in {text!r}")
+    items = [[v.strip() for v in part.split(",")] for part in parts]
+    for v in items[0] + items[1]:
+        if not v.isdecimal():
+            raise SeriesError(f"bad weight system {text!r}: {v!r} is not a run of decimal digits")
     try:
-        weights = tuple(int(v) for v in parts[0].split(",") if v)
-        degrees = tuple(int(v) for v in parts[1].split(",") if v)
-    except ValueError as exc:
+        weights, degrees = (tuple(map(int, part)) for part in items)
+    except ValueError as exc:  # more digits than int() converts
         raise SeriesError(f"bad weight system {text!r}: {exc}") from None
     return WeightSystem(weights, degrees)
 

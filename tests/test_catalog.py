@@ -238,6 +238,15 @@ def test_programming_error_in_check_propagates(catalog, monkeypatch, target):
         verify_entry(catalog.get("Kb"), catalog)
 
 
+def test_kernel_failure_line(catalog):
+    # An integer kernel gives integer images, printed as the Fraction
+    # images were.
+    entry = catalog.get("J'")
+    result = verify_entry(entry._replace(kernel=(1, 1, 0, -1)), catalog)
+    (check,) = [c for c in result.checks if c.number == 4]
+    assert check.details == ("E * (1, 1, 0, -1) = ('4', '2', '0', '3') != 0",)
+
+
 @pytest.mark.parametrize("schema", [True, 1.0, "1"], ids=["true", "float", "string"])
 def test_schema_must_be_the_integer_one(tmp_path, schema):
     # JSON true and 1.0 compare equal to 1 in Python; neither names schema 1.

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -587,4 +588,82 @@ def test_single_field_sweep_ends_in_a_report_or_one_load_error(capsys, tmp_path)
             continue
         if not _is_report_or_load_error(code, out, err) or not (err or out.endswith("/80 checks passed\n")):
             wrong.append((*edit, code, err or out[-200:]))
+    assert wrong == []
+
+
+#: One valid argument vector per subcommand; the fuzz edits its arguments.
+_FUZZ_BASES = (
+    ("transpose", "x^4*y^2*w^3 + z^2 + y^2*z*w + x^4*z*w^2"),
+    ("weights", "x^2*y + y^3", "--vars", "x,y"),
+    ("reduce", "x*y - w^2", "-x^2*z + y*w + z^2 + x*w^2"),
+    ("lift", "w^2", "w", "-x^2*z + z^2 + x*w^2"),
+    ("poincare", "2,6,5,4;8,10", "--expand", "6"),
+    ("saito-dual", "1^1*12 / 3", "--degree", "12"),
+    ("charpoly", "2", "2", "2", "6", "--graph", "Pi"),
+    ("split-newton", "-y*z + x*w + z^3 + w^2", "--h1", "x*y - w^2"),
+    ("dolgachev", "x*y - z*w", "-x^2*w + z^2 + x*w^2", "--weights", "2", "3", "3", "2"),
+    ("catalog", "show", "J'"),
+    ("verify", "--entry", "Kb"),
+)
+_FUZZ_ALPHABET = "0123456789xyzwXY+-*/^,;.' _()"
+#: The largest arm parameter the fuzz passes to ``charpoly``.
+_FUZZ_MAX_ARM = 10**3
+
+
+def _fuzz_edit(rng, text):
+    # One to three character insertions, deletions or replacements.
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(chars))
+        kind = rng.randrange(3) if at < len(chars) else 0
+        if kind == 0:
+            chars.insert(at, rng.choice(_FUZZ_ALPHABET))
+        elif kind == 1:
+            del chars[at]
+        else:
+            chars[at] = rng.choice(_FUZZ_ALPHABET)
+    return "".join(chars)
+
+
+def _fuzz_corpus(seed=20261018, count=1000):
+    """``count`` argument vectors, each a valid one with one argument after
+    the subcommand edited; ``charpoly`` arms stay at most ``_FUZZ_MAX_ARM``."""
+    rng = random.Random(seed)
+    corpus = []
+    while len(corpus) < count:
+        argv = list(_FUZZ_BASES[len(corpus) % len(_FUZZ_BASES)])
+        at = rng.randrange(1, len(argv))
+        argv[at] = _fuzz_edit(rng, argv[at])
+        arms = argv[1:5] if argv[0] == "charpoly" else []
+        if any(arm.isdecimal() and int(arm) > _FUZZ_MAX_ARM for arm in arms):
+            continue
+        corpus.append(argv)
+    return corpus
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_seeded_cli_fuzz_ends_in_an_exit_status(capsys):
+    # Every edited argument vector ends in exit status 0, 1 or 2 with no
+    # exception escaping, each in bounded time.
+    wrong = []
+    for argv in _fuzz_corpus():
+        start = time.perf_counter()
+        try:
+            code, out, err = _outcome(capsys, argv)
+        except Exception as exc:  # noted with its input; the test fails below
+            wrong.append((argv, repr(exc)))
+            continue
+        elapsed = time.perf_counter() - start
+        if code not in (0, 1, 2) or elapsed > 5:
+            wrong.append((argv, code, round(elapsed, 2), err[-200:]))
+        elif code == 1 and not err.startswith("error: "):
+            wrong.append((argv, code, err[-200:]))
     assert wrong == []

@@ -110,6 +110,15 @@ def test_canonical_weights_defining_identity_random():
         checked += 1
 
 
+def test_apply_stays_in_the_ring_of_its_vector():
+    matrix = _ordered_matrix(KFLAT_F)
+    image = matrix.apply((1, 1, 0, -2))
+    assert image == (0, 0, 0, 0) and all(type(v) is int for v in image)
+    image = matrix.apply((Fraction(1, 2), 0, 0, 1))
+    assert image == (Fraction(5), Fraction(0), Fraction(1), Fraction(4))
+    assert all(type(v) is Fraction for v in image)
+
+
 def test_canonical_weights_singular_i_series():
     # The four-term I-series polynomial has det E = 0; the weight direction
     # is the kernel, which treats x and y symmetrically.

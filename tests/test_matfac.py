@@ -83,6 +83,14 @@ def test_reduce_shape_errors():
         reduce(CompleteIntersectionPair.parse("x*y - x*z", "z^2 + y*w"))  # a involves x
 
 
+def test_reduce_names_the_first_term_of_y_degree_past_one():
+    # The highest term in degree-lex order with y-degree > 1.
+    pair = CompleteIntersectionPair.parse("x*y - w^2", "x*w + y^2*z^5 + x*y^3")
+    with pytest.raises(ShapeError) as exc:
+        reduce(pair)
+    assert str(exc.value) == "term y^2*z^5 has y-degree 2 > 1"
+
+
 def test_reduce_lift_roundtrip():
     for args in (
         ("w^2", "w", "-x^2*z + z^2 + x*w^2"),

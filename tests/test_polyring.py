@@ -208,11 +208,12 @@ def test_format_parse_roundtrip_random():
         assert format_poly(parse_poly(text)) == text
 
 
-def test_partial_derivative():
-    p = parse_poly("x^2*w + y*z + z^2")
-    assert p.partial("x") == parse_poly("2*x*w")
-    assert p.partial("z") == parse_poly("y + 2*z")
-    assert p.partial("y") == parse_poly("z")
+def test_split():
+    p = parse_poly("x^2*w + 3*y*z + 1/2*z^2")
+    assert p.split("z") == (parse_poly("x^2*w"), parse_poly("3*y + 1/2*z"))
+    assert p.split("x") == (parse_poly("3*y*z + 1/2*z^2"), parse_poly("x*w"))
+    assert p.split("w") == (parse_poly("3*y*z + 1/2*z^2"), parse_poly("x^2"))
+    assert Polynomial.zero().split("y") == (Polynomial.zero(), Polynomial.zero())
 
 
 def test_evaluate():

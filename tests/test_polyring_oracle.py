@@ -101,8 +101,6 @@ def test_arithmetic_matches_reference():
         assert (p == q) == (p_ref == q_ref)
         back = (p + q) - q
         assert back == p and hash(back) == hash(p)
-        for var in "xyzw":
-            _same(p.partial(var), p_ref.partial(var))
         roles = [rng.randrange(3) for _ in range(4)]  # 0: zeroed, 1: set to 1, 2: kept
         zero = tuple(i for i in range(4) if roles[i] == 0)
         one = tuple(i for i in range(4) if roles[i] == 1)
@@ -128,6 +126,24 @@ def test_substitute_matches_reference():
         _same(p.substitute(images), p_ref.substitute(ref_images))
 
 
+def test_split_matches_reference():
+    # p = p0 + v*p1 with p0 free of v, both halves the term partition of
+    # the reference polynomial; a third of the polynomials carry exponents
+    # around the 12-bit field width.
+    rng = random.Random(20261104)
+    for trial in range(300):
+        p, p_ref = _pair(_table(rng, wide=trial % 3 == 0))
+        for i, var in enumerate("xyzw"):
+            p0, p1 = p.split(var)
+            assert p0 + Polynomial.variable(var) * p1 == p
+            assert var not in p0.variables()
+            step = [0, 0, 0, 0]
+            step[i] = 1
+            step = Monomial(tuple(step))
+            _same(p0, ref.Polynomial({m: c for m, c in p_ref.terms() if not m.exponents[i]}))
+            _same(p1, ref.Polynomial({m / step: c for m, c in p_ref.terms() if m.exponents[i]}))
+
+
 def test_degree_crossing_the_default_width():
     x, y = Polynomial.variable("x"), Polynomial.variable("y")
     x4095 = parse_poly("x^4095")
@@ -137,10 +153,9 @@ def test_degree_crossing_the_default_width():
     assert format_poly(x4096 * parse_poly("1/2*y^4096")) == "1/2*x^4096*y^4096"
     # Falling back below the width gives the table a polynomial of that
     # degree always has.
-    for low in (x4096 + y - x4096, (x4096 + y).restrict((0,), ()), (x4096 * y).partial("x").scale(0)):
+    for low in (x4096 + y - x4096, (x4096 + y).restrict((0,), ()), (x4096 * y + y).split("x")[0]):
         assert low in (y, Polynomial.zero())
         assert hash(low) in (hash(y), hash(Polynomial.zero()))
-    assert (x4096 + x).partial("x") == parse_poly("4096*x^4095 + 1")
     assert parse_poly("x^4096 + x").evaluate((Fraction(1, 2), 0, 0, 0)) == Fraction(1, 2**4096) + Fraction(1, 2)
     assert x4095.coefficient(Monomial((4096, 0, 0, 0))) == 0
     assert x4095.substitute({"x": parse_poly("y^2")}) == parse_poly("y^8190")

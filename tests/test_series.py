@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from strangedual.cli import main
 from strangedual.series import (
     FrameProduct,
     FrameSyntaxError,
@@ -36,6 +37,27 @@ def test_weight_system_parse_format():
 def test_weight_system_rejects_nonpositive():
     with pytest.raises(SeriesError):
         WeightSystem((2, 0, 1, 1), (3, 4))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0,2,3,4;5,6", "+2,6,5,4;8,10", "2,,6,5,4;8,10", "2 0,6,5,4;8,10", "2,6,5,4;8,10,", ";", "2,\u00b2;3"],
+    ids=["underscore", "plus", "empty-item", "inner-space", "trailing-comma", "no-items", "superscript"],
+)
+def test_weight_system_items_are_digit_runs(capsys, text):
+    # int() reads "1_0", "+2" and " 2" and the old parser deleted spaces and
+    # skipped empty items; each item must now be one run of decimal digits.
+    with pytest.raises(SeriesError, match="is not a run of decimal digits"):
+        parse_weight_system(text)
+    assert main(["poincare", text]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad weight system ") and err.count("\n") == 1
+
+
+def test_weight_system_allows_space_around_items():
+    assert parse_weight_system(" 2, 6 ,5,4 ; 8,10 ") == WeightSystem((2, 6, 5, 4), (8, 10))
+    with pytest.raises(SeriesError, match="Exceeds the limit"):
+        parse_weight_system("9" * 5000 + ",1;1")
 
 
 def test_poincare_jprime():
