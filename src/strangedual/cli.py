@@ -197,7 +197,7 @@ def _show_lines(entry, catalog):
 
 def _cmd_verify(args) -> int:
     catalog = _load_catalog(args)
-    if args.entry:
+    if args.entry is not None:
         report = cat.CatalogReport((cat.verify_entry(catalog.get(args.entry), catalog),))
     else:
         report = cat.verify_all(catalog)

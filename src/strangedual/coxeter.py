@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import index
-from typing import NamedTuple
 
 from ._errors import StrangedualError
 from .series import MAX_FRAME_BASE, UniPolynomial, _polynomial_part, _times_frame
@@ -126,16 +125,16 @@ def charpoly_Pi(gamma) -> UniPolynomial:
     return _over_t_minus_one(gamma, 2)
 
 
-class GraphEdge(NamedTuple):
-    u: str
-    v: str
-    style: str = "single"  # single | double | dashed
+class GraphEdge(namedtuple("GraphEdge", "u v style", defaults=("single",))):
+    """One edge; ``style`` is single, double or dashed."""
+
+    __slots__ = ()
 
 
-class Graph(NamedTuple):
-    name: str
-    vertices: tuple[str, ...]
-    edges: tuple[GraphEdge, ...]
+class Graph(namedtuple("Graph", "name vertices edges")):
+    """A named graph: vertex names and :class:`GraphEdge` records."""
+
+    __slots__ = ()
 
     def to_dot(self) -> str:
         lines = [f"graph {self.name} {{"]
@@ -153,36 +152,17 @@ class Graph(NamedTuple):
         return "\n".join(lines)
 
 
-def _arm(index: int, length: int, anchors: tuple[str, ...]):
-    """Path d<i>_1 .. d<i>_<length>; the innermost vertex joins every anchor."""
-    vertices = [f"d{index}_{r}" for r in range(1, length + 1)]
-    edges = [GraphEdge(vertices[r], vertices[r + 1]) for r in range(length - 1)]
-    if vertices:
-        edges += [GraphEdge(vertices[-1], anchor) for anchor in anchors]
-    return vertices, edges
-
-
-def emit_graph(gamma, shape: str = "S") -> Graph:
-    """Vertex/edge data of the S- or Pi-graph for a quadruple.
-
-    S: central vertices c1 - c2 == c3 (one double edge), every arm tied to
-    both c2 and c3; Pi: five central vertices with two double edges and
-    one dashed edge, arms 1,2 tied to the left pair and arms 3,4 to the
-    right pair.  Vertex counts: sum(gamma) - 1 for S, sum(gamma) + 1 for Pi.
-    """
-    quad = _as_quadruple(gamma)
-    gs = quad.gammas
-    if shape == "S":
-        vertices = ["c1", "c2", "c3"]
-        edges = [GraphEdge("c1", "c2"), GraphEdge("c2", "c3", "double")]
-        for i, g in enumerate(gs, start=1):
-            arm_vertices, arm_edges = _arm(i, g - 1, ("c2", "c3"))
-            vertices += arm_vertices
-            edges += arm_edges
-        return Graph(f"S_{'_'.join(map(str, gs))}", tuple(vertices), tuple(edges))
-    if shape == "Pi":
-        vertices = ["c1", "c2", "c3", "c4", "c5"]
-        edges = [
+#: Per shape: the central vertices, the central edges and, for each of the
+#: four arms, the two central vertices its innermost vertex joins.
+_SHAPES = {
+    "S": (
+        ("c1", "c2", "c3"),
+        (GraphEdge("c1", "c2"), GraphEdge("c2", "c3", "double")),
+        (("c2", "c3"),) * 4,
+    ),
+    "Pi": (
+        ("c1", "c2", "c3", "c4", "c5"),
+        (
             GraphEdge("c1", "c3"),
             GraphEdge("c1", "c2", "dashed"),
             GraphEdge("c2", "c3"),
@@ -191,11 +171,30 @@ def emit_graph(gamma, shape: str = "S") -> Graph:
             GraphEdge("c2", "c5"),
             GraphEdge("c3", "c4"),
             GraphEdge("c4", "c5"),
-        ]
-        anchor_pairs = {1: ("c2", "c4"), 2: ("c2", "c4"), 3: ("c3", "c5"), 4: ("c3", "c5")}
-        for i, g in enumerate(gs, start=1):
-            arm_vertices, arm_edges = _arm(i, g - 1, anchor_pairs[i])
-            vertices += arm_vertices
-            edges += arm_edges
-        return Graph(f"Pi_{'_'.join(map(str, gs))}", tuple(vertices), tuple(edges))
-    raise ValueError(f"shape must be 'S' or 'Pi', got {shape!r}")
+        ),
+        (("c2", "c4"),) * 2 + (("c3", "c5"),) * 2,
+    ),
+}
+
+
+def emit_graph(gamma, shape: str = "S") -> Graph:
+    """Vertex/edge data of the S- or Pi-graph for a quadruple.
+
+    S: central vertices c1 - c2 == c3 (one double edge), every arm tied to
+    both c2 and c3; Pi: five central vertices with two double edges and
+    one dashed edge, arms 1,2 tied to the left pair and arms 3,4 to the
+    right pair; arm i is the path d<i>_1 .. d<i>_<g_i - 1>, its last vertex
+    tied to both anchors.  Vertex counts: sum(gamma) -/+ 1 for S/Pi.
+    """
+    gs = _as_quadruple(gamma).gammas
+    if shape not in _SHAPES:
+        raise ValueError(f"shape must be 'S' or 'Pi', got {shape!r}")
+    centre, central_edges, arm_anchors = _SHAPES[shape]
+    vertices, edges = list(centre), list(central_edges)
+    for i, (g, anchors) in enumerate(zip(gs, arm_anchors), start=1):
+        arm = [f"d{i}_{r}" for r in range(1, g)]
+        vertices += arm
+        edges += [GraphEdge(u, v) for u, v in zip(arm, arm[1:])]
+        if arm:
+            edges += [GraphEdge(arm[-1], anchor) for anchor in anchors]
+    return Graph(f"{shape}_{'_'.join(map(str, gs))}", tuple(vertices), tuple(edges))

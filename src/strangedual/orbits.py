@@ -6,7 +6,11 @@ with nontrivial isotropy) all lie in coordinate strata whose weights
 share a common factor.  Enumerating the strata, slicing each orbit by
 fixing the lowest-weight coordinate to 1 and solving the restricted
 system exactly over the rationals yields explicit orbit representatives,
-their isotropy orders and a singular-locus flag.  Per point, one integer
+their isotropy orders and a singular-locus flag.  Every stratum takes one
+path: with two free coordinates, a variable one equation holds linearly
+with a constant coefficient is eliminated into the other; the last free
+coordinate is a rational root of the gcd of the univariate restrictions,
+and the eliminated one is substituted back.  Per point, one integer
 jet of each equation (value and gradient over one positive denominator)
 checks membership, and the point is singular when all six 2x2 minors of
 the two gradient rows vanish.  The univariate steps start from the
@@ -21,7 +25,8 @@ lcm of the support weights, not by walking the group.  The Newton split
 solves its affine systems in integers and runs Fourier-Motzkin on integer
 rows (A. Schrijver, Theory of Linear and Integer Programming, 1986, 12.2).
 
-The case (A)/(B)/(C) classification and the principal-orbit filter turn
+The case (A)/(B)/(C) classification (case (A) from the set of variables
+each term uses) and the principal-orbit filter turn
 this enumeration into the pair of isotropy orders attached to each half
 of the defining equations; the Newton-polygon split of the second
 equation produces those halves in the first place.
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
@@ -231,92 +237,55 @@ def _solve_stratum(h1: Polynomial, h2: Polynomial, stratum: tuple[int, ...], sli
     """Solve h1 = h2 = 0 on the stratum (coordinates in ``stratum`` nonzero,
     others zero) with the slice coordinate fixed to 1.
 
-    Returns ``(points, unresolved)`` where points are full rational
-    4-tuples with all stratum coordinates nonzero.
+    One path for up to two free coordinates: with two, a variable that one
+    equation holds linearly with a constant coefficient is eliminated into
+    the other; the last free coordinate is then a rational root of the gcd
+    of the nonzero univariate restrictions, and the eliminated one is
+    recovered from its image.  Returns ``(points, unresolved)`` where points
+    are full rational 4-tuples with all stratum coordinates nonzero.
     """
-    free = sorted(i for i in stratum if i != slice_index)
     zeroed = tuple(i for i in range(4) if i not in stratum)
-    q1 = h1.restrict(zeroed, (slice_index,))
-    q2 = h2.restrict(zeroed, (slice_index,))
-
-    def assemble(assignment: dict[int, Fraction]):
-        point = [Fraction(0)] * 4
-        point[slice_index] = Fraction(1)
-        for idx, value in assignment.items():
-            point[idx] = value
-        return tuple(point)
-
-    if not free:
-        if q1.is_zero() and q2.is_zero():
-            return [assemble({})], []
-        return [], []
-
-    if len(free) == 1:
-        idx = free[0]
-        if q1.is_zero() and q2.is_zero():
-            raise StratumError(
-                f"system too complex: both equations vanish on stratum "
-                f"{{{','.join(VARIABLES[i] for i in stratum)}}}"
-            )
-        if q1.is_zero():
-            g = _restrict_to_univariate(q2, idx)
-        elif q2.is_zero():
-            g = _restrict_to_univariate(q1, idx)
-        else:
-            g = _restrict_to_univariate(q1, idx).gcd(_restrict_to_univariate(q2, idx))
-        if g.degree() == 0:
-            return [], []  # constant gcd: no common roots at all
-        roots, residual = _rational_roots(g.coefficients)
-        points = [assemble({idx: r}) for r in roots if r != 0]
-        unresolved = []
-        if residual is not None:
-            unresolved.append((VARIABLES[idx], residual))
-        return points, unresolved
-
+    equations = [h.restrict(zeroed, (slice_index,)) for h in (h1, h2)]
+    name = f"stratum {{{','.join(VARIABLES[i] for i in stratum)}}}"
+    free = sorted(i for i in stratum if i != slice_index)
+    if len(free) > 2:
+        raise StratumError(f"system too complex: {name} has {len(free)} free coordinates")
+    point = [Fraction(0)] * 4
+    point[slice_index] = Fraction(1)
+    if not any(equations):
+        if not free:
+            return [tuple(point)], []
+        raise StratumError(f"system too complex: both equations vanish on {name}")
+    eliminated = None
     if len(free) == 2:
-        if q1.is_zero() and q2.is_zero():
+        for first, second in (equations, equations[::-1]):
+            eliminated = _linear_eliminable(first, free)
+            if eliminated is not None:
+                break
+        else:
             raise StratumError(
-                f"system too complex: both equations vanish on stratum "
-                f"{{{','.join(VARIABLES[i] for i in stratum)}}}"
+                f"system too complex: no constant-coefficient linear variable on {name}"
             )
-        for first, second in ((q1, q2), (q2, q1)):
-            if first.is_zero():
-                continue
-            hit = _linear_eliminable(first, free)
-            if hit is None:
-                continue
-            idx, coeff, rest = hit
-            other_idx = next(i for i in free if i != idx)
-            image = rest.scale(-1 / coeff)
-            replaced = second.substitute({VARIABLES[idx]: image})
-            if replaced.is_zero():
-                raise StratumError(
-                    "system too complex: positive-dimensional solutions on stratum "
-                    f"{{{','.join(VARIABLES[i] for i in stratum)}}}"
-                )
-            g = _restrict_to_univariate(replaced, other_idx)
-            roots, residual = _rational_roots(g.coefficients)
-            points = []
-            for root in roots:
-                if root == 0:
-                    continue
-                value = image.evaluate(assemble({other_idx: root}))
-                if value == 0:
-                    continue
-                points.append(assemble({other_idx: root, idx: value}))
-            unresolved = []
-            if residual is not None:
-                unresolved.append((VARIABLES[other_idx], residual))
-            return points, unresolved
-        raise StratumError(
-            "system too complex: no constant-coefficient linear variable on stratum "
-            f"{{{','.join(VARIABLES[i] for i in stratum)}}}"
-        )
-
-    raise StratumError(
-        "system too complex: stratum "
-        f"{{{','.join(VARIABLES[i] for i in stratum)}}} has {len(free)} free coordinates"
-    )
+        idx, coeff, rest = eliminated
+        image = rest.scale(-1 / coeff)
+        equations = [second.substitute({VARIABLES[idx]: image})]
+        if not equations[0]:
+            raise StratumError(f"system too complex: positive-dimensional solutions on {name}")
+        free.remove(idx)
+    # With no free coordinate the restrictions are constants, not both zero.
+    last = free[0] if free else slice_index
+    g = reduce(UniPolynomial.gcd, (_restrict_to_univariate(q, last) for q in equations if q))
+    if g.degree() == 0:
+        return [], []  # constant gcd: no common roots at all
+    roots, residual = _rational_roots(g.coefficients)
+    points = []
+    for root in roots:
+        point[last] = root
+        if eliminated is not None:
+            point[idx] = image.evaluate(point)
+        if all(point[i] for i in stratum):
+            points.append(tuple(point))
+    return points, [] if residual is None else [(VARIABLES[last], residual)]
 
 
 def _rational_group_images(point, weights, slice_index):
@@ -404,9 +373,15 @@ class CaseInfo(namedtuple("CaseInfo", "kind subspace g1 g2", defaults=(None, Non
 
 def classify_case(h1: Polynomial, h2i: Polynomial) -> CaseInfo:
     """Classify the pair per the (A)/(B)/(C) trichotomy."""
+    # Bit k of a mask is set when the term uses x_k; x_i = x_j = 0 kills
+    # both equations exactly when every term uses x_i or x_j.
+    masks = {
+        sum(1 << k for k, e in enumerate(exps) if e)
+        for p in (h1, h2i)
+        for exps, _ in p.numerators()
+    }
     for i, j in combinations(range(4), 2):
-        # x_i = x_j = 0 kills both equations exactly when every term uses x_i or x_j.
-        if not h1.restrict((i, j), ()) and not h2i.restrict((i, j), ()):
+        if all(mask & (1 << i | 1 << j) for mask in masks):
             return CaseInfo("A", subspace=(VARIABLES[i], VARIABLES[j]))
     if "z" not in h1.variables():
         rest, g2 = h2i.split("z")

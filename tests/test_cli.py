@@ -39,6 +39,85 @@ def test_charpoly_dot_output(capsys):
     assert "style=dashed" in out
 
 
+CHARPOLY_DOT_2235 = {
+    "S": """\
+1 + 2*t + 2*t^2 + 2*t^3 + 3*t^4 + 4*t^5 + 4*t^6 + 3*t^7 + 2*t^8 + 2*t^9 + 2*t^10 + t^11
+graph S_2_2_3_5 {
+    c1;
+    c2;
+    c3;
+    d1_1;
+    d2_1;
+    d3_1;
+    d3_2;
+    d4_1;
+    d4_2;
+    d4_3;
+    d4_4;
+    c1 -- c2;
+    c2 -- c3 [style=bold,label="2"];
+    d1_1 -- c2;
+    d1_1 -- c3;
+    d2_1 -- c2;
+    d2_1 -- c3;
+    d3_1 -- d3_2;
+    d3_2 -- c2;
+    d3_2 -- c3;
+    d4_1 -- d4_2;
+    d4_2 -- d4_3;
+    d4_3 -- d4_4;
+    d4_4 -- c2;
+    d4_4 -- c3;
+}
+""",
+    "Pi": """\
+1 - t^2 + t^4 - t^6 - t^7 + t^9 - t^11 + t^13
+graph Pi_2_2_3_5 {
+    c1;
+    c2;
+    c3;
+    c4;
+    c5;
+    d1_1;
+    d2_1;
+    d3_1;
+    d3_2;
+    d4_1;
+    d4_2;
+    d4_3;
+    d4_4;
+    c1 -- c3;
+    c1 -- c2 [style=dashed];
+    c2 -- c3;
+    c2 -- c4 [style=bold,label="2"];
+    c3 -- c5 [style=bold,label="2"];
+    c2 -- c5;
+    c3 -- c4;
+    c4 -- c5;
+    d1_1 -- c2;
+    d1_1 -- c4;
+    d2_1 -- c2;
+    d2_1 -- c4;
+    d3_1 -- d3_2;
+    d3_2 -- c3;
+    d3_2 -- c5;
+    d4_1 -- d4_2;
+    d4_2 -- d4_3;
+    d4_3 -- d4_4;
+    d4_4 -- c3;
+    d4_4 -- c5;
+}
+""",
+}
+
+
+@pytest.mark.parametrize("shape", ["S", "Pi"])
+def test_charpoly_dot_text(capsys, shape):
+    code, out, _ = run(capsys, "charpoly", "2", "2", "3", "5", "--graph", shape, "--dot")
+    assert code == 0
+    assert out == CHARPOLY_DOT_2235[shape]
+
+
 def test_transpose_follows_written_order(capsys):
     code, out, _ = run(capsys, "transpose", "x^4*y^2*w^3 + z^2 + y^2*z*w + x^4*z*w^2")
     assert code == 0
@@ -101,6 +180,13 @@ def test_verify_single_entry(capsys):
     code, out, _ = run(capsys, "verify", "--entry", "Kb")
     assert code == 0
     assert out.strip().endswith("10/10 checks passed")
+
+
+def test_verify_empty_entry_name(capsys):
+    code, out, err = run(capsys, "verify", "--entry", "")
+    assert code == 1
+    assert out == ""
+    assert err == "error: no catalog entry named ''\n"
 
 
 def test_verify_json_roundtrip(capsys):

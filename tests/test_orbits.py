@@ -3,8 +3,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, lcm
 from pathlib import Path
 
 import _reference_polyring as ref
@@ -409,3 +409,76 @@ def test_stratum_error_message():
     action = CStarAction((2, 3, 2, 3))
     with pytest.raises(StratumError):
         exceptional_orbits(h1, h2, action)
+
+
+@pytest.mark.parametrize(
+    "h1, h2, weights, message",
+    [
+        ("3*x", "x", (2, 3, 6, 4), "both equations vanish on stratum {y,z}"),
+        ("2*z - 2*w", "-2*x", (6, 3, 3, 3), "positive-dimensional solutions on stratum {y,z,w}"),
+        ("-2*z^3 + w", "x^3", (2, 6, 2, 6), "no constant-coefficient linear variable on stratum {x,y,z}"),
+        ("1/3*z - 3/2*w", "1/2*w^3 + x", (6, 4, 2, 2), "stratum {x,y,z,w} has 3 free coordinates"),
+    ],
+)
+def test_stratum_error_texts(h1, h2, weights, message):
+    with pytest.raises(StratumError) as caught:
+        exceptional_orbits(parse_poly(h1), parse_poly(h2), CStarAction(weights))
+    assert str(caught.value) == f"system too complex: {message}"
+
+
+# Orbit golden: the listing (or error text) of every catalog face and of a
+# seeded corpus of weighted-homogeneous pairs, byte for byte.
+
+
+def _homogeneous(rng, weights, degree):
+    """1-3 random terms of weighted degree ``degree``, plus each pure power
+    of that degree with probability 1/2; ``None`` if there is no term."""
+    exps = [
+        e
+        for e in product(*(range(degree // w + 1) for w in weights))
+        if sum(a * w for a, w in zip(e, weights)) == degree
+    ]
+    if not exps:
+        return None
+    chosen = rng.sample(exps, min(len(exps), rng.randint(1, 3)))
+    chosen += [e for e in exps if sum(e) == max(e) and rng.random() < 0.5]
+    return Polynomial(
+        {
+            Monomial(e): Fraction(rng.choice((1, -1)) * rng.randint(1, 3), rng.randint(1, 2))
+            for e in chosen
+        }
+    )
+
+
+def _weighted_pairs(count, seed):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        weights = tuple(rng.choice((1, 2, 2, 3, 3, 4, 6)) for _ in range(4))
+        top = max(weights)
+        degrees = (top, top + 1, 2 * top, lcm(*weights))
+        h1, h2 = (_homogeneous(rng, weights, rng.choice(degrees)) for _ in range(2))
+        if h1 is not None and h2 is not None:
+            pairs.append((h1, h2, weights))
+    return pairs
+
+
+def _orbit_line(h1, h2, weights):
+    head = f"{h1} ; {h2} ; {','.join(map(str, weights))} ->"
+    try:
+        orbits = exceptional_orbits(h1, h2, CStarAction(weights))
+    except OrbitError as error:
+        return f"{head} {type(error).__name__}: {error}"
+    listing = "; ".join(map(str, orbits)) or "none"
+    return f"{head} {listing} | case {classify_case(h1, h2)}"
+
+
+def test_orbit_listing_matches_golden(catalog):
+    inputs = [
+        (entry.virtual_equations.first, piece.polynomial, piece.weights.weights)
+        for entry in catalog.entries
+        for piece in entry.decomposition
+    ]
+    inputs += _weighted_pairs(300, 20261019)
+    lines = "".join(_orbit_line(*pair) + "\n" for pair in inputs)
+    assert lines == (Path(__file__).parent / "golden" / "orbits.txt").read_text(encoding="utf-8")
