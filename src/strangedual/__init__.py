@@ -60,7 +60,6 @@ from .orbits import (
     classify_case,
     dolgachev_pair,
     exceptional_orbits,
-    isotropy_order,
     split_newton,
 )
 from .catalog import (

@@ -5,25 +5,23 @@ C*-action with positive integer weights, the exceptional orbits (orbits
 with nontrivial isotropy) all lie in coordinate strata whose weights
 share a common factor.  Enumerating the strata, slicing each orbit by
 fixing the lowest-weight coordinate to 1 and solving the restricted
-system exactly over the rationals yields explicit orbit representatives,
-their isotropy orders and a singular-locus flag.  Every stratum takes one
-path: with two free coordinates, a variable one equation holds linearly
-with a constant coefficient is eliminated into the other; the last free
-coordinate is a rational root of the gcd of the univariate restrictions,
-and the eliminated one is substituted back.  Per point, one integer
-jet of each equation (value and gradient over one positive denominator)
-checks membership, and the point is singular when all six 2x2 minors of
-the two gradient rows vanish.  The univariate steps start from the
-integer numerators of a restricted equation and use
-:class:`~strangedual.series.UniPolynomial`: a gcd over Q, then the
-rational roots of its primitive integer form.  Candidate numerators and
-denominators come from divisor pairs up to the square root; only coprime
-pairs p/q are tried, each by the integer q^n*f(p/q), and each root found
-is divided out exactly by q*t - p (Gauss's lemma).  The rational images of
-a point under the slice's cyclic group are sign patterns, found from one
-lcm of the support weights, not by walking the group.  The Newton split
-solves its affine systems in integers and runs Fourier-Motzkin on integer
-rows (A. Schrijver, Theory of Linear and Integer Programming, 1986, 12.2).
+system exactly yields orbit representatives, their isotropy orders and
+a singular-locus flag.  Each equation's integer terms are read once,
+with a bitmask of the variables each term uses: a term survives a
+stratum when its mask lies inside it.  With two free coordinates, a
+variable v that one equation holds as a*v + R(u) is eliminated into the
+other in integers; the last free coordinate is a rational root of the
+primitive gcd of the univariate restrictions.  Candidate roots p/q come
+from coprime divisor pairs, each tested by the integer q^n*f(p/q) and
+divided out exactly by q*t - p (Gauss's lemma).  A point is four integer
+numerators over one denominator: its rational images under the slice's
+cyclic group are sign patterns (from one lcm of the support weights),
+and one integer jet per equation checks membership; the point is
+singular when the six 2x2 minors of the gradient rows vanish.
+``Fraction``s are built only for each kept :class:`OrbitRep`.  The
+Newton split solves its affine systems in integers and runs
+Fourier-Motzkin on integer rows (A. Schrijver, Theory of Linear and
+Integer Programming, 1986, 12.2).
 
 The case (A)/(B)/(C) classification (case (A) from the set of variables
 each term uses) and the principal-orbit filter turn
@@ -55,7 +53,6 @@ __all__ = [
     "OrbitError",
     "StratumError",
     "NewtonStructureError",
-    "isotropy_order",
     "split_newton",
     "classify_case",
     "exceptional_orbits",
@@ -85,18 +82,6 @@ class CStarAction(namedtuple("CStarAction", "weights")):
         if len(self.weights) != 4 or any(w <= 0 for w in self.weights):
             raise OrbitError(f"need 4 positive weights, got {self.weights!r}")
         return self
-
-
-def isotropy_order(action: CStarAction, point) -> int:
-    """Order of the isotropy group: gcd of the weights of the nonzero
-    coordinates."""
-    g = 0
-    for weight, value in zip(action.weights, point):
-        if value != 0:
-            g = gcd(g, weight)
-    if not g:  # the weights are positive
-        raise OrbitError("the origin has no isotropy order")
-    return g
 
 
 class OrbitRep(namedtuple("OrbitRep", "point isotropy in_singular_locus stratum")):
@@ -160,14 +145,14 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _rational_roots(coeffs) -> tuple[set[Fraction], tuple[int, ...] | None]:
+def _rational_roots(coeffs) -> tuple[set[tuple[int, int]], tuple[int, ...] | None]:
     """Nonzero rational roots of a univariate polynomial over Q.
 
     ``coeffs`` runs from the constant term up.  Returns ``(roots,
-    residual)`` where ``residual`` is the primitive integer coefficient
-    tuple of the rootless factor of degree >= 1 that remains after
-    splitting off t^k and all rational roots, or ``None`` if the
-    polynomial splits completely.
+    residual)``: each root p/q as a pair ``(p, q)`` in lowest terms with
+    q > 0, and the primitive integer coefficient tuple of the rootless
+    factor of degree >= 1 that remains after splitting off t^k and all
+    rational roots, or ``None`` if the polynomial splits completely.
     """
     work = UniPolynomial(coeffs)
     if work.is_zero():
@@ -177,7 +162,7 @@ def _rational_roots(coeffs) -> tuple[set[Fraction], tuple[int, ...] | None]:
     ints = work.primitive()
     low = next(i for i, c in enumerate(ints) if c != 0)
     work = ints[low:]
-    roots: set[Fraction] = set()
+    roots: set[tuple[int, int]] = set()
     while len(work) > 1:
         denominators = _divisors(work[-1])
         found = next(
@@ -194,7 +179,7 @@ def _rational_roots(coeffs) -> tuple[set[Fraction], tuple[int, ...] | None]:
         if found is None:
             break
         p, q = found
-        roots.add(Fraction(p, q))
+        roots.add(found)
         # Synthetic division by q*t - p, from the top: g_{i-1} = (f_i + p*g_i) / q.
         quotient = [0] * (len(work) - 1)
         carry = 0
@@ -205,87 +190,118 @@ def _rational_roots(coeffs) -> tuple[set[Fraction], tuple[int, ...] | None]:
     return roots, (work if len(work) > 1 else None)
 
 
-def _restrict_to_univariate(p: Polynomial, var_index: int) -> UniPolynomial:
-    # The integer numerators of p: a positive scale moves no root.
-    coeffs = {}
-    for exps, c in p.numerators():
-        if sum(exps) != exps[var_index]:
-            raise OrbitError(f"polynomial {p} is not univariate in {VARIABLES[var_index]}")
-        coeffs[exps[var_index]] = c
-    top = max(coeffs, default=0)
-    return UniPolynomial(coeffs.get(i, 0) for i in range(top + 1))
+def _dense(pairs) -> UniPolynomial:
+    # The univariate polynomial of (exponent, integer coefficient) pairs.
+    coeffs = [0] * (max((e for e, _ in pairs), default=-1) + 1)
+    for e, c in pairs:
+        coeffs[e] += c
+    return UniPolynomial(coeffs)
+
+
+def _power(p: UniPolynomial, n: int, result: UniPolynomial) -> UniPolynomial:
+    # result * p**n by squaring, holding one square at a time.
+    while n:
+        if n & 1:
+            result = result * p
+        n >>= 1
+        if n:
+            p = p * p
+    return result
 
 
 # -- stratum solving ----------------------------------------------------------
 
 
-def _linear_eliminable(p: Polynomial, candidates: list[int]) -> tuple[int, Fraction, Polynomial] | None:
-    """Find a variable in which p is linear with a constant coefficient.
-
-    Returns ``(index, coefficient, rest)`` with p = coefficient*var + rest
-    and rest free of the variable, or ``None``.
-    """
-    for idx in candidates:
-        rest, linear = p.split(VARIABLES[idx])
-        if linear.degree() == 0:
-            ((_, coefficient),) = linear.terms()
-            return idx, coefficient, rest
-    return None
-
-
-def _solve_stratum(h1: Polynomial, h2: Polynomial, stratum: tuple[int, ...], slice_index: int):
+def _solve_stratum(terms, stratum: tuple[int, ...], slice_index: int):
     """Solve h1 = h2 = 0 on the stratum (coordinates in ``stratum`` nonzero,
     others zero) with the slice coordinate fixed to 1.
 
-    One path for up to two free coordinates: with two, a variable that one
-    equation holds linearly with a constant coefficient is eliminated into
-    the other; the last free coordinate is then a rational root of the gcd
-    of the nonzero univariate restrictions, and the eliminated one is
-    recovered from its image.  Returns ``(points, unresolved)`` where points
-    are full rational 4-tuples with all stratum coordinates nonzero.
+    ``terms`` holds one list of (variable mask, exponents, integer
+    numerator) per equation.  Returns ``(den, points, unresolved)``: the
+    points are integer 4-tuples over the positive ``den``, with all
+    stratum coordinates nonzero.
     """
-    zeroed = tuple(i for i in range(4) if i not in stratum)
-    equations = [h.restrict(zeroed, (slice_index,)) for h in (h1, h2)]
+    inside = sum(1 << i for i in stratum)
+    free = [i for i in stratum if i != slice_index]
     name = f"stratum {{{','.join(VARIABLES[i] for i in stratum)}}}"
-    free = sorted(i for i in stratum if i != slice_index)
     if len(free) > 2:
         raise StratumError(f"system too complex: {name} has {len(free)} free coordinates")
-    point = [Fraction(0)] * 4
-    point[slice_index] = Fraction(1)
-    if not any(equations):
+    tables = []
+    for rows in terms:
+        table = {}
+        for mask, exps, c in rows:
+            if mask | inside == inside:
+                key = tuple(exps[i] for i in free)
+                table[key] = table.get(key, 0) + c
+        tables.append({key: c for key, c in table.items() if c})
+    point = [0] * 4
+    point[slice_index] = 1
+    if not any(tables):
         if not free:
-            return [tuple(point)], []
+            return 1, [tuple(point)], []
         raise StratumError(f"system too complex: both equations vanish on {name}")
-    eliminated = None
+    image = None
     if len(free) == 2:
-        for first, second in (equations, equations[::-1]):
-            eliminated = _linear_eliminable(first, free)
-            if eliminated is not None:
+        # v = free[k] is eliminable from an equation whose one term in v is a*v.
+        units = ((1, 0), (0, 1))
+        for first, second in (tables, tables[::-1]):
+            k = next((k for k in (0, 1) if [key for key in first if key[k]] == [units[k]]), None)
+            if k is not None:
                 break
         else:
             raise StratumError(
                 f"system too complex: no constant-coefficient linear variable on {name}"
             )
-        idx, coeff, rest = eliminated
-        image = rest.scale(-1 / coeff)
-        equations = [second.substitute({VARIABLES[idx]: image})]
-        if not equations[0]:
+        a = first[units[k]]
+        sign, d = (-1, a) if a > 0 else (1, -a)
+        image = _dense([(key[1 - k], sign * c) for key, c in first.items() if not key[k]])
+        slices = {}
+        for key, c in second.items():
+            slices.setdefault(key[k], []).append((key[1 - k], c))
+        # sum S_j(u) N(u)**j d**(E - j) for v = N/d, S = sum S_j v**j: a
+        # positive multiple of S(u, v), by Horner with one power at a time.
+        top = prev = max(slices, default=0)
+        equation = UniPolynomial()
+        for j in sorted(slices, reverse=True):
+            scale = d ** (top - j)
+            equation = _power(image, prev - j, equation) + _dense([(e, scale * c) for e, c in slices[j]])
+            prev = j
+        equation = _power(image, prev, equation)
+        if equation.is_zero():
             raise StratumError(f"system too complex: positive-dimensional solutions on {name}")
-        free.remove(idx)
-    # With no free coordinate the restrictions are constants, not both zero.
-    last = free[0] if free else slice_index
-    g = reduce(UniPolynomial.gcd, (_restrict_to_univariate(q, last) for q in equations if q))
+        equations = [equation]
+        idx, last = free[k], free[1 - k]
+    else:
+        last = free[0] if free else slice_index
+        equations = [_dense([(key[0] if key else 0, c) for key, c in t.items()]) for t in tables if t]
+    g = reduce(UniPolynomial.primitive_gcd, equations)
     if g.degree() == 0:
-        return [], []  # constant gcd: no common roots at all
+        return 1, [], []  # constant gcd: no common roots at all
     roots, residual = _rational_roots(g.coefficients)
+    # With Q the lcm of the root denominators, a root p/q is P/Q for
+    # P = p*Q/q, and the eliminated coordinate N(P/Q)/d is
+    # N_hom(P, Q)/(d*Q**n), n = deg N: every point lies over d*Q**max(n, 1).
+    big_q = lcm(*(q for _, q in roots))
+    if image is None:
+        d = n = 1
+    else:
+        n = image.degree()
+    m = max(n, 1)
+    den = d * big_q**m
+    point[slice_index] = den
     points = []
-    for root in roots:
-        point[last] = root
-        if eliminated is not None:
-            point[idx] = image.evaluate(point)
+    for p, q in roots:
+        p *= big_q // q
+        point[last] = p * d * big_q ** (m - 1)
+        if image is not None:
+            value, q_power = 0, big_q ** (m - n)
+            for c in reversed(image.coefficients):
+                value = value * p + c * q_power
+                q_power *= big_q
+            point[idx] = value
         if all(point[i] for i in stratum):
             points.append(tuple(point))
-    return points, [] if residual is None else [(VARIABLES[last], residual)]
+    return den, points, [] if residual is None else [(VARIABLES[last], residual)]
 
 
 def _rational_group_images(point, weights, slice_index):
@@ -317,6 +333,11 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
         if isinstance(verdict, QuasiFailure):
             raise OrbitError(f"{label} equation is not quasi-homogeneous: {verdict}")
     weights = action.weights
+    # Bit k of a term's mask is set when the term uses x_k.
+    terms = [
+        [(sum(1 << k for k, e in enumerate(exps) if e), exps, c) for exps, c in p.numerators()]
+        for p in (h1, h2i)
+    ]
     results: list = []
     strata = []
     for size in range(1, 5):
@@ -328,22 +349,23 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
         if g <= 1:
             continue
         slice_index = min(stratum, key=lambda i: (weights[i], i))
-        points, unresolved = _solve_stratum(h1, h2i, stratum, slice_index)
+        den, points, unresolved = _solve_stratum(terms, stratum, slice_index)
         seen: set = set()
         names = tuple(VARIABLES[i] for i in stratum)
+        # Over one denominator, integer order is the order of the points.
         for point in sorted(points):
             if point in seen:
                 continue
-            orbit_images = _rational_group_images(point, weights, slice_index)
-            seen |= orbit_images
-            _, v1, a = h1.jet(point)
-            _, v2, b = h2i.jet(point)
+            seen |= _rational_group_images(point, weights, slice_index)
+            rep = tuple(Fraction(n, den) for n in point)
+            _, v1, a = h1.jet(point, den)
+            _, v2, b = h2i.jet(point, den)
             if v1 or v2:
-                raise OrbitError(f"internal error: representative {point} misses the variety")
+                raise OrbitError(f"internal error: representative {rep} misses the variety")
             # Rank < 2 exactly when every 2x2 minor vanishes; the positive
             # denominators scale whole rows, which keeps the rank.
             singular = all(a[i] * b[j] == a[j] * b[i] for i, j in combinations(range(4), 2))
-            results.append(OrbitRep(point, g, singular, names))
+            results.append(OrbitRep(rep, g, singular, names))
         for variable, residual in unresolved:
             results.append(UnresolvedOrbit(names, variable, residual))
     return results

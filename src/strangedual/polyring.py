@@ -29,7 +29,8 @@ a kernel repacks its operands when a result would overflow them, and each
 result takes the width of its own degree.  A ``Fraction`` or a
 :class:`Monomial` is built only at the API boundary: the constructor,
 ``terms``, ``coefficient``, ``support``, ``leading_monomial`` and the value
-of ``evaluate``.  ``jet`` and ``numerators`` return ``int``s.
+of ``evaluate``.  ``jet`` (at a point of ``Fraction``s or of integer
+numerators over one denominator) and ``numerators`` return ``int``s.
 
 The kernels build one integer table per result (S. C. Johnson, SIGSAM Bull.
 8(3), 1974; M. Monagan and R. Pearce, J. Symbolic Comput. 46(7), 2011).
@@ -37,12 +38,11 @@ The kernels build one integer table per result (S. C. Johnson, SIGSAM Bull.
 ``jet`` (which ``evaluate`` reads) clear the denominator q of an image or a
 coordinate with a factor q**(E - e), E the top exponent of its variable,
 form each factor once per call, and apply a one-term image as a key shift.
-``restrict`` drops terms and clears fields.  ``split`` writes p as
-p0 + v*p1 with p0 free of the variable v, moving each key that uses v one
-step down in that field and in the degree field.  ``parse_poly`` splits
-the text into tokens (a run of decimal digits or another non-space
-character) with one regular expression and walks them in one grammar loop;
-a token's offset is found only for an error.
+``split`` writes p as p0 + v*p1 with p0 free of the variable v, moving
+each key that uses v one step down in that field and in the degree field.
+``parse_poly`` splits the text into tokens (a run of decimal digits or
+another non-space character) with one regular expression and walks them in
+one grammar loop; a token's offset is found only for an error.
 """
 
 from __future__ import annotations
@@ -317,23 +317,25 @@ class Polynomial:
         den, value, _ = self.jet(point)
         return _fraction(value, den)
 
-    def jet(self, point) -> tuple[int, int, tuple[int, int, int, int]]:
-        """``(den, value, partials)``: the value and the four partials at a
-        rational 4-tuple as integers over one positive denominator.
+    def jet(self, point, den: int = 1) -> tuple[int, int, tuple[int, int, int, int]]:
+        """``(den, value, partials)``: the value and the four partials at the
+        rational 4-tuple ``point``/``den`` (``den`` a positive integer) as
+        integers over one positive denominator.
 
         A coordinate p/q enters a term with exponent e as p**e * q**(E - e)
         and its partial as e * p**(e - 1) * q**(E + 1 - e), E the top
         exponent of its variable; each pair is formed once per call.  At
         p = 0 these vanish except for e = 0 and, in the partial, e = 1.
         """
-        terms, width, den = self._terms, self._width, self._den
+        terms, width, scale = self._terms, self._width, self._den
         mask = (1 << width) - 1
         tables = []
         for shift, value in zip((3 * width, 2 * width, width, 0), point, strict=True):
             p, q = _ratio(value)
+            q *= den
             used = {key >> shift & mask for key in terms}
             top = max(used, default=0)
-            den *= q**top
+            scale *= q**top
             tables.append(
                 {e: (p**e * q ** (top - e), e and e * p ** (e - 1) * q ** (top + 1 - e)) for e in used}
             )
@@ -351,7 +353,7 @@ class Polynomial:
             d1 += c * f0 * g1 * high
             d2 += low * g2 * f3
             d3 += low * f2 * g3
-        return den, value, (d0, d1, d2, d3)
+        return scale, value, (d0, d1, d2, d3)
 
     def numerators(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
         """(exponents, integer numerator) per term, in no set order, over
@@ -408,27 +410,6 @@ class Polynomial:
                         step += moved
                         result[step] = result.get(step, 0) + c * v
         return _new({key: c for key, c in result.items() if c}, den, wide)
-
-    def restrict(self, zero, one) -> "Polynomial":
-        """Set the coordinates at the indices ``zero`` to 0 and those at
-        ``one`` to 1: a term that uses a zeroed coordinate is dropped, and
-        the exponents at ``one`` are cleared in the others."""
-        width = self._width
-        mask = (1 << width) - 1
-        top = 4 * width
-        drop = 0
-        for i in zero:
-            drop |= mask << (3 - i) * width
-        shifts = [(3 - i) * width for i in one]
-        table = {}
-        for key, c in self._terms.items():
-            if key & drop:
-                continue
-            for shift in shifts:
-                e = key >> shift & mask
-                key -= (e << top) + (e << shift)
-            table[key] = table.get(key, 0) + c
-        return _new({key: c for key, c in table.items() if c}, self._den, width)
 
     def __str__(self) -> str:
         return format_poly(self)

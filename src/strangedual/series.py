@@ -14,7 +14,7 @@ product: ``frame_expand`` is that kernel under ``MAX_EXPAND_WORK``, and
 :class:`UniPolynomial` is the package's one univariate polynomial type:
 dense, over Q, with integral coefficients kept as ``int``.  Frame
 expansion and the Coxeter polynomials use it over Z; the orbit solver
-uses its division, gcd, evaluation and primitive integer form over Q.
+uses its product, primitive gcd and primitive integer form.
 
 The text notation mirrors the tables it came from: ``2^2*8*10 / 1^2*4*5``
 stands for (1-t^2)^2 (1-t^8)(1-t^10) / (1-t)^2 (1-t^4)(1-t^5).
@@ -254,13 +254,29 @@ class UniPolynomial:
 
     def gcd(self, other: "UniPolynomial") -> "UniPolynomial":
         """Monic greatest common divisor over Q (zero if both are zero)."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divide(b)[1]
-        if a.is_zero():
-            return a
-        lead = a.coefficients[-1]
-        return UniPolynomial(Fraction(c, lead) for c in a.coefficients)
+        g = self.primitive_gcd(other).coefficients
+        return UniPolynomial(Fraction(c, g[-1]) for c in g)
+
+    def primitive_gcd(self, other: "UniPolynomial") -> "UniPolynomial":
+        """The gcd as coprime integers with a positive lead, by a primitive
+        pseudo-remainder sequence (G. E. Collins, J. ACM 14, 1967) that
+        scales by lc(b) only where lc(b) does not divide."""
+        a, b = list(self.primitive()), list(other.primitive())
+        while b:
+            lead, n = b[-1], len(b)
+            while len(a) >= n:
+                top = a.pop()
+                shift = len(a) - n + 1
+                q, r = divmod(top, lead)
+                if r:
+                    a, q = [lead * c for c in a], top
+                for j in range(n - 1):
+                    a[shift + j] -= q * b[j]
+                while a and not a[-1]:
+                    a.pop()
+            content = gcd(*a)
+            a, b = b, [c // content for c in a]
+        return UniPolynomial(-c for c in a) if a and a[-1] < 0 else UniPolynomial(a)
 
     def primitive(self) -> tuple[int, ...]:
         """The coprime integer coefficients of the same polynomial up to a

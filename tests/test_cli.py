@@ -323,6 +323,21 @@ def test_bounded_work_inputs(argv, stderr):
     assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == 1
 
 
+def test_dolgachev_high_degree_elimination_is_bounded():
+    # On stratum {x,z,w} the first equation gives z = w + 1, which the
+    # second takes to its 2000th power: the elimination forms that one
+    # power by squaring, with no table of the lower powers, and the
+    # degree-2000 residual is refused.  About 1.5 s.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "strangedual.cli", "dolgachev", "--weights", "2", "1", "2", "2"]
+    argv += ["z - w - x", "z^2000 - 2*w^2000 + x^2000"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: unresolved orbits present: stratum={x,z,w} unresolved: 2*w^0 + ")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "frame, reason",
     [

@@ -7,14 +7,12 @@ from itertools import combinations, product
 from math import gcd, lcm
 from pathlib import Path
 
-import _reference_polyring as ref
+import _reference_orbits as ref_orbits
 import pytest
 
-from strangedual._linalg import mat_rank
 from strangedual.orbits import (
     _rational_group_images,
     _rational_roots,
-    _solve_stratum,
     CStarAction,
     NewtonStructureError,
     OrbitError,
@@ -24,33 +22,25 @@ from strangedual.orbits import (
     classify_case,
     dolgachev_pair,
     exceptional_orbits,
-    isotropy_order,
     split_newton,
 )
 from strangedual.polyring import Monomial, Polynomial, parse_poly
 from strangedual.series import parse_weight_system
 
 
-def test_isotropy_order_examples():
-    assert isotropy_order(CStarAction((2, 4, 3, 3)), (0, 0, 1, 0)) == 3
-    assert isotropy_order(CStarAction((2, 4, 4, 3)), (1, 0, -1, 0)) == 2
-    assert isotropy_order(CStarAction((2, 3, 5, 7)), (1, 1, 1, 1)) == 1
-
-
-def test_isotropy_order_rejects_origin():
-    with pytest.raises(OrbitError):
-        isotropy_order(CStarAction((2, 2, 2, 2)), (0, 0, 0, 0))
-
-
-def test_isotropy_invariant_along_orbit():
-    # Rescaling a representative by signs allowed by the weights does not
-    # change the isotropy order.
-    action = CStarAction((2, 4, 3, 3))
-    point = (Fraction(1), Fraction(2), Fraction(0), Fraction(-3))
-    base = isotropy_order(action, point)
-    for lam in (1, -1):
-        moved = tuple(Fraction(lam) ** w * v for w, v in zip(action.weights, point))
-        assert isotropy_order(action, moved) == base
+def test_isotropy_invariant_along_orbit(catalog):
+    # The isotropy of an orbit is the gcd of the weights of the nonzero
+    # coordinates of its representative, which the sign images keep.
+    for entry in catalog.entries:
+        h1 = entry.virtual_equations.first
+        for piece in entry.decomposition:
+            weights = piece.weights.weights
+            for orbit in exceptional_orbits(h1, piece.polynomial, CStarAction(weights)):
+                slice_index = min(
+                    (i for i in range(4) if orbit.point[i]), key=lambda i: (weights[i], i)
+                )
+                for image in _rational_group_images(orbit.point, weights, slice_index):
+                    assert gcd(*(w for w, v in zip(weights, image) if v)) == orbit.isotropy
 
 
 # Worked examples (a), (b), (c) of the source data.
@@ -138,59 +128,69 @@ def test_orbit_representatives_satisfy_equations(catalog):
                 assert nonzero == set(orbit.stratum)
 
 
-def _reference_orbits(h1, h2i, action):
-    """The orbit list with membership and the singular flag taken from
-    ``Fraction`` Jacobians of the frozen reference polynomials and their
-    rank by ``_linalg.mat_rank``."""
-    weights = action.weights
-    equations = [ref.Polynomial(dict(p.terms())) for p in (h1, h2i)]
-    gradient = [[p.partial(v) for v in "xyzw"] for p in equations]
-    results = []
-    for size in range(1, 5):
-        for stratum in combinations(range(4), size):
-            g = gcd(*(weights[i] for i in stratum))
-            if g <= 1:
-                continue
-            slice_index = min(stratum, key=lambda i: (weights[i], i))
-            points, unresolved = _solve_stratum(h1, h2i, stratum, slice_index)
-            names = tuple("xyzw"[i] for i in stratum)
-            seen = set()
-            for point in sorted(points):
-                if point in seen:
-                    continue
-                seen |= _rational_group_images(point, weights, slice_index)
-                assert all(p.evaluate(point) == 0 for p in equations)
-                jacobian = [[d.evaluate(point) for d in row] for row in gradient]
-                results.append(OrbitRep(point, g, mat_rank(jacobian) < 2, names))
-            results.extend(UnresolvedOrbit(names, v, r) for v, r in unresolved)
-    return results
-
-
 def _rescaled(p, factors):
     images = {v: Polynomial.constant(f) * Polynomial.variable(v) for v, f in zip("xyzw", factors)}
     return p.substitute(images)
 
 
+def _outcome(h1, h2i, weights, orbit_list=exceptional_orbits):
+    try:
+        return orbit_list(h1, h2i, CStarAction(weights))
+    except OrbitError as error:
+        return type(error).__name__, str(error)
+
+
+def _elimination_pairs(count, seed):
+    """Pairs for weights (2, 2, 2, 1) whose stratum {x,y,z} eliminates y:
+    one equation holds y only as a*x^(k-1)*y, next to a random R(x, z)."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+
+    pairs = []
+    for _ in range(count):
+        k, k2 = rng.randint(1, 4), rng.randint(1, 5)
+        first = {Monomial((k - 1, 1, 0, 0)): coeff()}
+        first.update({Monomial((k - i, 0, i, 0)): coeff() for i in rng.sample(range(k + 1), rng.randint(0, k + 1))})
+        if rng.random() < 0.3:
+            first[Monomial((k - 1, 0, 0, 2))] = coeff()
+        second = {}
+        for _ in range(rng.randint(1, 4)):
+            j = rng.randint(0, k2)
+            i = rng.randint(0, k2 - j)
+            second[Monomial((k2 - i - j, j, i, 0))] = coeff()
+        pair = [Polynomial(first), Polynomial(second)]
+        pairs.append((*pair[:: rng.choice((1, -1))], (2, 2, 2, 1)))
+    return pairs
+
+
 def test_singular_flags_match_fraction_jacobian_rank(catalog):
-    faces = [
-        (entry.virtual_equations.first, piece.polynomial, CStarAction(piece.weights.weights))
+    # Whole listings (points, isotropy orders, singular flags, residuals)
+    # and error texts against the frozen Fraction-point solver, whose flag
+    # is the rank of the Fraction Jacobian: the catalog faces, the faces
+    # rescaled by factors of height 7 and 12, two inputs with unresolved
+    # orbits, the seeded corpus of the orbit golden and pairs that take the
+    # elimination with a leading coefficient of either sign.
+    catalog_faces = [
+        (entry.virtual_equations.first, piece.polynomial, piece.weights.weights)
         for entry in catalog.entries
         for piece in entry.decomposition
     ]
+    faces = list(catalog_faces)
     rng = random.Random(41)
-    for _ in range(50):
-        h1, h2i, action = rng.choice(faces)
-        factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 7)) for _ in range(4)]
-        faces.append((_rescaled(h1, factors), _rescaled(h2i, factors), action))
-    # Two inputs with unresolved orbits.
-    faces.append((parse_poly("x*y + z*w^2 - 2*z^3"), parse_poly("x^2*z^2 + y^2*w^2"), CStarAction((3, 3, 2, 2))))
-    faces.append((parse_poly("x^2+y^2+z^4"), parse_poly("x*z^2+y*w^2"), CStarAction((2, 2, 1, 1))))
+    for height, count in ((7, 50), (12, 100)):
+        for h1, h2i, weights in rng.choices(catalog_faces, k=count):
+            factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, height), rng.randint(1, height)) for _ in range(4)]
+            faces.append((_rescaled(h1, factors), _rescaled(h2i, factors), weights))
+    faces.append((parse_poly("x*y + z*w^2 - 2*z^3"), parse_poly("x^2*z^2 + y^2*w^2"), (3, 3, 2, 2)))
+    faces.append((parse_poly("x^2+y^2+z^4"), parse_poly("x*z^2+y*w^2"), (2, 2, 1, 1)))
     kinds = set()
-    for h1, h2i, action in faces:
-        orbits = exceptional_orbits(h1, h2i, action)
-        assert orbits == _reference_orbits(h1, h2i, action)
-        kinds |= {getattr(o, "in_singular_locus", None) for o in orbits}
-    assert kinds == {True, False, None}
+    for h1, h2i, weights in faces + _weighted_pairs(300, 20261019) + _elimination_pairs(300, 5):
+        got = _outcome(h1, h2i, weights)
+        assert got == _outcome(h1, h2i, weights, ref_orbits.exceptional_orbits), (h1, h2i, weights)
+        kinds |= {getattr(o, "in_singular_locus", None) for o in got} if isinstance(got, list) else {got[0]}
+    assert kinds == {True, False, None, "StratumError"}
 
 
 def test_dolgachev_pairs_full_catalog(catalog):
@@ -209,16 +209,6 @@ def test_dolgachev_structural_error():
     action = CStarAction((2, 2, 1, 1))
     with pytest.raises(OrbitError, match="expected 2 principal orbits"):
         dolgachev_pair(h1, h2, action)
-
-
-def test_dolgachev_full_stratum_too_complex():
-    # All-even weights make the whole space an exceptional stratum; three
-    # free coordinates exceed the solver's reach and are reported as such.
-    h1 = parse_poly("x*y - w^2")
-    h2 = parse_poly("x^2*z + y^2*z + w^3")
-    action = CStarAction((2, 2, 2, 2))
-    with pytest.raises(StratumError, match="free coordinates"):
-        exceptional_orbits(h1, h2, action)
 
 
 def test_unresolved_orbit_reported():
@@ -268,13 +258,15 @@ def _group_images_by_enumeration(point, weights, slice_index):
 
 def test_rational_group_images_match_enumeration():
     rng = random.Random(6)
-    values = (0, 0, 1, -1, 2, Fraction(-3, 2), Fraction(5, 7))
+    # Integer numerators over one positive denominator, as the solver
+    # carries its points.
+    numerators = (0, 0, 1, -1, 2, -3, 5)
     flips = 0
     for _ in range(300):
         weights = tuple(rng.randint(1, 60) for _ in range(4))
-        point = [rng.choice(values) for _ in range(4)]
+        point = [rng.choice(numerators) for _ in range(4)]
         slice_index = rng.randrange(4)
-        point[slice_index] = Fraction(1)
+        point[slice_index] = rng.randint(1, 7)
         point = tuple(point)
         images = _rational_group_images(point, weights, slice_index)
         assert images == _group_images_by_enumeration(point, weights, slice_index)
@@ -306,7 +298,7 @@ def test_rational_roots_recover_known_factors():
             q = rng.randint(1, 12)
             p = rng.choice((1, -1)) * rng.randint(1, 12)
             coeffs = _times_linear(coeffs, p, q)
-            roots.add(Fraction(p, q))
+            roots.add((p // gcd(p, q), q // gcd(p, q)))
         coeffs = [0] * rng.randint(0, 2) + coeffs  # a factor t^k
         scale = Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 5))
         found, rest = _rational_roots([scale * v for v in coeffs])
@@ -401,16 +393,6 @@ def test_split_newton_structural_error():
         )
 
 
-def test_stratum_error_message():
-    # Both equations vanish identically on the x-z plane while the weights
-    # share a factor there: the solution set is positive-dimensional.
-    h1 = parse_poly("y*w")
-    h2 = parse_poly("y^2 + w^2")
-    action = CStarAction((2, 3, 2, 3))
-    with pytest.raises(StratumError):
-        exceptional_orbits(h1, h2, action)
-
-
 @pytest.mark.parametrize(
     "h1, h2, weights, message",
     [
@@ -418,6 +400,10 @@ def test_stratum_error_message():
         ("2*z - 2*w", "-2*x", (6, 3, 3, 3), "positive-dimensional solutions on stratum {y,z,w}"),
         ("-2*z^3 + w", "x^3", (2, 6, 2, 6), "no constant-coefficient linear variable on stratum {x,y,z}"),
         ("1/3*z - 3/2*w", "1/2*w^3 + x", (6, 4, 2, 2), "stratum {x,y,z,w} has 3 free coordinates"),
+        # Both vanish on the x-z plane, whose weights share a factor.
+        ("y*w", "y^2 + w^2", (2, 3, 2, 3), "both equations vanish on stratum {x,z}"),
+        # All-even weights make the whole space an exceptional stratum.
+        ("x*y - w^2", "x^2*z + y^2*z + w^3", (2, 2, 2, 2), "stratum {x,y,z,w} has 3 free coordinates"),
     ],
 )
 def test_stratum_error_texts(h1, h2, weights, message):

@@ -287,18 +287,6 @@ def test_kernels_match_reference_loops_random():
         assert parse_poly(text) == total
 
 
-def test_restrict_matches_substitute_random():
-    # Substitution by 0 and 1 is the reference for the term-wise restriction.
-    rng = random.Random(20261019)
-    for _ in range(300):
-        p = _random_poly(rng, max_terms=6, max_exp=3)
-        roles = [rng.randrange(3) for _ in range(4)]  # 0: zeroed, 1: set to 1, 2: kept
-        zero = tuple(i for i in range(4) if roles[i] == 0)
-        one = tuple(i for i in range(4) if roles[i] == 1)
-        images = {"xyzw"[i]: Polynomial.constant(roles[i]) for i in range(4) if roles[i] < 2}
-        assert p.restrict(zero, one) == p.substitute(images)
-
-
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from pathlib import Path
 
+import _reference_orbits as ref_orbits
 import pytest
 
 from strangedual.cli import main
@@ -141,6 +143,33 @@ def test_unipolynomial_over_q():
     assert quotient * UniPolynomial([1, 3]) + remainder == a
     assert remainder.degree() < 1
     assert UniPolynomial([Fraction(-3, 4), 0, Fraction(3, 2)]).primitive() == (-1, 0, 2)
+
+
+def test_gcd_matches_euclidean_reference():
+    # The primitive remainder sequence against the monic Euclidean gcd over
+    # Q of the frozen orbit solver, on products of random factors sharing
+    # some of them, with rational scales and zero operands.
+    rng = random.Random(20261022)
+
+    def factor():
+        return UniPolynomial([rng.randint(-6, 6) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 4)])
+
+    for _ in range(300):
+        shared = [factor() for _ in range(rng.randint(0, 2))]
+        a, b = (
+            UniPolynomial([Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))])
+            for _ in range(2)
+        )
+        for f in shared + [factor() for _ in range(rng.randint(0, 2))]:
+            a = a * f
+        for f in shared + [factor() for _ in range(rng.randint(0, 2))]:
+            b = b * f
+        a = a if rng.random() > 0.05 else UniPolynomial()
+        g = a.gcd(b)
+        assert list(g.coefficients) == ref_orbits.monic_gcd(a.coefficients, b.coefficients)
+        p = a.primitive_gcd(b).coefficients
+        assert all(type(c) is int for c in p)
+        assert not p or (gcd(*p) == 1 and p[-1] > 0 and g == UniPolynomial(Fraction(c, p[-1]) for c in p))
 
 
 def test_frame_degree_and_expansion_consistency():
