@@ -34,7 +34,6 @@ from .invertible import (
 from .matfac import (
     CompleteIntersectionPair,
     FactorizationTriple,
-    factor_poly,
     lift,
     reduce,
     verify_factorization,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from ._errors import StrangedualError
-from .polyring import Monomial, Polynomial, parse_poly
+from .polyring import Polynomial, parse_poly
 
 __all__ = [
     "FactorizationTriple",
@@ -31,7 +31,6 @@ __all__ = [
     "verify_factorization",
     "lift",
     "reduce",
-    "factor_poly",
 ]
 
 _X = Polynomial.variable("x")
@@ -182,61 +181,3 @@ def reduce(pair: CompleteIntersectionPair) -> Polynomial:
     if b.variables() - {"z", "w"}:
         raise ShapeError(f"y-cofactor must lie in (z, w): {b}")
     return FactorizationTriple(a, b, c).hypersurface()
-
-
-def _monomial_divisors(mono):
-    """All monomials dividing ``mono`` (within z, w only here)."""
-    from itertools import product as iproduct
-
-    ranges = [range(e + 1) for e in mono.exponents]
-    for exps in iproduct(*ranges):
-        yield Monomial(tuple(exps))
-
-
-def factor_poly(f: Polynomial) -> FactorizationTriple:
-    """Find a factorization f = x*c + a*b of the required shape.
-
-    The terms of f divisible by x supply x*c; the remainder r(z, w) is
-    searched for monomial-times-(monomial or binomial) splits a*b with
-    deg a >= 2 and deg b >= 1.  Ambiguities are resolved deterministically:
-    smallest deg b first, then a monomial a preferred, then the larger
-    leading monomial of b.  Two catalog series share the same reduced
-    polynomial with different splits, so the catalog stores its triple
-    per entry rather than relying on this search.
-    """
-    if "y" in f.variables():
-        raise FactorizationError(f"input must lie in (x, z, w): {f}")
-    r, c = f.split("x")
-    if r.is_zero():
-        raise FactorizationError("no factorization of this shape: remainder is zero")
-    if len(r) > 2:
-        raise FactorizationError(
-            f"no factorization of this shape: remainder {r} has more than two terms"
-        )
-    monos = [mono for mono, _ in r.terms()]
-    content = monos[0]
-    for mono in monos[1:]:
-        content = Monomial(tuple(min(a, b) for a, b in zip(content.exponents, mono.exponents)))
-    candidates = []
-    for divisor in _monomial_divisors(content):
-        a_poly = Polynomial({divisor: 1})
-        quotient = Polynomial({mono / divisor: coeff for mono, coeff in r.terms()})
-        for a_cand, b_cand in ((a_poly, quotient), (quotient, a_poly)):
-            if a_cand.degree() >= 2 and not b_cand.is_zero() and b_cand.degree() >= 1:
-                candidates.append((a_cand, b_cand))
-    unique = list(dict.fromkeys(candidates))
-    if not unique:
-        raise FactorizationError(
-            f"no factorization of this shape: remainder {r} admits no a*b split"
-        )
-
-    def rank(pair):
-        a_cand, b_cand = pair
-        return (
-            b_cand.degree(),
-            0 if a_cand.is_monomial() else 1,
-            tuple(-e for e in b_cand.leading_monomial().exponents),
-        )
-
-    a_best, b_best = min(unique, key=rank)
-    return FactorizationTriple(a_best, b_best, c)

@@ -11,20 +11,15 @@ with a bitmask of the variables each term uses: a term survives a
 stratum when its mask lies inside it.  With two free coordinates, a
 variable v that one equation holds as a*v + R(u) is eliminated into the
 other in integers; the last free coordinate is a rational root of the
-primitive gcd of the univariate restrictions.  Candidate roots p/q come
-from coprime divisor pairs, each tested by the integer q^n*f(p/q) and
-divided out exactly by q*t - p (Gauss's lemma).  A point is four integer
-numerators over one denominator: its rational images under the slice's
-cyclic group are sign patterns (from one lcm of the support weights),
-and one integer jet per equation checks membership; the point is
-singular when the six 2x2 minors of the gradient rows vanish.
+primitive gcd of the univariate restrictions.  An equation, or an
+eliminated one, of total degree past 2048 (``_MAX_DEGREE``) is refused.
+A point is four integer numerators over one denominator, and
 ``Fraction``s are built only for each kept :class:`OrbitRep`.  The
 Newton split solves its affine systems in integers and runs
 Fourier-Motzkin on integer rows (A. Schrijver, Theory of Linear and
 Integer Programming, 1986, 12.2).
 
-The case (A)/(B)/(C) classification (case (A) from the set of variables
-each term uses) and the principal-orbit filter turn
+The case (A)/(B)/(C) classification and the principal-orbit filter turn
 this enumeration into the pair of isotropy orders attached to each half
 of the defining equations; the Newton-polygon split of the second
 equation produces those halves in the first place.
@@ -119,6 +114,11 @@ class UnresolvedOrbit(namedtuple("UnresolvedOrbit", "stratum variable coefficien
             f"stratum={{{','.join(self.stratum)}}} unresolved: "
             f"{self.defining_polynomial()} = 0"
         )
+
+
+#: The largest total degree of an equation, or of an eliminated one, that
+#: the orbit solver takes: its dense polynomials and jets grow with it.
+_MAX_DEGREE = 2048
 
 
 # -- univariate root finding ---------------------------------------------------
@@ -261,6 +261,12 @@ def _solve_stratum(terms, stratum: tuple[int, ...], slice_index: int):
         # sum S_j(u) N(u)**j d**(E - j) for v = N/d, S = sum S_j v**j: a
         # positive multiple of S(u, v), by Horner with one power at a time.
         top = prev = max(slices, default=0)
+        n = image.degree()
+        degree = max([e + j * n for j, pairs in slices.items() for e, _ in pairs], default=0)
+        if degree > _MAX_DEGREE:
+            raise StratumError(
+                f"system too complex: elimination degree {degree} on {name} exceeds limit {_MAX_DEGREE}"
+            )
         equation = UniPolynomial()
         for j in sorted(slices, reverse=True):
             scale = d ** (top - j)
@@ -284,8 +290,6 @@ def _solve_stratum(terms, stratum: tuple[int, ...], slice_index: int):
     big_q = lcm(*(q for _, q in roots))
     if image is None:
         d = n = 1
-    else:
-        n = image.degree()
     m = max(n, 1)
     den = d * big_q**m
     point[slice_index] = den
@@ -329,6 +333,8 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
     stratum order.  The pair must be weighted homogeneous for the action.
     """
     for label, p in (("first", h1), ("second", h2i)):
+        if p.degree() > _MAX_DEGREE:
+            raise OrbitError(f"{label} equation degree {p.degree()} exceeds limit {_MAX_DEGREE}")
         verdict = quasi_degree(p, action.weights)
         if isinstance(verdict, QuasiFailure):
             raise OrbitError(f"{label} equation is not quasi-homogeneous: {verdict}")

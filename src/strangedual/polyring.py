@@ -1,9 +1,8 @@
 r"""Exact sparse polynomial arithmetic in the fixed ambient ring Q[x,y,z,w].
 
-Every polynomial in this package lives in at most four variables, so the
-ring is fixed once and for all: monomials are exponent 4-tuples for
-(x, y, z, w) and coefficients are exact rationals.  Polynomials in fewer
-variables simply carry zero exponents on the unused coordinates.
+Every polynomial in this package lives in at most four variables: monomials
+are exponent 4-tuples for (x, y, z, w), with zeros on unused coordinates,
+and coefficients are exact rationals.
 
 The text grammar is::
 
@@ -29,20 +28,15 @@ a kernel repacks its operands when a result would overflow them, and each
 result takes the width of its own degree.  A ``Fraction`` or a
 :class:`Monomial` is built only at the API boundary: the constructor,
 ``terms``, ``coefficient``, ``support``, ``leading_monomial`` and the value
-of ``evaluate``.  ``jet`` (at a point of ``Fraction``s or of integer
-numerators over one denominator) and ``numerators`` return ``int``s.
+of ``evaluate``; ``jet`` and ``numerators`` return ``int``s.
 
 The kernels build one integer table per result (S. C. Johnson, SIGSAM Bull.
 8(3), 1974; M. Monagan and R. Pearce, J. Symbolic Comput. 46(7), 2011).
-``**`` squares up to the top bit of the exponent.  ``substitute`` and
-``jet`` (which ``evaluate`` reads) clear the denominator q of an image or a
-coordinate with a factor q**(E - e), E the top exponent of its variable,
-form each factor once per call, and apply a one-term image as a key shift.
-``split`` writes p as p0 + v*p1 with p0 free of the variable v, moving
-each key that uses v one step down in that field and in the degree field.
-``parse_poly`` splits the text into tokens (a run of decimal digits or
-another non-space character) with one regular expression and walks them in
-one grammar loop; a token's offset is found only for an error.
+``parse_poly`` drops the whitespace in one pass (once none parts two digit
+runs), splits the terms on the signs and the factors on '*', and sums each
+term's factor keys from a table filled once per call; a refused text is
+walked token by token only to name its error and offset.  ``format_poly``
+takes each variable's ``v^e`` text from a per-call table keyed by exponent.
 """
 
 from __future__ import annotations
@@ -52,7 +46,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from itertools import repeat
+from operator import floordiv, mul, or_
 from typing import Iterator, Mapping, Union
 
 from ._errors import StrangedualError
@@ -116,7 +111,7 @@ class Monomial(namedtuple("Monomial", "exponents")):
         return frozenset(v for v, e in zip(VARIABLES, self.exponents) if e > 0)
 
     def __str__(self) -> str:
-        return _monomial_text(self.exponents)
+        return "".join([_Powers(v)[e] for v, e in zip(VARIABLES, self.exponents)])[:-1] or "1"
 
     def __repr__(self) -> str:
         return f"Monomial({str(self)})"
@@ -139,6 +134,10 @@ Scalar = Union[int, Fraction]
 
 #: The least field width of a packed key, in bits.
 _WIDTH = 12
+
+
+#: The key of each variable at the least width, by name in either case.
+_UNIT_KEYS = {name: 1 << 4 * _WIDTH | 1 << (3 - i) * _WIDTH for name, i in _VAR_INDEX.items()}
 
 
 def _width(degree: int) -> int:
@@ -199,7 +198,7 @@ class Polynomial:
     def variable(name: str) -> "Polynomial":
         if name not in _VAR_INDEX:
             raise PolynomialError(f"unknown variable {name!r}")
-        return _wrap({1 << 4 * _WIDTH | 1 << (3 - _VAR_INDEX[name]) * _WIDTH: 1}, 1, _WIDTH)
+        return _wrap({_UNIT_KEYS[name]: 1}, 1, _WIDTH)
 
     # -- inspection --------------------------------------------------------
 
@@ -588,106 +587,167 @@ def quasi_degree(p: Polynomial, weights) -> "int | QuasiFailure":
 # -- text I/O ----------------------------------------------------------------
 
 
-#: One token per maximal run of decimal digits or per other non-space
-#: character.  ``\d`` and ``\s`` agree with ``str.isdecimal`` and
-#: ``str.isspace`` on every code point.
+#: A token is a run of decimal digits or another non-space character, and
+#: whitespace merges tokens only between two digit runs.  ``\d`` and ``\s``
+#: agree with ``str.isdecimal`` and ``str.isspace`` on every code point.
 _TOKEN = re.compile(r"\d+|\S")
-_NO_EXPONENTS = (0, 0, 0, 0)
+_SPACED_DIGITS = re.compile(r"\d\s+\d")
 
 
-def _offset(text: str, index: int) -> int:
-    # 1-based position of token ``index``, or one past the end of the text.
-    for i, match in enumerate(_TOKEN.finditer(text)):
-        if i == index:
-            return match.start() + 1
-    return len(text) + 1
+class _FactorKeys(dict):
+    # The packed key of each factor text ``v`` or ``v^e`` at ``width``,
+    # formed on its first use in one call; a malformed factor raises.
+    width = _WIDTH
+
+    def __missing__(self, factor: str) -> int:
+        var = _VAR_INDEX[factor[:1]]
+        if len(factor) == 1:
+            e = 1
+        elif factor[1] == "^" and factor[2:].isdecimal():
+            e = int(factor[2:])  # ValueError past int()'s digit limit
+        else:
+            raise ValueError(factor)
+        w = self.width
+        key = self[factor] = (e << 4 * w) + (e << (3 - var) * w)
+        return key
 
 
-def _uint(text: str, tokens: list[str], index: int, what: str) -> int:
-    try:
-        return int(tokens[index])
-    except ValueError:  # not a digit run, or more digits than int() converts
-        problem = f"{what} too long" if tokens[index].isdecimal() else f"expected {what}"
-        raise PolySyntaxError(problem, _offset(text, index)) from None
+def _read(text: str, each: bool):
+    # The polynomial of ``text`` or, with ``each``, the tuple of its terms.
+    # isdecimal() precedes int(), which also reads '_' and signs.  A key sums
+    # its factors' keys, so its degree field bounds the degree even past the
+    # width; such a text is read again at the width of that bound.
+    parts = text.replace(" + ", "+").replace(" - ", "-").split()
+    if len(parts) > 1 and _SPACED_DIGITS.search(text):
+        _refuse(text)
+    pieces = "".join(parts).replace("-", "+-").split("+")
+    if len(pieces) > 1 and not pieces[0]:  # a leading sign
+        del pieces[0]
+    width = _WIDTH
+    factor_keys = _FactorKeys(_UNIT_KEYS)
+    while True:
+        factor_key = factor_keys.__getitem__
+        keys, nums, dens = [], [], []
+        try:
+            for piece in pieces:
+                factors = piece.split("*")
+                head = factors[0]
+                negative = head[:1] == "-"
+                if negative:
+                    head = factors[0] = head[1:]
+                num = d = 1
+                if head[:1] not in _VAR_INDEX:
+                    num, slash, d = head.partition("/")
+                    if not num.isdecimal() or slash and not d.isdecimal():
+                        raise ValueError(head)
+                    num, d = int(num), int(d) if slash else 1
+                    if not d:
+                        raise ValueError(head)
+                    del factors[0]
+                keys.append(sum(map(factor_key, factors)))
+                nums.append(-num if negative else num)
+                dens.append(d)
+        except (KeyError, ValueError):
+            _refuse(text)
+        top = max(keys)
+        if top < 1 << 5 * width:
+            break
+        width = _width(top >> 4 * width)
+        factor_keys = _FactorKeys()
+        factor_keys.width = width
+    if each:
+        return tuple(
+            _new({key: c}, d, width) if c else Polynomial.zero() for key, c, d in zip(keys, nums, dens)
+        )
+    den = lcm(*dens)
+    if den != 1:
+        nums = list(map(mul, nums, map(floordiv, repeat(den), dens)))
+    table = dict(zip(keys, nums))
+    if len(table) < len(nums) or 0 in nums:  # repeated or zero terms
+        table = {}
+        for key, num in zip(keys, nums):
+            num += table.get(key, 0)
+            if num:
+                table[key] = num
+            else:
+                table.pop(key, None)
+    return _new(table, den, width)
 
 
-def _scan_terms(text: str) -> list[tuple[tuple[int, ...], int, int]]:
-    # Each written term as (exponents, signed numerator, denominator), in
-    # text order.
-    tokens = _TOKEN.findall(text)
-    end = len(tokens)
+def _refuse(text: str):
+    # Raise the error of a text _read refused, found by a walk over its
+    # tokens; the end marker "" is no symbol of the grammar.
+    found = list(_TOKEN.finditer(text))
+    tokens = [match[0] for match in found] + [""]
+    offsets = [match.start() + 1 for match in found] + [len(text) + 1]
+    end = len(found)
+
+    def fail(message: str, index: int):
+        raise PolySyntaxError(message, offsets[index])
+
+    def uint(index: int, what: str) -> int:
+        try:
+            return int(tokens[index])
+        except ValueError:  # not a digit run, or more digits than int() converts
+            fail(f"{what} too long" if tokens[index].isdecimal() else f"expected {what}", index)
+
     if not end:
-        raise PolySyntaxError("empty input", len(text) + 1)
-    tokens.append("")  # end marker, equal to no symbol of the grammar
-    negative = tokens[0] == "-"
-    i = 1 if negative or tokens[0] == "+" else 0
-    terms = []
+        fail("empty input", 0)
+    i = tokens[0] in ("-", "+")
     while True:
         has_factors = True
-        den = 1
         if tokens[i].isdecimal():
-            num = _uint(text, tokens, i, "coefficient")
+            uint(i, "coefficient")
             if tokens[i + 1] == "/":
                 i += 2
-                den = _uint(text, tokens, i, "denominator")
-                if not den:
-                    raise PolySyntaxError("zero denominator", _offset(text, i))
+                if not uint(i, "denominator"):
+                    fail("zero denominator", i)
             i += 1
             has_factors = tokens[i] == "*"
-            if has_factors:
-                i += 1
-        else:
-            num = 1
-        exps = _NO_EXPONENTS
-        if has_factors:
-            exps = [0, 0, 0, 0]
-            while True:
-                tok = tokens[i]
-                var = _VAR_INDEX.get(tok)
-                if var is None:
-                    found = f", found {tok[0]!r}" if tok else ""
-                    raise PolySyntaxError(f"expected variable{found}", _offset(text, i))
-                if tokens[i + 1] == "^":
-                    exps[var] += _uint(text, tokens, i + 2, "exponent")
-                    i += 3
-                else:
-                    exps[var] += 1
-                    i += 1
-                if tokens[i] != "*":
-                    break
-                i += 1
-        terms.append((exps, -num if negative else num, den))
-        tok = tokens[i]
-        if tok == "+" or tok == "-":
-            negative = tok == "-"
-        elif i == end:
-            return terms
-        else:
-            raise PolySyntaxError(f"expected '+' or '-', found {tok[0]!r}", _offset(text, i))
+            i += has_factors
+        while has_factors:
+            tok = tokens[i]
+            if tok not in _VAR_INDEX:
+                fail(f"expected variable{f', found {tok[0]!r}' if tok else ''}", i)
+            if tokens[i + 1] == "^":
+                uint(i + 2, "exponent")
+                i += 2
+            has_factors = tokens[i + 1] == "*"
+            i += 1 + has_factors
+        if i == end:
+            raise AssertionError(f"_read refused the well-formed {text!r}")
+        if tokens[i] not in ("+", "-"):
+            fail(f"expected '+' or '-', found {tokens[i][0]!r}", i)
         i += 1
 
 
 def parse_poly_terms(text: str) -> tuple[Polynomial, ...]:
     """Parse into one polynomial per written term, preserving the order in
     which the terms appear in the text."""
-    return tuple(_collect([term]) for term in _scan_terms(text))
+    return _read(text, True)
 
 
 def parse_poly(text: str) -> Polynomial:
     """Parse the polynomial grammar; raises :class:`PolySyntaxError` with a
     1-based character offset on malformed input."""
-    return _collect(_scan_terms(text))
+    return _read(text, False)
 
 
-def _monomial_text(exponents: tuple[int, int, int, int]) -> str:
-    # x^a*y^b*z^c*w^d without the zero exponents and with ^1 left out.
-    try:
-        text = "*".join(
-            [name if e == 1 else f"{name}^{e}" for name, e in zip(VARIABLES, exponents) if e]
-        )
-    except ValueError:  # str(int) refuses numbers past the interpreter's digit limit
-        raise PolynomialError("exponent has too many digits to print") from None
-    return text or "1"
+class _Powers(dict):
+    # The text "v^e*" (or "v*" for e = 1, "" for e = 0) of one variable
+    # per exponent, formed on its first use in one call.
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        name = self.name
+        try:
+            text = self[e] = f"{name}^{e}*" if e > 1 else f"{name}*" if e else ""
+        except ValueError:  # str(int) refuses numbers past the interpreter's digit limit
+            raise PolynomialError("exponent has too many digits to print") from None
+        return text
 
 
 def format_poly(p: Polynomial) -> str:
@@ -695,7 +755,10 @@ def format_poly(p: Polynomial) -> str:
     table, den, width = p._terms, p._den, p._width
     if not table:
         return "0"
-    pieces: list[str] = []
+    mask = (1 << width) - 1
+    sx, sy = 3 * width, 2 * width
+    tx, ty, tz, tw = map(_Powers, VARIABLES)
+    pieces = []
     for key in sorted(table, reverse=True):
         num = table[key]
         d = den
@@ -703,18 +766,17 @@ def format_poly(p: Polynomial) -> str:
             g = gcd(num, den)
             num //= g
             d //= g
-        magnitude = -num if num < 0 else num
-        if magnitude == 1 and d == 1 and key:
-            body = _monomial_text(_unpack(key, width))
-        else:
+        magnitude = abs(num)
+        coeff = ""
+        if magnitude != 1 or d != 1 or not key:
             try:
-                body = str(magnitude) if d == 1 else f"{magnitude}/{d}"
+                coeff = f"{magnitude}*" if d == 1 else f"{magnitude}/{d}*"
             except ValueError:
                 raise PolynomialError("coefficient has too many digits to print") from None
-            if key:
-                body = f"{body}*{_monomial_text(_unpack(key, width))}"
-        if pieces:
-            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
-        else:
-            pieces.append(body if num > 0 else f"-{body}")
-    return " ".join(pieces)
+        body = (
+            f"{coeff}{tx[key >> sx & mask]}{ty[key >> sy & mask]}"
+            f"{tz[key >> width & mask]}{tw[key & mask]}"
+        )
+        pieces.append(f" - {body[:-1]}" if num < 0 else f" + {body[:-1]}")
+    text = "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]

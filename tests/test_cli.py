@@ -301,6 +301,22 @@ def test_charpoly_arm_bounds(gammas, code, stderr):
             ("saito-dual", f"2^{'9' * 4300}*2^{'9' * 4300} / 1", "--degree", "2"),
             "error: exponent has too many digits to print",
         ),
+        # Past the orbit solver's degree bound: a dense list of 10^11
+        # coefficients (a MemoryError), a jet with the powers of 3 up to
+        # 3^(10^7) (18-22 s), and z = w^2 taking z^1200 to degree 2400.
+        (
+            ("dolgachev", "--weights", "2", "2", "2", "2", "x^99999999999 - y^99999999999", "z - w"),
+            "error: first equation degree 99999999999 exceeds limit ",
+        ),
+        (
+            ("dolgachev", "--orbits", "--weights", "2", "2", "2", "2")
+            + ("3*x^10000000*y - 2*x^10000001", "z - w"),
+            "error: first equation degree 10000001 exceeds limit ",
+        ),
+        (
+            ("dolgachev", "--weights", "2", "1", "2", "2", "x*z - w^2", "z^1200 - 2*w^1200 + x^1200"),
+            "error: system too complex: elimination degree 2400 on stratum {x,z,w} exceeds limit ",
+        ),
     ],
     ids=[
         "expand-huge",
@@ -308,13 +324,18 @@ def test_charpoly_arm_bounds(gammas, code, stderr):
         "dolgachev-large-weights",
         "reduce-exponent-past-print-limit",
         "saito-dual-exponent-past-print-limit",
+        "dolgachev-degree-past-bound",
+        "dolgachev-orbits-jet-past-bound",
+        "dolgachev-elimination-past-bound",
     ],
 )
 def test_bounded_work_inputs(argv, stderr):
     # Each input once ran out of memory, took longer than the timeout or
     # ended in a traceback: the expansion before its work bound, the orbit
-    # search while it walked the slice's cyclic group, O(weight) steps, and
-    # the printing of an exponent with more digits than str(int) converts.
+    # search while it walked the slice's cyclic group, O(weight) steps,
+    # the printing of an exponent with more digits than str(int) converts,
+    # and the orbit solver's dense list and jet at an equation's degree.
+    # The elimination past the degree bound is refused before it is formed.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     argv = [sys.executable, "-m", "strangedual.cli", *argv]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)

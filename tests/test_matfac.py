@@ -5,7 +5,6 @@ from strangedual.matfac import (
     FactorizationError,
     FactorizationTriple,
     ShapeError,
-    factor_poly,
     lift,
     reduce,
     verify_factorization,
@@ -104,45 +103,6 @@ def test_reduce_lift_roundtrip():
         assert reduce(lift(t)) == t.hypersurface()
         pair = lift(t)
         assert reduce(CompleteIntersectionPair(-pair.first, pair.second)) == t.hypersurface()
-
-
-def test_factor_poly_q_series():
-    h = parse_poly("-x^3*z + x*z^2 + x^2*w^2 + w^3")
-    t = factor_poly(h)
-    assert (t.a, t.b) == (parse_poly("w^2"), parse_poly("w"))
-    assert t.c == parse_poly("-x^2*z + z^2 + x*w^2")
-    assert t.hypersurface() == h
-
-
-def test_factor_poly_msharp_split():
-    h = parse_poly("-x*z^2 + x^3*w + z^2*w + z*w^2")
-    t = factor_poly(h)
-    assert (t.a, t.b) == (parse_poly("z*w"), parse_poly("z + w"))
-    assert t.c == parse_poly("-z^2 + x^2*w")
-
-
-def test_factor_poly_m_series_sign():
-    h = parse_poly("x^2*w + x*z^3 + x*w^2 - z*w^2")
-    t = factor_poly(h)
-    assert (t.a, t.b) == (parse_poly("w^2"), parse_poly("-z"))
-    assert t.hypersurface() == h
-
-
-def test_factor_poly_degenerate():
-    with pytest.raises(FactorizationError):
-        factor_poly(parse_poly("x^2"))
-
-
-def test_factor_poly_rejects_y():
-    with pytest.raises(FactorizationError):
-        factor_poly(parse_poly("x*y + w^3"))
-
-
-def test_factor_poly_reconstructs_catalog_rows(catalog):
-    for entry in catalog.entries:
-        found = factor_poly(entry.parent.h)
-        assert found.hypersurface() == entry.parent.h
-        verify_factorization(found)
 
 
 def test_catalog_triples_verify(catalog):

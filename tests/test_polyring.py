@@ -305,6 +305,11 @@ def test_kernels_match_reference_loops_random():
         ("x^\u00b2", "expected exponent at offset 3"),
         ("9" * 5000 + "*x", "coefficient too long at offset 1"),
         ("x^" + "9" * 5000, "exponent too long at offset 3"),
+        # Spellings that int() accepts but the grammar does not.
+        ("1_0*x", "expected '+' or '-', found '_' at offset 2"),
+        ("x^1_0", "expected '+' or '-', found '_' at offset 4"),
+        ("2/1_0", "expected '+' or '-', found '_' at offset 4"),
+        ("x^1 0", "expected '+' or '-', found '0' at offset 5"),
     ],
     ids=lambda v: v if len(v) < 100 else f"{v[:6]}...({len(v)} chars)",
 )
@@ -558,6 +563,30 @@ def test_parser_matches_character_level_reference():
         "exponent too long",
         "denominator too long",
     }
+
+
+def test_parser_reads_keys_past_the_default_width():
+    # A total degree of 4096 or more, reached by one factor, by a sum of
+    # factors or by a term that cancels, and exponents of 4300 digits.
+    rng = random.Random(20261020)
+    big = "9" * 4300
+    texts = [
+        "x^4096",
+        "x^4095*y",
+        "x^2048*x^2048 - 3/7*w",
+        "y^5000 - y^5000 + z",
+        "0*x^99999 + 2/4*y",
+        f"x^{big}*y - 2*x^{big}*y + w^{big}",
+    ]
+    for _ in range(300):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            factors = [f"{rng.choice('xyzw')}^{rng.choice((1, 7, 2000, 4095, 4096, 70000))}" for _ in range(3)]
+            terms.append("*".join([str(rng.randint(0, 5))] + factors))
+        texts.append(" - ".join(terms))
+    for text in texts:
+        assert (_outcome(parse_poly, text), _outcome(parse_poly_terms, text)) == _ref_outcomes(text), text
+    assert parse_poly("x^4096").degree() == 4096
 
 
 def test_formatter_matches_reference():
