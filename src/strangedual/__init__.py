@@ -13,7 +13,6 @@ from ._errors import StrangedualError
 from .polyring import (
     Monomial,
     Polynomial,
-    Substitution,
     QuasiFailure,
     format_poly,
     parse_poly,

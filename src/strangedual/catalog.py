@@ -33,7 +33,6 @@ from .polyring import (
     Polynomial,
     PolynomialError,
     QuasiFailure,
-    Substitution,
     parse_poly,
     quasi_degree,
 )
@@ -123,13 +122,14 @@ def canonical_name(name: str) -> str:
 
 class ParentData(NamedTuple):
     """Parent hypersurface of a series: cusp equation f, the coordinate
-    change turning f - xzw into h - xzw, and the reduced polynomial h."""
+    change turning f - xzw into h - xzw (a {name: image} mapping), and the
+    reduced polynomial h."""
 
     name: str
     series: str
     coefficients: tuple[Fraction, ...]
     f: Polynomial
-    change: Substitution
+    change: dict[str, Polynomial]
     change_display: str
     h: Polynomial
 
@@ -313,8 +313,17 @@ def _weight_system(text: str) -> WeightSystem:
     return weights
 
 
-def _change(mapping: dict) -> tuple[Substitution, str]:
-    return Substitution.from_mapping(mapping), "; ".join(f"{k} -> {v}" for k, v in mapping.items())
+def _change(mapping: dict) -> tuple[dict[str, Polynomial], str]:
+    return _images(mapping), "; ".join(f"{k} -> {v}" for k, v in mapping.items())
+
+
+def _images(mapping: dict) -> dict[str, Polynomial]:
+    # The {name: text} images of a substitution parsed, each name checked first.
+    images = {}
+    for name, text in mapping.items():
+        Polynomial.variable(name)  # raises on an unknown name
+        images[name] = parse_poly(text)
+    return images
 
 
 def _parent(values: tuple) -> ParentData:
@@ -589,7 +598,7 @@ def _check_substitution(entry: SeriesEntry, catalog: Catalog) -> CheckResult:
             f"relation {entry.relation} is not the case ({entry.substitution_case}) "
             f"form {case['relation']}"
         )
-    sub = Substitution.from_mapping(case["substitution"])
+    sub = _images(case["substitution"])
     for i, (source, target) in enumerate(zip(entry.source_terms, entry.duality_terms)):
         image = source.substitute(sub)
         if image != target:

@@ -123,9 +123,6 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
         vec = tuple(vector)
         return tuple(sum(e * v for e, v in zip(row, vec)) for row in self.rows)
 
-    def annihilates(self, vector) -> bool:
-        return all(v == 0 for v in self.apply(vector))
-
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Primitive integer generators of the rational kernel."""
         return [_linalg.primitive_integer_vector(vec) for vec in _linalg.nullspace(self.rows)]

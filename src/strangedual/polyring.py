@@ -29,6 +29,8 @@ result takes the width of its own degree.  A ``Fraction`` or a
 :class:`Monomial` is built only at the API boundary: the constructor,
 ``terms``, ``coefficient``, ``support``, ``leading_monomial`` and the value
 of ``evaluate``; ``jet`` and ``numerators`` return ``int``s.
+``substitute`` takes a mapping from variable name to image polynomial, and
+the variables it does not name stay fixed.
 
 The kernels build one integer table per result (S. C. Johnson, SIGSAM Bull.
 8(3), 1974; M. Monagan and R. Pearce, J. Symbolic Comput. 46(7), 2011).
@@ -99,14 +101,6 @@ class Monomial(namedtuple("Monomial", "exponents")):
         a, b = self.exponents, other.exponents
         return _monomial((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
 
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
     def variables(self) -> frozenset[str]:
         return frozenset(v for v, e in zip(VARIABLES, self.exponents) if e > 0)
 
@@ -121,13 +115,6 @@ def _monomial(exponents: tuple[int, int, int, int]) -> Monomial:
     # Unchecked constructor for exponent tuples known to be valid, such as
     # the sum of two valid tuples.
     return tuple.__new__(Monomial, (exponents,))
-
-
-MONOMIAL_ONE = Monomial((0, 0, 0, 0))
-
-
-def monomial(x: int = 0, y: int = 0, z: int = 0, w: int = 0) -> Monomial:
-    return Monomial((x, y, z, w))
 
 
 Scalar = Union[int, Fraction]
@@ -360,8 +347,9 @@ class Polynomial:
         width = self._width
         return ((_unpack(key, width), c) for key, c in self._terms.items())
 
-    def substitute(self, sub: "Substitution | Mapping[str, Polynomial]") -> "Polynomial":
-        """Replace each variable by its image under ``sub``.
+    def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
+        """Replace each variable named in ``images`` by its image; the
+        variables not named stay fixed.
 
         With image i = N_i/q_i for an integer table N_i, a term with
         exponents e gets the factor N_i**e_i * q_i**(E_i - e_i), E_i the
@@ -369,17 +357,24 @@ class Polynomial:
         the denominator times the q_i**E_i.  Each factor is formed once per
         (variable, exponent).
         """
-        if not isinstance(sub, Substitution):
-            sub = Substitution.from_mapping(sub)
+        slots = [None] * 4
+        for name, image in images.items():
+            if name not in _VAR_INDEX:
+                raise PolynomialError(f"unknown variable {name!r}")
+            slots[_VAR_INDEX[name]] = image
         terms, width, den = self._terms, self._width, self._den
         if not terms:
             return self
         mask = (1 << width) - 1
-        reach = max(image.degree() for image in sub.images)
+        reach = max(1 if image is None else image.degree() for image in slots)
         wide = _width((max(terms) >> 4 * width) * max(reach, 0))
         fields = []
-        for shift, image in zip((3 * width, 2 * width, width, 0), sub.images):
-            q, table = image._den, _repack(image._terms, image._width, wide)
+        for i, image in enumerate(slots):
+            shift = (3 - i) * width
+            if image is None:  # a fixed variable: each power is a key shift
+                q, table = 1, {1 << 4 * wide | 1 << (3 - i) * wide: 1}
+            else:
+                q, table = image._den, _repack(image._terms, image._width, wide)
             top = max([key >> shift & mask for key in terms]) if q != 1 else 0
             den *= q**top
             fields.append((shift, table, q, top, {}))
@@ -513,42 +508,6 @@ def _image_power(table: dict, e: int, scale: int):
     return key * e, c**e * scale, None
 
 
-#: The images of the identity substitution, x -> x, ..., w -> w.
-_IDENTITY_IMAGES = tuple(Polynomial.variable(v) for v in VARIABLES)
-
-
-class Substitution(namedtuple("Substitution", "images")):
-    """A replacement for each of the four ambient variables."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def identity() -> "Substitution":
-        return Substitution(_IDENTITY_IMAGES)
-
-    @staticmethod
-    def from_mapping(mapping: Mapping[str, "Polynomial | str"]) -> "Substitution":
-        """Build from a partial mapping; unlisted variables stay fixed."""
-        images = list(_IDENTITY_IMAGES)
-        for name, image in mapping.items():
-            if name not in _VAR_INDEX:
-                raise PolynomialError(f"unknown variable {name!r}")
-            if isinstance(image, str):
-                image = parse_poly(image)
-            images[_VAR_INDEX[name]] = image
-        return Substitution(tuple(images))
-
-    def __call__(self, p: Polynomial) -> Polynomial:
-        return p.substitute(self)
-
-    def __str__(self) -> str:
-        parts = []
-        for name, image, fixed in zip(VARIABLES, self.images, _IDENTITY_IMAGES):
-            if image != fixed:
-                parts.append(f"{name} -> {image}")
-        return "; ".join(parts) if parts else "identity"
-
-
 class QuasiFailure(namedtuple("QuasiFailure", "term_a degree_a term_b degree_b")):
     """Witness that a polynomial is not quasi-homogeneous: two terms of
     different weighted degree."""
@@ -591,7 +550,6 @@ def quasi_degree(p: Polynomial, weights) -> "int | QuasiFailure":
 #: whitespace merges tokens only between two digit runs.  ``\d`` and ``\s``
 #: agree with ``str.isdecimal`` and ``str.isspace`` on every code point.
 _TOKEN = re.compile(r"\d+|\S")
-_SPACED_DIGITS = re.compile(r"\d\s+\d")
 
 
 class _FactorKeys(dict):
@@ -618,7 +576,7 @@ def _read(text: str, each: bool):
     # its factors' keys, so its degree field bounds the degree even past the
     # width; such a text is read again at the width of that bound.
     parts = text.replace(" + ", "+").replace(" - ", "-").split()
-    if len(parts) > 1 and _SPACED_DIGITS.search(text):
+    if any(a[-1].isdecimal() and b[0].isdecimal() for a, b in zip(parts, parts[1:])):
         _refuse(text)
     pieces = "".join(parts).replace("-", "+-").split("+")
     if len(pieces) > 1 and not pieces[0]:  # a leading sign

@@ -225,38 +225,6 @@ class UniPolynomial:
                     out[i + j] += a * b
         return UniPolynomial(out)
 
-    def divide(self, other: "UniPolynomial") -> tuple["UniPolynomial", "UniPolynomial"]:
-        """Euclidean division over Q: ``(quotient, remainder)`` with
-        ``self = quotient * other + remainder`` and deg remainder < deg other.
-
-        A step whose leading coefficients divide exactly stays in the
-        integers; only the others make a ``Fraction``.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coefficients)
-        div = other.coefficients
-        lead = div[-1]
-        if len(rem) < len(div):
-            return UniPolynomial(), self
-        quot = [0] * (len(rem) - len(div) + 1)
-        for k in range(len(quot) - 1, -1, -1):
-            top = rem[k + len(div) - 1]
-            if not top:
-                continue
-            q, r = divmod(top, lead)
-            if r:
-                q = Fraction(top, lead)
-            quot[k] = q
-            for j, b in enumerate(div):
-                rem[k + j] -= q * b
-        return UniPolynomial(quot), UniPolynomial(rem)
-
-    def gcd(self, other: "UniPolynomial") -> "UniPolynomial":
-        """Monic greatest common divisor over Q (zero if both are zero)."""
-        g = self.primitive_gcd(other).coefficients
-        return UniPolynomial(Fraction(c, g[-1]) for c in g)
-
     def primitive_gcd(self, other: "UniPolynomial") -> "UniPolynomial":
         """The gcd as coprime integers with a positive lead, by a primitive
         pseudo-remainder sequence (G. E. Collins, J. ACM 14, 1967) that

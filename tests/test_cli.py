@@ -572,6 +572,13 @@ def test_every_field_of_the_shipped_entry_is_total(capsys, tmp_path):
         (("k0_weights",), "2,6,5,4;8", "field 'k0_weights': need 4 weights and 2 degrees, got 2,6,5,4;8"),
         (("matfac", "a"), "x", "entry J': field 'matfac': a must lie in (z, w): x"),
         (("substitution_case",), "e", "entry J': unknown substitution case 'e'"),
+        (("parent", "change", "q"), "x", "entry J': field 'parent.change': unknown variable 'q'"),
+        (
+            ("parent", "change", "w"),
+            "x +* y",
+            "entry J': field 'parent.change': expected variable, found '*' at offset 4",
+        ),
+        (("parent", "change", "w"), "", "entry J': field 'parent.change': empty input at offset 1"),
     ],
     ids=[
         "dual-int",
@@ -596,6 +603,9 @@ def test_every_field_of_the_shipped_entry_is_total(capsys, tmp_path):
         "weights-one-degree",
         "matfac-constructor",
         "case-unknown",
+        "change-unknown-variable",
+        "change-image-syntax",
+        "change-image-empty",
     ],
 )
 def test_wrong_kind_is_one_load_error(capsys, tmp_path, path, value, message):

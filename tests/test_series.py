@@ -137,11 +137,6 @@ def test_unipolynomial_over_q():
     assert type(UniPolynomial([Fraction(4, 2)]).coefficients[0]) is int
     a = UniPolynomial([-1, 2]) * UniPolynomial([3, 1])  # (2t - 1)(t + 3)
     b = UniPolynomial([-1, 2]) * UniPolynomial([-5, 1])  # (2t - 1)(t - 5)
-    assert a.gcd(b) == UniPolynomial([Fraction(-1, 2), 1])
-    assert str(a.gcd(b)) == "-1/2 + t"
-    quotient, remainder = a.divide(UniPolynomial([1, 3]))
-    assert quotient * UniPolynomial([1, 3]) + remainder == a
-    assert remainder.degree() < 1
     assert UniPolynomial([Fraction(-3, 4), 0, Fraction(3, 2)]).primitive() == (-1, 0, 2)
 
 
@@ -165,11 +160,11 @@ def test_gcd_matches_euclidean_reference():
         for f in shared + [factor() for _ in range(rng.randint(0, 2))]:
             b = b * f
         a = a if rng.random() > 0.05 else UniPolynomial()
-        g = a.gcd(b)
-        assert list(g.coefficients) == ref_orbits.monic_gcd(a.coefficients, b.coefficients)
         p = a.primitive_gcd(b).coefficients
         assert all(type(c) is int for c in p)
-        assert not p or (gcd(*p) == 1 and p[-1] > 0 and g == UniPolynomial(Fraction(c, p[-1]) for c in p))
+        assert not p or (gcd(*p) == 1 and p[-1] > 0)
+        monic = [Fraction(c, p[-1]) for c in p]
+        assert monic == ref_orbits.monic_gcd(a.coefficients, b.coefficients)
 
 
 def test_frame_degree_and_expansion_consistency():
@@ -254,9 +249,11 @@ def test_frame_expand_matches_longdivision_oracle():
 
 
 def test_frame_to_polynomial_matches_dense_division_oracle():
-    # Reference route: dense products of the factors, then Euclidean
-    # division.  On a non-polynomial frame the error names the first nonzero
-    # Taylor coefficient above deg P - deg Q of a long-division expansion.
+    # Reference route: dense products of the factors, then the Euclidean
+    # remainder of the frozen orbit solver; with a zero remainder the
+    # conversion is the exact quotient.  On a non-polynomial frame the error
+    # names the first nonzero Taylor coefficient above deg P - deg Q of a
+    # long-division expansion.
     rng = random.Random(404)
     outcomes = {True: 0, False: 0}
     for _ in range(300):
@@ -265,10 +262,10 @@ def test_frame_to_polynomial_matches_dense_division_oracle():
             pairs += [(rng.randint(1, 3) * base, -alpha) for base, alpha in pairs if alpha < 0]
         frame = FrameProduct(pairs)
         numerator, denominator = _dense_numerator_denominator(frame)
-        quotient, remainder = numerator.divide(denominator)
-        outcomes[remainder.is_zero()] += 1
-        if remainder.is_zero():
-            assert frame_to_polynomial(frame) == quotient
+        divisible = not ref_orbits._remainder(numerator.coefficients, denominator.coefficients)
+        outcomes[divisible] += 1
+        if divisible:
+            assert frame_to_polynomial(frame) * denominator == numerator
             continue
         with pytest.raises(NotPolynomialError) as info:
             frame_to_polynomial(frame)
