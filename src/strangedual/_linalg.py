@@ -1,13 +1,13 @@
 """Small exact linear-algebra helpers, all fraction-free.
 
 ``mat_det`` is Bareiss elimination over ``int``.  ``rref`` is Gauss–Jordan
-over ``int``: each row is scaled to integers, and each new row is divided
-by its content.  ``mat_rank``, ``solve_affine`` and ``nullspace`` build on
-it and take ``int`` or ``fractions.Fraction`` entries.  ``solve_affine``
-returns integer vectors over one positive denominator, the lcm of the
-pivots, so no ``Fraction`` is formed.  Everything is meant for the tiny
-matrices (at most 4x5) that show up in this package.  No pivoting
-heuristics beyond exactness are needed.
+over ``int``: a row with a ``Fraction`` is scaled to integers, and each
+new row is divided by its content.  ``mat_rank``, ``solve_affine`` and
+``nullspace`` build on it and take ``int`` or ``fractions.Fraction``
+entries.  ``solve_affine`` returns integer vectors over one positive
+denominator, the lcm of the pivots, so no ``Fraction`` is formed.
+Everything is meant for the tiny matrices (at most 4x5) that show up in
+this package.  No pivoting heuristics beyond exactness are needed.
 """
 
 from __future__ import annotations
@@ -63,22 +63,26 @@ def rref(rows, rhs=None):
     m = []
     for row, b in zip(rows, repeat(0) if rhs is None else rhs):
         row = [*row, b]
-        scale = lcm(*(v.denominator for v in row))
-        m.append(_primitive([v.numerator * (scale // v.denominator) for v in row]))
+        if any(type(v) is not int for v in row):
+            scale = lcm(*(v.denominator for v in row))
+            row = [v.numerator * (scale // v.denominator) for v in row]
+        m.append(_primitive(row))
     nrows = len(m)
     ncols = len(m[0]) - 1 if m else 0
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
-        pivot = next((k for k in range(r, nrows) if m[k][col] != 0), None)
-        if pivot is None:
+        for pivot in range(r, nrows):
+            if m[pivot][col]:
+                break
+        else:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         top = m[r]
         head = top[col]
         for k, row in enumerate(m):
             lead = row[col]
-            if k != r and lead != 0:
+            if lead and k != r:
                 m[k] = _primitive([head * a - lead * c for a, c in zip(row, top)])
         pivots.append(col)
         r += 1

@@ -544,6 +544,12 @@ def report_from_json(data: dict) -> CatalogReport:
 
 _XZW = parse_poly("x*z*w")
 
+#: Each case's relation and images, parsed once.
+_SUBSTITUTIONS = {
+    name: (parse_poly(case["relation"]), _images(case["substitution"]))
+    for name, case in SUBSTITUTION_CASES.items()
+}
+
 #: The label of check n is ``_LABELS[n - 1]``.
 _LABELS = (
     "matrix factorization",
@@ -592,13 +598,12 @@ def _check_coordinate_change(entry: SeriesEntry, catalog: Catalog) -> CheckResul
 
 def _check_substitution(entry: SeriesEntry, catalog: Catalog) -> CheckResult:
     failures = []
-    case = SUBSTITUTION_CASES[entry.substitution_case]
-    if entry.relation != parse_poly(case["relation"]):
+    relation, sub = _SUBSTITUTIONS[entry.substitution_case]
+    if entry.relation != relation:
         failures.append(
             f"relation {entry.relation} is not the case ({entry.substitution_case}) "
-            f"form {case['relation']}"
+            f"form {SUBSTITUTION_CASES[entry.substitution_case]['relation']}"
         )
-    sub = _images(case["substitution"])
     for i, (source, target) in enumerate(zip(entry.source_terms, entry.duality_terms)):
         image = source.substitute(sub)
         if image != target:

@@ -11,7 +11,8 @@ with a bitmask of the variables each term uses: a term survives a
 stratum when its mask lies inside it.  With two free coordinates, a
 variable v that one equation holds as a*v + R(u) is eliminated into the
 other in integers; the last free coordinate is a rational root of the
-primitive gcd of the univariate restrictions.  An equation, or an
+primitive gcd of the univariate restrictions (with fewer free
+coordinates, none if a restriction is one term).  An equation, or an
 eliminated one, of total degree past 2048 (``_MAX_DEGREE``) is refused.
 A point is four integer numerators over one denominator, and
 ``Fraction``s are built only for each kept :class:`OrbitRep`.  The
@@ -32,10 +33,11 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 
 from . import _linalg
 from ._errors import StrangedualError
-from .polyring import Polynomial, QuasiFailure, VARIABLES, quasi_degree
+from .polyring import Polynomial, QuasiFailure, VARIABLES, _jet, _part, _rows, quasi_degree
 from .series import UniPolynomial, WeightSystem
 
 __all__ = [
@@ -128,7 +130,8 @@ def _uni_eval(coeffs, p: int, q: int) -> int:
     degree n), by homogeneous Horner: zero exactly when p/q is a root.
 
     Each candidate root is tested through this module global, one call per
-    candidate, so a wrapper installed here sees every candidate tried.
+    candidate, so a wrapper installed here sees every candidate tried, a
+    linear factor's too.
     """
     total = 0
     q_power = 1
@@ -164,18 +167,18 @@ def _rational_roots(coeffs) -> tuple[set[tuple[int, int]], tuple[int, ...] | Non
     work = ints[low:]
     roots: set[tuple[int, int]] = set()
     while len(work) > 1:
-        denominators = _divisors(work[-1])
-        found = next(
-            (
+        if len(work) == 2:  # primitive a_0 + a_1*t: one root, -a_0/a_1 in lowest terms
+            candidates = [(-work[0], work[1]) if work[1] > 0 else (work[0], -work[1])]
+        else:
+            denominators = _divisors(work[-1])
+            candidates = (
                 (p, q)
                 for a in _divisors(work[0])
                 for q in denominators
                 if gcd(a, q) == 1
                 for p in (a, -a)
-                if _uni_eval(work, p, q) == 0
-            ),
-            None,
-        )
+            )
+        found = next(((p, q) for p, q in candidates if _uni_eval(work, p, q) == 0), None)
         if found is None:
             break
         p, q = found
@@ -212,34 +215,40 @@ def _power(p: UniPolynomial, n: int, result: UniPolynomial) -> UniPolynomial:
 # -- stratum solving ----------------------------------------------------------
 
 
-def _solve_stratum(terms, stratum: tuple[int, ...], slice_index: int):
-    """Solve h1 = h2 = 0 on the stratum (coordinates in ``stratum`` nonzero,
-    others zero) with the slice coordinate fixed to 1.
+def _name(stratum: tuple[int, ...]) -> str:
+    return f"stratum {{{','.join(VARIABLES[i] for i in stratum)}}}"
 
-    ``terms`` holds one list of (variable mask, exponents, integer
-    numerator) per equation.  Returns ``(den, points, unresolved)``: the
-    points are integer 4-tuples over the positive ``den``, with all
-    stratum coordinates nonzero.
+
+def _solve_stratum(terms, stratum: tuple[int, ...], inside: int, slice_index: int):
+    """Solve h1 = h2 = 0 on the stratum (coordinates in ``stratum``, mask
+    ``inside``, nonzero, others zero) with the slice coordinate 1.
+
+    ``terms`` holds each equation's ``_rows``.  Returns ``(den, points,
+    unresolved)``: the points are integer 4-tuples over the positive
+    ``den``, with all stratum coordinates nonzero.
     """
-    inside = sum(1 << i for i in stratum)
     free = [i for i in stratum if i != slice_index]
-    name = f"stratum {{{','.join(VARIABLES[i] for i in stratum)}}}"
     if len(free) > 2:
-        raise StratumError(f"system too complex: {name} has {len(free)} free coordinates")
+        raise StratumError(f"system too complex: {_name(stratum)} has {len(free)} free coordinates")
+    # Key: the free exponent (0 if none), or the pair of them.
+    key_of = itemgetter(*free) if free else lambda exps: 0
     tables = []
     for rows in terms:
         table = {}
         for mask, exps, c in rows:
             if mask | inside == inside:
-                key = tuple(exps[i] for i in free)
+                key = key_of(exps)
                 table[key] = table.get(key, 0) + c
-        tables.append({key: c for key, c in table.items() if c})
+        table = {key: c for key, c in table.items() if c}
+        if len(table) == 1 and len(free) < 2:
+            return 1, [], []  # c*t^e with c != 0 vanishes at no t != 0
+        tables.append(table)
     point = [0] * 4
     point[slice_index] = 1
     if not any(tables):
         if not free:
             return 1, [tuple(point)], []
-        raise StratumError(f"system too complex: both equations vanish on {name}")
+        raise StratumError(f"system too complex: both equations vanish on {_name(stratum)}")
     image = None
     if len(free) == 2:
         # v = free[k] is eliminable from an equation whose one term in v is a*v.
@@ -250,7 +259,7 @@ def _solve_stratum(terms, stratum: tuple[int, ...], slice_index: int):
                 break
         else:
             raise StratumError(
-                f"system too complex: no constant-coefficient linear variable on {name}"
+                f"system too complex: no constant-coefficient linear variable on {_name(stratum)}"
             )
         a = first[units[k]]
         sign, d = (-1, a) if a > 0 else (1, -a)
@@ -265,7 +274,7 @@ def _solve_stratum(terms, stratum: tuple[int, ...], slice_index: int):
         degree = max([e + j * n for j, pairs in slices.items() for e, _ in pairs], default=0)
         if degree > _MAX_DEGREE:
             raise StratumError(
-                f"system too complex: elimination degree {degree} on {name} exceeds limit {_MAX_DEGREE}"
+                f"system too complex: elimination degree {degree} on {_name(stratum)} exceeds limit {_MAX_DEGREE}"
             )
         equation = UniPolynomial()
         for j in sorted(slices, reverse=True):
@@ -274,12 +283,12 @@ def _solve_stratum(terms, stratum: tuple[int, ...], slice_index: int):
             prev = j
         equation = _power(image, prev, equation)
         if equation.is_zero():
-            raise StratumError(f"system too complex: positive-dimensional solutions on {name}")
+            raise StratumError(f"system too complex: positive-dimensional solutions on {_name(stratum)}")
         equations = [equation]
         idx, last = free[k], free[1 - k]
     else:
         last = free[0] if free else slice_index
-        equations = [_dense([(key[0] if key else 0, c) for key, c in t.items()]) for t in tables if t]
+        equations = [_dense(t.items()) for t in tables if t]
     g = reduce(UniPolynomial.primitive_gcd, equations)
     if g.degree() == 0:
         return 1, [], []  # constant gcd: no common roots at all
@@ -325,6 +334,14 @@ def _rational_group_images(point, weights, slice_index):
     return {tuple(point), flipped}
 
 
+#: The 15 coordinate strata: indices, variable mask and names.
+_STRATA = tuple(
+    (stratum, sum(1 << i for i in stratum), tuple(VARIABLES[i] for i in stratum))
+    for size in range(1, 5)
+    for stratum in combinations(range(4), size)
+)
+
+
 def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
     """Enumerate the exceptional orbits of the action on {h1 = h2i = 0}.
 
@@ -339,33 +356,24 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
         if isinstance(verdict, QuasiFailure):
             raise OrbitError(f"{label} equation is not quasi-homogeneous: {verdict}")
     weights = action.weights
-    # Bit k of a term's mask is set when the term uses x_k.
-    terms = [
-        [(sum(1 << k for k, e in enumerate(exps) if e), exps, c) for exps, c in p.numerators()]
-        for p in (h1, h2i)
-    ]
+    terms = [_rows(h1), _rows(h2i)]
     results: list = []
-    strata = []
-    for size in range(1, 5):
-        strata.extend(combinations(range(4), size))
-    for stratum in strata:
-        g = 0
-        for i in stratum:
-            g = gcd(g, weights[i])
+    for stratum, inside, names in _STRATA:
+        g = gcd(*[weights[i] for i in stratum])
         if g <= 1:
             continue
-        slice_index = min(stratum, key=lambda i: (weights[i], i))
-        den, points, unresolved = _solve_stratum(terms, stratum, slice_index)
+        # The first lightest coordinate.
+        slice_index = min(stratum, key=weights.__getitem__)
+        den, points, unresolved = _solve_stratum(terms, stratum, inside, slice_index)
         seen: set = set()
-        names = tuple(VARIABLES[i] for i in stratum)
         # Over one denominator, integer order is the order of the points.
         for point in sorted(points):
             if point in seen:
                 continue
             seen |= _rational_group_images(point, weights, slice_index)
             rep = tuple(Fraction(n, den) for n in point)
-            _, v1, a = h1.jet(point, den)
-            _, v2, b = h2i.jet(point, den)
+            _, v1, a = _jet(terms[0], point, den)
+            _, v2, b = _jet(terms[1], point, den)
             if v1 or v2:
                 raise OrbitError(f"internal error: representative {rep} misses the variety")
             # Rank < 2 exactly when every 2x2 minor vanishes; the positive
@@ -401,13 +409,8 @@ class CaseInfo(namedtuple("CaseInfo", "kind subspace g1 g2", defaults=(None, Non
 
 def classify_case(h1: Polynomial, h2i: Polynomial) -> CaseInfo:
     """Classify the pair per the (A)/(B)/(C) trichotomy."""
-    # Bit k of a mask is set when the term uses x_k; x_i = x_j = 0 kills
-    # both equations exactly when every term uses x_i or x_j.
-    masks = {
-        sum(1 << k for k, e in enumerate(exps) if e)
-        for p in (h1, h2i)
-        for exps, _ in p.numerators()
-    }
+    # x_i = x_j = 0 kills both equations when every term uses x_i or x_j.
+    masks = {mask for p in (h1, h2i) for mask, _, _ in _rows(p)}
     for i, j in combinations(range(4), 2):
         if all(mask & (1 << i | 1 << j) for mask in masks):
             return CaseInfo("A", subspace=(VARIABLES[i], VARIABLES[j]))
@@ -514,11 +517,10 @@ def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
     the two faces the weighted-homogeneous pairs live on.  Exactly two
     qualifying faces must exist.
     """
-    terms = list(h2.terms())
-    if len(terms) != 4:
-        raise NewtonStructureError(f"h2 must have exactly 4 terms, found {len(terms)}")
-    monos = [mono.exponents for mono, _ in terms]
-    h1_monos = [mono.exponents for mono in h1.support()]
+    monos = [exps for _, exps, _ in _rows(h2)]
+    if len(monos) != 4:
+        raise NewtonStructureError(f"h2 must have exactly 4 terms, found {len(monos)}")
+    h1_monos = [exps for _, exps, _ in _rows(h1)]
     if len(h1_monos) < 2:
         raise NewtonStructureError("h1 must have at least 2 terms")
     faces = []
@@ -544,7 +546,7 @@ def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
         weights = _linalg.primitive_integer_vector(u)
         d2 = _dot(monos[subset[0]], weights)
         d1 = _dot(h1_monos[0], weights)
-        face_poly = Polynomial([terms[i] for i in subset])
+        face_poly = _part(h2, [monos[i] for i in subset])
         faces.append(
             (
                 (d1, d2, tuple(-wt for wt in weights)),

@@ -28,7 +28,7 @@ a kernel repacks its operands when a result would overflow them, and each
 result takes the width of its own degree.  A ``Fraction`` or a
 :class:`Monomial` is built only at the API boundary: the constructor,
 ``terms``, ``coefficient``, ``support``, ``leading_monomial`` and the value
-of ``evaluate``; ``jet`` and ``numerators`` return ``int``s.
+of ``evaluate``; ``jet`` returns ``int``s.
 ``substitute`` takes a mapping from variable name to image polynomial, and
 the variables it does not name stay fixed.
 
@@ -306,46 +306,9 @@ class Polynomial:
     def jet(self, point, den: int = 1) -> tuple[int, int, tuple[int, int, int, int]]:
         """``(den, value, partials)``: the value and the four partials at the
         rational 4-tuple ``point``/``den`` (``den`` a positive integer) as
-        integers over one positive denominator.
-
-        A coordinate p/q enters a term with exponent e as p**e * q**(E - e)
-        and its partial as e * p**(e - 1) * q**(E + 1 - e), E the top
-        exponent of its variable; each pair is formed once per call.  At
-        p = 0 these vanish except for e = 0 and, in the partial, e = 1.
-        """
-        terms, width, scale = self._terms, self._width, self._den
-        mask = (1 << width) - 1
-        tables = []
-        for shift, value in zip((3 * width, 2 * width, width, 0), point, strict=True):
-            p, q = _ratio(value)
-            q *= den
-            used = {key >> shift & mask for key in terms}
-            top = max(used, default=0)
-            scale *= q**top
-            tables.append(
-                {e: (p**e * q ** (top - e), e and e * p ** (e - 1) * q ** (top + 1 - e)) for e in used}
-            )
-        t0, t1, t2, t3 = tables
-        value = d0 = d1 = d2 = d3 = 0
-        for key, c in terms.items():
-            f0, g0 = t0[key >> 3 * width & mask]
-            f1, g1 = t1[key >> 2 * width & mask]
-            f2, g2 = t2[key >> width & mask]
-            f3, g3 = t3[key & mask]
-            high = f2 * f3
-            low = c * f0 * f1
-            value += low * high
-            d0 += c * g0 * f1 * high
-            d1 += c * f0 * g1 * high
-            d2 += low * g2 * f3
-            d3 += low * f2 * g3
-        return scale, value, (d0, d1, d2, d3)
-
-    def numerators(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
-        """(exponents, integer numerator) per term, in no set order, over
-        one positive denominator shared by the terms."""
-        width = self._width
-        return ((_unpack(key, width), c) for key, c in self._terms.items())
+        integers over one positive denominator."""
+        scale, value, partials = _jet(_rows(self), point, den)
+        return scale * self._den, value, partials
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Replace each variable named in ``images`` by its image; the
@@ -453,6 +416,56 @@ def _collect(rows) -> Polynomial:
             else:
                 del table[key]
     return _new(table, den, width)
+
+
+def _rows(p: Polynomial) -> list:
+    # (mask, exponents, numerator) per term; mask bit k: the term uses x_k.
+    width = p._width
+    return [
+        (sum(1 << k for k, e in enumerate(exps) if e), exps, c)
+        for key, c in p._terms.items()
+        for exps in [_unpack(key, width)]
+    ]
+
+
+def _part(p: Polynomial, exponents) -> Polynomial:
+    # The terms of p with these exponents.
+    keys = {_pack(e, p._width) for e in exponents}
+    return _new({key: c for key, c in p._terms.items() if key in keys}, p._den, p._width)
+
+
+def _jet(rows, point, den: int = 1) -> tuple:
+    """:meth:`Polynomial.jet` of the terms ``rows`` (from :func:`_rows`).
+
+    A coordinate p/q enters a term with exponent e as p**e * q**(E - e), E
+    its variable's top exponent.  Only the terms that use no zero
+    coordinate, or one with exponent 1, are visited; in the latter it
+    stands in as 1, and the term times q is the one partial left.
+    """
+    ratios = [_ratio(v) for v in point]
+    nums = [p for p, _ in ratios]
+    dens = [q * den for _, q in ratios]
+    zero = sum(1 << i for i, p in enumerate(nums) if not p)
+    q0, q1, q2, q3 = dens
+    t0, t1, t2, t3 = [max(column) for column in zip(*[row[1] for row in rows])] or (0, 0, 0, 0)
+    a0, a1, a2, a3 = [p or 1 for p in nums]
+    value, partials = 0, [0, 0, 0, 0]
+    for mask, exps, c in rows:
+        dead = mask & zero
+        if dead and (dead & dead - 1 or exps[dead.bit_length() - 1] > 1):
+            continue
+        e0, e1, e2, e3 = exps
+        term = c * a0**e0 * a1**e1 * a2**e2 * a3**e3
+        term *= q0 ** (t0 - e0) * q1 ** (t1 - e1) * q2 ** (t2 - e2) * q3 ** (t3 - e3)
+        if dead:
+            j = dead.bit_length() - 1
+            partials[j] += term * dens[j]
+            continue
+        value += term
+        for i, e in enumerate(exps):
+            if e:
+                partials[i] += e * term * dens[i] // nums[i]
+    return q0**t0 * q1**t1 * q2**t2 * q3**t3, value, tuple(partials)
 
 
 def _sum(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:

@@ -24,6 +24,7 @@ from strangedual.orbits import (
     exceptional_orbits,
     split_newton,
 )
+from strangedual import orbits as orbits_module
 from strangedual.polyring import Monomial, Polynomial, parse_poly
 from strangedual.series import parse_weight_system
 
@@ -227,14 +228,21 @@ def test_unresolved_orbit_reported():
 
 def test_rational_roots_large_constant_term():
     # The divisor search is bounded by sqrt(n); a linear scan of 10^9 + 7
-    # candidates does not finish in the time allowed here.
+    # candidates does not finish in the time allowed here.  A linear factor
+    # takes its one candidate -a_0/a_1 with no divisor search at all: the
+    # sqrt(10^40) divisor scan of 10^40 + 7 would not finish either.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    code = "from strangedual.orbits import _rational_roots; print(_rational_roots([10**9 + 7, 0, 1]))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+    cases = (
+        ("[10**9 + 7, 0, 1]", "(set(), (1000000007, 0, 1))"),
+        ("[10**40 + 7, 10**40 + 9]", f"({{({-(10**40 + 7)}, {10**40 + 9})}}, None)"),
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "(set(), (1000000007, 0, 1))"
+    for coeffs, expected in cases:
+        code = f"from strangedual.orbits import _rational_roots; print(_rational_roots({coeffs}))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
 
 
 def _group_images_by_enumeration(point, weights, slice_index):
@@ -306,6 +314,48 @@ def test_rational_roots_recover_known_factors():
         if rest is not None and scale < 0:
             rest = tuple(-v for v in rest)
         assert rest == residual
+
+
+def test_rational_roots_match_reference(monkeypatch):
+    # Seeded products of linear factors q*t - p (repeated roots, leads of
+    # either sign), a factor t^k and a rootless residual, under a rational
+    # scale of either sign, against the frozen divisor scan: equal root
+    # sets and residuals, and every root found was tested through
+    # _uni_eval, wrapped where _rational_roots looks it up.
+    tried = []
+
+    def counted(coeffs, p, q):
+        tried.append((p, q))
+        return uni_eval(coeffs, p, q)
+
+    uni_eval = orbits_module._uni_eval
+    monkeypatch.setattr(orbits_module, "_uni_eval", counted)
+    rng = random.Random(20261020)
+    linear_only = residuals = 0
+    for _ in range(300):
+        coeffs = [1]
+        if rng.random() < 0.4:  # a quadratic, most often rootless
+            sign = rng.choice((1, -1))
+            coeffs = [sign * rng.randint(1, 9), sign * rng.randint(-3, 3), sign * rng.randint(1, 9)]
+        for _ in range(rng.randint(0, 4)):
+            p = rng.choice((1, -1)) * rng.randint(1, 15)
+            q = rng.choice((1, -1)) * rng.randint(1, 15)
+            coeffs = _times_linear(coeffs, p, q)
+        if len(coeffs) == 1:
+            continue
+        linear_only += len(coeffs) == 2
+        coeffs = [0] * rng.randint(0, 2) + coeffs
+        scale = Fraction(rng.choice((1, -1)) * rng.randint(1, 6), rng.randint(1, 6))
+        coeffs = [scale * c for c in coeffs]
+        tried.clear()
+        found, rest = _rational_roots(coeffs)
+        expected, expected_rest = ref_orbits.rational_roots(coeffs)
+        assert {Fraction(p, q) for p, q in found} == expected
+        assert all(q > 0 and gcd(p, q) == 1 for p, q in found)
+        assert rest == expected_rest
+        assert set(found) <= set(tried)
+        residuals += rest is not None
+    assert linear_only > 10 and residuals > 30
 
 
 def test_classify_case_a_matches_substitution():

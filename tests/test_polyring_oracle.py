@@ -185,3 +185,33 @@ def test_jet_matches_reference_partials():
     assert Fraction(partials[0], den) == 4097 * half**4096 - 3 * 4094 * half**4093 * y
     assert Fraction(partials[1], den) == -3 * half**4094
     assert partials[2:] == (0, 0)
+
+
+def test_jet_at_zero_coordinates_matches_reference():
+    # Terms that leave the support at a zero coordinate: with exponent 1
+    # there (only that partial lives), with exponent 2 or more (nothing
+    # lives), and through two zero coordinates (nothing lives), each alone
+    # and beside terms that stay, against the reference's partials.
+    once, twice, both = "3*x*y^2*w", "2*x^2*z^3", "5/2*x*z*w^3"
+    stays = "w^4 - 7/3*y^3*w - y"
+    texts = [once, twice, both, f"{once} - {twice} + {both}", f"{once} - {twice} + {both} + {stays}"]
+    points = [
+        (0, Fraction(-2, 3), 5, 2),
+        (0, 3, 0, Fraction(1, 2)),
+        (0, 0, 0, -1),
+        (Fraction(3, 4), 2, 0, 0),
+        (0, 0, 0, 0),
+    ]
+    lone = 0
+    for text in texts:
+        p, p_ref = parse_poly(text), ref.parse_poly(text)
+        for point in points:
+            den, value, partials = p.jet(point)
+            assert Fraction(value, den) == p_ref.evaluate(point)
+            for var, d in zip("xyzw", partials):
+                assert Fraction(d, den) == p_ref.partial(var).evaluate(point)
+            common = lcm(*(Fraction(v).denominator for v in point))
+            den2, value2, partials2 = p.jet(tuple(int(v * common) for v in point), common)
+            assert [v * den for v in (value2, *partials2)] == [v * den2 for v in (value, *partials)]
+            lone += text == once and value == 0 and partials[0] != 0
+    assert lone == 2  # the x partial of 3*x*y^2*w at the two points where only x is 0
