@@ -107,11 +107,14 @@ def solve_affine(rows, rhs):
     homogeneous solutions, with ``den > 0``; returns ``None`` if the system
     is inconsistent.
     """
-    m, b, pivots = rref(rows, rhs)
+    return _solution(*rref(rows, rhs), len(rows[0]) if rows else 0)
+
+
+def _solution(m, b, pivots, ncols):
+    # solve_affine's result from the reduced system (m | b).
     # The rows past the pivot rows are zero; a nonzero rhs there is 0 = b.
     if any(b[len(pivots) :]):
         return None
-    ncols = len(rows[0]) if rows else 0
     den = lcm(*(m[r][col] for r, col in enumerate(pivots)))
     scales = [den // m[r][col] for r, col in enumerate(pivots)]
     particular = [0] * ncols
@@ -130,7 +133,7 @@ def solve_affine(rows, rhs):
 
 def nullspace(rows):
     """Integer basis of the rational nullspace of ``rows``."""
-    return solve_affine(rows, [0] * len(rows))[2] if rows else []
+    return _solution(*rref(rows, [0] * len(rows)), len(rows[0]))[2] if rows else []
 
 
 def primitive_integer_vector(vec) -> tuple[int, ...]:

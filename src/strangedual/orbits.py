@@ -6,9 +6,10 @@ with nontrivial isotropy) all lie in coordinate strata whose weights
 share a common factor.  Enumerating the strata, slicing each orbit by
 fixing the lowest-weight coordinate to 1 and solving the restricted
 system exactly yields orbit representatives, their isotropy orders and
-a singular-locus flag.  Each equation's integer terms are read once,
-with a bitmask of the variables each term uses: a term survives a
-stratum when its mask lies inside it.  With two free coordinates, a
+a singular-locus flag.  Each equation's integer terms are the rows the
+polynomial keeps, with a bitmask of the variables each term uses: a
+term survives a stratum when its mask lies inside it.  The strata of a
+weight system are planned once.  With two free coordinates, a
 variable v that one equation holds as a*v + R(u) is eliminated into the
 other in integers; the last free coordinate is a rational root of the
 primitive gcd of the univariate restrictions (with fewer free
@@ -16,8 +17,9 @@ coordinates, none if a restriction is one term).  An equation, or an
 eliminated one, of total degree past 2048 (``_MAX_DEGREE``) is refused.
 A point is four integer numerators over one denominator, and
 ``Fraction``s are built only for each kept :class:`OrbitRep`.  The
-Newton split solves its affine systems in integers and runs
-Fourier-Motzkin on integer rows (A. Schrijver, Theory of Linear and
+Newton split solves, in integers, only the subsets that the left null
+space of its rows leaves possible as faces, and runs Fourier-Motzkin on
+integer rows (A. Schrijver, Theory of Linear and
 Integer Programming, 1986, 12.2).
 
 The case (A)/(B)/(C) classification and the principal-orbit filter turn
@@ -30,10 +32,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import _linalg
 from ._errors import StrangedualError
@@ -342,6 +344,22 @@ _STRATA = tuple(
 )
 
 
+@lru_cache(maxsize=256)
+def _plan(weights: tuple[int, ...]) -> tuple:
+    # The exceptional strata of the weights: each with its gcd g > 1, its
+    # slice (the first lightest coordinate) and the signs that map a point
+    # of the stratum to its other rational image.
+    plan = []
+    for stratum, inside, names in _STRATA:
+        g = gcd(*[weights[i] for i in stratum])
+        if g > 1:
+            slice_index = min(stratum, key=weights.__getitem__)
+            ones = tuple(1 if i in stratum else 0 for i in range(4))
+            signs = min(_rational_group_images(ones, weights, slice_index))
+            plan.append((stratum, inside, names, g, slice_index, signs))
+    return tuple(plan)
+
+
 def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
     """Enumerate the exceptional orbits of the action on {h1 = h2i = 0}.
 
@@ -355,31 +373,30 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
         verdict = quasi_degree(p, action.weights)
         if isinstance(verdict, QuasiFailure):
             raise OrbitError(f"{label} equation is not quasi-homogeneous: {verdict}")
-    weights = action.weights
+    weights = tuple(action.weights)
     terms = [_rows(h1), _rows(h2i)]
     results: list = []
-    for stratum, inside, names in _STRATA:
-        g = gcd(*[weights[i] for i in stratum])
-        if g <= 1:
-            continue
-        # The first lightest coordinate.
-        slice_index = min(stratum, key=weights.__getitem__)
+    for stratum, inside, names, g, slice_index, signs in _plan(weights):
         den, points, unresolved = _solve_stratum(terms, stratum, inside, slice_index)
         seen: set = set()
         # Over one denominator, integer order is the order of the points.
         for point in sorted(points):
             if point in seen:
                 continue
-            seen |= _rational_group_images(point, weights, slice_index)
-            rep = tuple(Fraction(n, den) for n in point)
-            _, v1, a = _jet(terms[0], point, den)
-            _, v2, b = _jet(terms[1], point, den)
+            seen.add(point)
+            seen.add(tuple(map(mul, point, signs)))
+            v1, (a0, a1, a2, a3) = _jet(terms[0], point, den)
+            v2, (b0, b1, b2, b3) = _jet(terms[1], point, den)
             if v1 or v2:
+                rep = tuple(Fraction(n, den) for n in point)
                 raise OrbitError(f"internal error: representative {rep} misses the variety")
             # Rank < 2 exactly when every 2x2 minor vanishes; the positive
-            # denominators scale whole rows, which keeps the rank.
-            singular = all(a[i] * b[j] == a[j] * b[i] for i, j in combinations(range(4), 2))
-            results.append(OrbitRep(rep, g, singular, names))
+            # powers of den scale whole rows, which keeps the rank.
+            singular = (
+                a0 * b1 == a1 * b0 and a0 * b2 == a2 * b0 and a0 * b3 == a3 * b0
+                and a1 * b2 == a2 * b1 and a1 * b3 == a3 * b1 and a2 * b3 == a3 * b2
+            )
+            results.append(OrbitRep(tuple(Fraction(n, den) for n in point), g, singular, names))
         for variable, residual in unresolved:
             results.append(UnresolvedOrbit(names, variable, residual))
     return results
@@ -414,10 +431,9 @@ def classify_case(h1: Polynomial, h2i: Polynomial) -> CaseInfo:
     for i, j in combinations(range(4), 2):
         if all(mask & (1 << i | 1 << j) for mask in masks):
             return CaseInfo("A", subspace=(VARIABLES[i], VARIABLES[j]))
-    if "z" not in h1.variables():
-        rest, g2 = h2i.split("z")
-        if not rest and "w" not in g2.variables():
-            return CaseInfo("B", g1=h1, g2=g2)
+    # (B): h1 free of z, and h2i = z*g2 with g2 free of w.
+    if not any(mask & 4 for mask, _, _ in _rows(h1)) and all(mask & 12 == 4 for mask, _, _ in _rows(h2i)):
+        return CaseInfo("B", g1=h1, g2=h2i.split("z")[1])
     return CaseInfo("C")
 
 
@@ -523,12 +539,23 @@ def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
     h1_monos = [exps for _, exps, _ in _rows(h1)]
     if len(h1_monos) < 2:
         raise NewtonStructureError("h1 must have at least 2 terms")
+    # Each left null vector y of the rows [h2's monomials m_i; h1's
+    # differences] gives sum_i y_i (m_i . u) = 0 for every u.  On a subset
+    # of degree 1 it fixes the off-face degree m_k . u = -s / y_k, s the sum
+    # of y over the subset, when y_k != 0, and contradicts the subset when
+    # y_k = 0 != s; only a subset left free or fixed below 1 is solved.
+    differences = [[a - b for a, b in zip(other, h1_monos[0])] for other in h1_monos[1:]]
+    nulls = [y[:4] for y in _linalg.nullspace(list(zip(*monos, *differences)))]
     faces = []
-    subsets = [tuple(c) for c in combinations(range(4), 3)] + [(0, 1, 2, 3)]
-    for subset in subsets:
-        rows = [monos[i] for i in subset]
-        rows += [[a - b for a, b in zip(other, h1_monos[0])] for other in h1_monos[1:]]
-        solved = _linalg.solve_affine(rows, [1] * len(subset) + [0] * (len(h1_monos) - 1))
+    for off in (3, 2, 1, 0, None):  # the triples, then the whole support
+        subset = tuple(i for i in range(4) if i != off)
+        pairs = {(0 if off is None else y[off], sum(y[i] for i in subset)) for y in nulls} - {(0, 0)}
+        if pairs:
+            yk, total = pairs.pop()
+            if not yk or -total * yk >= yk * yk or any(a * total != b * yk for a, b in pairs):
+                continue
+        rows = [monos[i] for i in subset] + differences
+        solved = _linalg.solve_affine(rows, [1] * len(subset) + [0] * len(differences))
         if solved is None:
             continue
         den, u0, basis = solved

@@ -28,7 +28,8 @@ a kernel repacks its operands when a result would overflow them, and each
 result takes the width of its own degree.  A ``Fraction`` or a
 :class:`Monomial` is built only at the API boundary: the constructor,
 ``terms``, ``coefficient``, ``support``, ``leading_monomial`` and the value
-of ``evaluate``; ``jet`` returns ``int``s.
+of ``evaluate``; ``jet`` returns ``int``s.  The term rows that ``jet``,
+``quasi_degree`` and the orbit solver read are built once per polynomial.
 ``substitute`` takes a mapping from variable name to image polynomial, and
 the variables it does not name stay fixed.
 
@@ -161,7 +162,7 @@ def _fraction(num: int, den: int) -> Fraction:
 class Polynomial:
     """Immutable sparse polynomial over Q in x, y, z, w."""
 
-    __slots__ = ("_terms", "_den", "_width")
+    __slots__ = ("_terms", "_den", "_width", "_term_rows")
 
     def __new__(cls, terms: Mapping[Monomial, Scalar] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -307,8 +308,12 @@ class Polynomial:
         """``(den, value, partials)``: the value and the four partials at the
         rational 4-tuple ``point``/``den`` (``den`` a positive integer) as
         integers over one positive denominator."""
-        scale, value, partials = _jet(_rows(self), point, den)
-        return scale * self._den, value, partials
+        ratios = [_ratio(v) for v in point]
+        common = lcm(*[q for _, q in ratios])
+        nums = [n * (common // q) for n, q in ratios]
+        common *= den
+        value, partials = _jet(_rows(self), nums, common)
+        return common ** max(self.degree(), 0) * self._den, value, tuple(v * common for v in partials)
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Replace each variable named in ``images`` by its image; the
@@ -418,14 +423,21 @@ def _collect(rows) -> Polynomial:
     return _new(table, den, width)
 
 
-def _rows(p: Polynomial) -> list:
+def _rows(p: Polynomial) -> tuple:
     # (mask, exponents, numerator) per term; mask bit k: the term uses x_k.
-    width = p._width
-    return [
-        (sum(1 << k for k, e in enumerate(exps) if e), exps, c)
-        for key, c in p._terms.items()
-        for exps in [_unpack(key, width)]
-    ]
+    # Kept in a slot on first use: the polynomial never changes.
+    try:
+        return p._term_rows
+    except AttributeError:
+        width = p._width
+        rows = tuple(
+            ((a > 0) | (b > 0) << 1 | (c > 0) << 2 | (d > 0) << 3, exps, num)
+            for key, num in p._terms.items()
+            for exps in [_unpack(key, width)]
+            for a, b, c, d in [exps]
+        )
+        object.__setattr__(p, "_term_rows", rows)
+        return rows
 
 
 def _part(p: Polynomial, exponents) -> Polynomial:
@@ -434,38 +446,35 @@ def _part(p: Polynomial, exponents) -> Polynomial:
     return _new({key: c for key, c in p._terms.items() if key in keys}, p._den, p._width)
 
 
-def _jet(rows, point, den: int = 1) -> tuple:
-    """:meth:`Polynomial.jet` of the terms ``rows`` (from :func:`_rows`).
+def _jet(rows, nums, den: int) -> tuple:
+    """Value and partials of the terms ``rows`` (from :func:`_rows`) at the
+    point ``nums``/``den``, integer numerators over a positive ``den``:
+    the value times den**D and the partials times den**(D - 1), D the top
+    total degree of the rows, as integers.
 
-    A coordinate p/q enters a term with exponent e as p**e * q**(E - e), E
-    its variable's top exponent.  Only the terms that use no zero
-    coordinate, or one with exponent 1, are visited; in the latter it
-    stands in as 1, and the term times q is the one partial left.
+    A term with exponents e contributes c * nums**e * den**(D - |e|).
+    Only the terms that use no zero coordinate, or one with exponent 1,
+    are visited; in the latter it stands in as 1, and the term is the one
+    partial left.
     """
-    ratios = [_ratio(v) for v in point]
-    nums = [p for p, _ in ratios]
-    dens = [q * den for _, q in ratios]
-    zero = sum(1 << i for i, p in enumerate(nums) if not p)
-    q0, q1, q2, q3 = dens
-    t0, t1, t2, t3 = [max(column) for column in zip(*[row[1] for row in rows])] or (0, 0, 0, 0)
-    a0, a1, a2, a3 = [p or 1 for p in nums]
+    zero = sum(1 << i for i, n in enumerate(nums) if not n)
+    a0, a1, a2, a3 = [n or 1 for n in nums]
+    top = max([sum(exps) for _, exps, _ in rows], default=0)
     value, partials = 0, [0, 0, 0, 0]
     for mask, exps, c in rows:
         dead = mask & zero
         if dead and (dead & dead - 1 or exps[dead.bit_length() - 1] > 1):
             continue
         e0, e1, e2, e3 = exps
-        term = c * a0**e0 * a1**e1 * a2**e2 * a3**e3
-        term *= q0 ** (t0 - e0) * q1 ** (t1 - e1) * q2 ** (t2 - e2) * q3 ** (t3 - e3)
+        term = c * a0**e0 * a1**e1 * a2**e2 * a3**e3 * den ** (top - e0 - e1 - e2 - e3)
         if dead:
-            j = dead.bit_length() - 1
-            partials[j] += term * dens[j]
+            partials[dead.bit_length() - 1] += term
             continue
         value += term
         for i, e in enumerate(exps):
             if e:
-                partials[i] += e * term * dens[i] // nums[i]
-    return q0**t0 * q1**t1 * q2**t2 * q3**t3, value, tuple(partials)
+                partials[i] += e * term // nums[i]
+    return value, partials
 
 
 def _sum(p: Polynomial, q: Polynomial, sign: int) -> Polynomial:
@@ -546,6 +555,12 @@ def quasi_degree(p: Polynomial, weights) -> "int | QuasiFailure":
     weights = tuple(weights)
     if len(weights) != 4 or any(w <= 0 for w in weights):
         raise PolynomialError(f"weights must be 4 positive integers, got {weights!r}")
+    w0, w1, w2, w3 = weights
+    degrees = {a * w0 + b * w1 + c * w2 + d * w3 for _, (a, b, c, d), _ in _rows(p)}
+    if len(degrees) == 1:
+        return degrees.pop()
+    # The witnesses: the leading term and the first in canonical order that
+    # differs from it.
     width = p._width
     first, *rest = [_unpack(key, width) for key in sorted(p._terms, reverse=True)]
     degree = sum(e * w for e, w in zip(first, weights))
@@ -553,7 +568,6 @@ def quasi_degree(p: Polynomial, weights) -> "int | QuasiFailure":
         d = sum(e * w for e, w in zip(exps, weights))
         if d != degree:
             return QuasiFailure(_monomial(first), degree, _monomial(exps), d)
-    return degree
 
 
 # -- text I/O ----------------------------------------------------------------

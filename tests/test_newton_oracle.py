@@ -10,9 +10,10 @@ once, to 2 * BOX, before the counts must agree.
 """
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
+from strangedual import _linalg
 from strangedual.cli import main
 from strangedual.orbits import NewtonStructureError, split_newton
 from strangedual.polyring import Monomial, Polynomial, VARIABLES, parse_poly
@@ -158,3 +159,63 @@ def test_free_weight_case_counts_three_faces(capsys):
     assert main(["split-newton", "--h1", "x^2-y^2", "x^2+y^2+z^2+w^2"]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: expected exactly 2 origin-avoiding faces, found 3\n")
+
+
+def _graded(weights, degree):
+    """The exponent vectors of weighted degree ``degree``."""
+    return [
+        e
+        for e in product(*(range(degree // w + 1) for w in weights))
+        if sum(a * w for a, w in zip(e, weights)) == degree
+    ]
+
+
+def _det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _shared_degree_pairs(rng, count):
+    """(h2, h1, step): four terms of h2 share a weighted degree (step 0), or
+    the fourth sits one below or above it (step -1 or 1); h1 has four terms
+    whose differences have rank 3, so it fixes the weight direction."""
+    pairs = []
+    while len(pairs) < count:
+        weights = tuple(rng.randint(1, 3) for _ in range(4))
+        degree = rng.randint(4, 9)
+        top = [e for e in _graded(weights, degree) if any(e)]
+        firsts = _graded(weights, rng.randint(3, 6))
+        if len(top) < 4 or len(firsts) < 4:
+            continue
+        h1 = rng.sample(firsts, 4)
+        moves = [[a - b for a, b in zip(e, h1[0])] for e in h1[1:]]
+        if not any(_det3([[row[i] for i in cols] for row in moves]) for cols in combinations(range(4), 3)):
+            continue
+        support = rng.sample(top, 4)
+        step = rng.choice((0, 0, -1, 1))
+        if step:
+            off = [e for e in _graded(weights, degree + step) if any(e) and e not in support]
+            if not off:
+                continue
+            support[3] = rng.choice(off)
+        h2 = Polynomial({Monomial(e): rng.choice((1, -1, 2, -3)) for e in support})
+        pairs.append((h2, Polynomial({Monomial(e): rng.choice((1, -1)) for e in h1}), step))
+    return pairs
+
+
+def test_shared_degree_supports_match_the_box(monkeypatch):
+    # The face filter at its boundary.  With the weights fixed by h1, step 0
+    # makes the whole support the one face and gives every triple an
+    # off-face degree of exactly 1, so only the whole support is solved;
+    # step -1 leaves one triple below 1 to solve, and step 1 none.
+    solves = []
+    solve_affine = _linalg.solve_affine
+    monkeypatch.setattr(_linalg, "solve_affine", lambda *args: solves.append(1) or solve_affine(*args))
+    seen = {}
+    for h2, h1, step in _shared_degree_pairs(random.Random(31), 60):
+        solves.clear()
+        _, found = _compare(h2, h1)
+        face_sizes = tuple(sorted(map(len, _box_faces(h2, h1, BOX))))
+        assert (found, face_sizes, len(solves)) == {0: (1, (4,), 1), -1: (1, (3,), 1), 1: (0, (), 0)}[step]
+        seen[step] = seen.get(step, 0) + 1
+    assert set(seen) == {0, -1, 1}, seen

@@ -195,11 +195,24 @@ def test_singular_flags_match_fraction_jacobian_rank(catalog):
 
 
 def test_dolgachev_pairs_full_catalog(catalog):
+    # Fresh copies of the pair carry no term rows; the orbits, the case and
+    # the pair are the same before and after split_newton reads the rows of
+    # the same objects, and on the faces it returns.
     for entry in catalog.entries:
-        h1 = entry.virtual_equations.first
-        for piece, expected in zip(entry.decomposition, entry.dolgachev):
-            action = CStarAction(piece.weights.weights)
-            assert dolgachev_pair(h1, piece.polynomial, action) == tuple(sorted(expected))
+        h1, h2 = (parse_poly(str(p)) for p in entry.virtual_equations)
+        faces = [parse_poly(str(piece.polynomial)) for piece in entry.decomposition]
+        actions = [CStarAction(piece.weights.weights) for piece in entry.decomposition]
+
+        def outcomes(faces):
+            return [
+                (exceptional_orbits(h1, face, action), classify_case(h1, face), dolgachev_pair(h1, face, action))
+                for face, action in zip(faces, actions)
+            ]
+
+        before = outcomes(faces)
+        split = split_newton(h2, h1)
+        assert outcomes(faces) == outcomes(split.polynomials()) == before
+        assert [pair for _, _, pair in before] == [tuple(sorted(expected)) for expected in entry.dolgachev]
 
 
 def test_dolgachev_structural_error():

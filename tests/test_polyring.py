@@ -79,6 +79,9 @@ def test_quasi_degree_failure_witnesses():
     assert isinstance(verdict, QuasiFailure)
     degrees = {verdict.degree_a, verdict.degree_b}
     assert degrees == {1, 2}
+    # The leading term, then the first term in canonical order that differs.
+    verdict = quasi_degree(parse_poly("z^2 + x*w + y^3 - 2*z*w"), (2, 1, 2, 2))
+    assert str(verdict) == "not quasi-homogeneous: y^3 has weighted degree 3 but x*w has 4"
 
 
 def test_quasi_degree_rejects_zero():

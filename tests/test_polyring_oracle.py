@@ -106,6 +106,10 @@ def test_arithmetic_matches_reference():
             point = _point(rng)
             value = p.evaluate(point)
             assert type(value) is Fraction and value == p_ref.evaluate(point)
+        # The term rows that evaluate keeps on p are invisible to == and hash.
+        fresh = (p + q) - q
+        assert p == fresh and fresh == p and hash(p) == hash(fresh)
+        assert (p == q) == (q == p) == (p_ref == q_ref)
 
 
 def test_substitute_matches_reference():
