@@ -21,8 +21,8 @@ import json
 import re
 from fractions import Fraction
 from collections import namedtuple
+from collections.abc import Callable, Iterable
 from importlib import resources
-from typing import Callable, Iterable, NamedTuple
 
 from . import matfac as mf
 from ._errors import StrangedualError
@@ -120,34 +120,26 @@ def canonical_name(name: str) -> str:
     return _ALIASES.get(name.strip().lower(), name.strip())
 
 
-class ParentData(NamedTuple):
+class ParentData(namedtuple("ParentData", "name series coefficients f change change_display h")):
     """Parent hypersurface of a series: cusp equation f, the coordinate
     change turning f - xzw into h - xzw (a {name: image} mapping), and the
     reduced polynomial h."""
 
-    name: str
-    series: str
-    coefficients: tuple[Fraction, ...]
-    f: Polynomial
-    change: dict[str, Polynomial]
-    change_display: str
-    h: Polynomial
+    __slots__ = ()
 
 
-class Decomposition(NamedTuple):
+class Decomposition(namedtuple("Decomposition", "polynomial weights")):
     """One face polynomial of the Newton split with its weight system."""
 
-    polynomial: Polynomial
-    weights: WeightSystem
+    __slots__ = ()
 
 
-class DynkinData(NamedTuple):
-    """Coxeter-Dynkin bookkeeping: germ name, thimble multiplicities with
-    their '+1' annotations, and the annotated arm parameters."""
+class DynkinData(namedtuple("DynkinData", "germ multiplicities gamma")):
+    """Coxeter-Dynkin bookkeeping: germ name, thimble multiplicities M2,
+    M4, M5, M6, M7 as (base, extra) '+1' annotations, and the annotated
+    arm parameters."""
 
-    germ: str
-    multiplicities: tuple[tuple[int, int], ...]  # M2, M4, M5, M6, M7 as (base, extra)
-    gamma: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def multiplicity_values(self) -> tuple[int, ...]:
         return tuple(base + extra for base, extra in self.multiplicities)
@@ -156,29 +148,15 @@ class DynkinData(NamedTuple):
         return tuple(base + extra for base, extra in self.gamma)
 
 
-class SeriesEntry(NamedTuple):
-    name: str
-    display: str
-    dual_name: str
-    substitution_case: str
-    kernel: tuple[int, int, int, int]
-    relation: Polynomial
-    source_terms: tuple[Polynomial, ...]
-    duality_terms: tuple[Polynomial, ...]
-    k0_equations: tuple[Polynomial, Polynomial] | None
-    k0_restrictions: str | None
-    k0_weights: WeightSystem
-    dual_k0_weights: WeightSystem
-    wall_equations: tuple[Polynomial, Polynomial]
-    sign_note: str
-    virtual_equations: mf.CompleteIntersectionPair
-    matfac: mf.FactorizationTriple
-    parent: ParentData
-    decomposition: tuple[Decomposition, Decomposition]
-    dolgachev: tuple[tuple[int, int], tuple[int, int]]
-    gabrielov: tuple[tuple[int, int], tuple[int, int]]
-    zeta_frame: FrameProduct
-    dynkin: DynkinData
+_ENTRY_FIELDS = (
+    "name display dual_name substitution_case kernel relation source_terms duality_terms"
+    " k0_equations k0_restrictions k0_weights dual_k0_weights wall_equations sign_note"
+    " virtual_equations matfac parent decomposition dolgachev gabrielov zeta_frame dynkin"
+)
+
+
+class SeriesEntry(namedtuple("SeriesEntry", _ENTRY_FIELDS)):
+    __slots__ = ()
 
     @property
     def source_poly(self) -> Polynomial:
@@ -206,8 +184,8 @@ class SeriesEntry(NamedTuple):
         return self.gabrielov[0] + self.gabrielov[1]
 
 
-class Catalog(NamedTuple):
-    entries: tuple[SeriesEntry, ...]
+class Catalog(namedtuple("Catalog", "entries")):
+    __slots__ = ()
 
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries)
@@ -460,11 +438,8 @@ def load_catalog(source: str | None = None) -> Catalog:
 # -- verification -------------------------------------------------------------
 
 
-class CheckResult(NamedTuple):
-    number: int
-    label: str
-    passed: bool
-    details: tuple[str, ...] = ()
+class CheckResult(namedtuple("CheckResult", "number label passed details", defaults=((),))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -475,9 +450,8 @@ class CheckResult(NamedTuple):
         }
 
 
-class EntryReport(NamedTuple):
-    name: str
-    checks: tuple[CheckResult, ...]
+class EntryReport(namedtuple("EntryReport", "name checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -487,9 +461,8 @@ class EntryReport(NamedTuple):
         return {"name": self.name, "checks": [c.to_json() for c in self.checks]}
 
 
-class CatalogReport(NamedTuple):
-    entries: tuple[EntryReport, ...]
-    warnings: tuple[str, ...] = ()
+class CatalogReport(namedtuple("CatalogReport", "entries warnings", defaults=((),))):
+    __slots__ = ()
 
     @property
     def total(self) -> int:

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import catalog as cat
 from . import invertible as inv
@@ -208,6 +209,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+@cache  # parse_args leaves the parser as it is: one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strangedual",

@@ -27,7 +27,6 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
-from typing import NamedTuple
 
 from . import _linalg
 from ._errors import StrangedualError
@@ -197,7 +196,7 @@ def bh_transpose(matrix: ExponentMatrix) -> ExponentMatrix:
     return matrix.transpose()
 
 
-class WeightSolution(NamedTuple):
+class WeightSolution(namedtuple("WeightSolution", "weights degree reduced_weights reduced_degree positive")):
     """Solution of E.w = d.(1,...,1) with d = det E.
 
     ``weights``/``degree`` is the raw system (d = det E, unreduced);
@@ -208,11 +207,7 @@ class WeightSolution(NamedTuple):
     rather than silently accepted or discarded.
     """
 
-    weights: tuple[int, ...]
-    degree: int
-    reduced_weights: tuple[int, ...]
-    reduced_degree: int
-    positive: bool
+    __slots__ = ()
 
     def __str__(self) -> str:
         raw = ",".join(str(w) for w in self.weights)
@@ -258,11 +253,10 @@ def canonical_weights(matrix: ExponentMatrix) -> WeightSolution:
     )
 
 
-class GradingOperator(NamedTuple):
+class GradingOperator(namedtuple("GradingOperator", "charges order")):
     """Exponential grading operator data: charges q_i = w_i/d and order."""
 
-    charges: tuple[Fraction, ...]
-    order: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         qs = ", ".join(str(q) for q in self.charges)
@@ -281,15 +275,14 @@ def grading_operator(matrix: ExponentMatrix) -> GradingOperator:
     return GradingOperator(charges, order)
 
 
-class DiagonalGroup(NamedTuple):
+class DiagonalGroup(namedtuple("DiagonalGroup", "invariant_factors order")):
     """Maximal group of diagonal symmetries, by invariant factors.
 
     ``invariant_factors`` lists the nontrivial factors d_1 | d_2 | ...;
     the group order is their product, which equals |det E|.
     """
 
-    invariant_factors: tuple[int, ...]
-    order: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         if not self.invariant_factors:

@@ -46,12 +46,12 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from itertools import repeat
 from operator import floordiv, mul, or_
-from typing import Iterator, Mapping, Union
 
 from ._errors import StrangedualError
 
@@ -118,8 +118,6 @@ def _monomial(exponents: tuple[int, int, int, int]) -> Monomial:
     return tuple.__new__(Monomial, (exponents,))
 
 
-Scalar = Union[int, Fraction]
-
 #: The least field width of a packed key, in bits.
 _WIDTH = 12
 
@@ -164,7 +162,7 @@ class Polynomial:
 
     __slots__ = ("_terms", "_den", "_width", "_term_rows")
 
-    def __new__(cls, terms: Mapping[Monomial, Scalar] = ()):
+    def __new__(cls, terms: Mapping[Monomial, int | Fraction] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         return _collect([(mono.exponents, *_ratio(coeff)) for mono, coeff in items])
 
@@ -179,7 +177,7 @@ class Polynomial:
         return _wrap({0: 1}, 1, _WIDTH)
 
     @staticmethod
-    def constant(value: Scalar) -> "Polynomial":
+    def constant(value: int | Fraction) -> "Polynomial":
         return Polynomial.one().scale(value)
 
     @staticmethod
@@ -251,7 +249,7 @@ class Polynomial:
         a, b = _repack(a, self._width, width), _repack(b, other._width, width)
         return _new(_product(a, b), self._den * other._den, width)
 
-    def scale(self, value: Scalar) -> "Polynomial":
+    def scale(self, value: int | Fraction) -> "Polynomial":
         num, den = _ratio(value)
         if not num:
             return Polynomial.zero()

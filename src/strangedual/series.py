@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import gcd, lcm
 from operator import index, sub
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from ._errors import StrangedualError
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from strangedual.catalog import default_catalog_path, load_catalog, report_from_json, verify_all
-from strangedual.cli import main
+from strangedual.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -400,6 +400,33 @@ def test_usage_error_status(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["charpoly", "2", "2"])
     assert exc.value.code == 2
+
+
+def test_one_parser_prints_what_fresh_parsers_print(capsys):
+    # main builds the parser once per process; successive calls with other
+    # subcommands, help and usage errors print what a fresh parser prints.
+    argvs = [
+        ["weights", "x^2*y + y^3", "--vars", "x,y"],
+        ["--help"],
+        ["charpoly", "2", "2"],
+        ["dolgachev", "--help"],
+        ["split-newton", "-y*z + x*w + z^3 + w^2", "--h1", "x*y - w^2"],
+        ["dolgachev", "x*y - z*w", "-x^2*w + z^2 + x*w^2", "--weights", "2", "3", "3", "2"],
+        ["no-such-command"],
+        ["catalog", "show", "--help"],
+        ["poincare", "2,6,5,4;8,10", "--expand", "x"],
+        ["weights", "x^2*y + y^3", "--vars", "x,y"],
+        ["charpoly", "2", "2", "2", "6", "--graph", "Pi"],
+    ]
+    assert build_parser() is build_parser()
+    shared = [_outcome(capsys, argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 2, 0, 2, 0, 0]
+    assert shared[2][2].startswith("usage: strangedual charpoly") and shared[1][1].startswith("usage: strangedual")
 
 
 def test_bad_polynomial_status(capsys):
