@@ -9,11 +9,11 @@ system exactly yields orbit representatives, their isotropy orders and
 a singular-locus flag.  Each equation's integer terms are the rows the
 polynomial keeps, with a bitmask of the variables each term uses: a
 term survives a stratum when its mask lies inside it.  The strata of a
-weight system are planned once.  With two free coordinates, a
-variable v that one equation holds as a*v + R(u) is eliminated into the
-other in integers; the last free coordinate is a rational root of the
-primitive gcd of the univariate restrictions (with fewer free
-coordinates, none if a restriction is one term).  An equation, or an
+weight system are planned once.  A stratum on which an equation is one
+term has no points.  With two free coordinates, a variable v that one
+equation holds as a*v + R(u) is eliminated into the other in integers;
+the last free coordinate is a rational root of the primitive gcd of the
+univariate restrictions.  An equation, or an
 eliminated one, of total degree past 2048 (``_MAX_DEGREE``) is refused.
 A point is four integer numerators over one denominator, and
 ``Fraction``s are built only for each kept :class:`OrbitRep`.  The
@@ -242,7 +242,7 @@ def _solve_stratum(terms, stratum: tuple[int, ...], inside: int, slice_index: in
                 key = key_of(exps)
                 table[key] = table.get(key, 0) + c
         table = {key: c for key, c in table.items() if c}
-        if len(table) == 1 and len(free) < 2:
+        if len(table) == 1:
             return 1, [], []  # c*t^e with c != 0 vanishes at no t != 0
         tables.append(table)
     point = [0] * 4

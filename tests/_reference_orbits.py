@@ -8,7 +8,9 @@ univariate restrictions meet in a monic Euclidean gcd over Q, and points
 are ``Fraction`` 4-tuples.  Membership is checked by evaluation and the
 singular flag comes from the rank of the ``Fraction`` Jacobian.  It is
 kept only as a differential oracle for ``test_orbits.py`` and must not
-change with the library.  The records and error classes are the
+change with the library.  Its one change since: a stratum on which a
+restricted equation is one term has no points, with two free
+coordinates too (a term c*m, c != 0, vanishes nowhere on the stratum).  The records and error classes are the
 library's own.
 """
 
@@ -135,6 +137,8 @@ def solve_stratum(h1, h2, stratum, slice_index):
     free = sorted(i for i in stratum if i != slice_index)
     if len(free) > 2:
         raise StratumError(f"system too complex: {name} has {len(free)} free coordinates")
+    if any(len(q) == 1 for q in equations):
+        return [], []  # one term c*m, c != 0, vanishes nowhere on the stratum
     point = [Fraction(0)] * 4
     point[slice_index] = Fraction(1)
     if not any(equations):

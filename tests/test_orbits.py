@@ -166,13 +166,66 @@ def _elimination_pairs(count, seed):
     return pairs
 
 
+def _one_term_pairs(count, seed):
+    """Pairs for weights (2, 2, 2, 1) one of whose equations restricts to
+    one term on the two-free stratum {x,y,z}: a monomial in x, y, z next
+    to terms that use w.  The pure powers of x, y and z in the other keep
+    the strata before {x,y,z} from vanishing."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+
+    def graded(degree, least_w):
+        # The monomials of weighted degree 2*degree with at least 2*least_w w's.
+        return [
+            Monomial((a, b, degree - m - a - b, 2 * m))
+            for m in range(least_w, degree + 1)
+            for a in range(degree - m + 1)
+            for b in range(degree - m - a + 1)
+        ]
+
+    pairs = []
+    for _ in range(count):
+        k, k2 = rng.randint(1, 3), rng.randint(1, 3)
+        first = {rng.choice(graded(k, 0)[: (k + 1) * (k + 2) // 2]): coeff()}
+        first.update({m: coeff() for m in rng.sample(graded(k, 1), rng.randint(1, min(3, k)))})
+        second = {m: coeff() for m in rng.sample(graded(k2, 0), rng.randint(0, 3))}
+        second.update({Monomial(tuple(k2 * (j == i) for j in range(4))): coeff() for i in range(3)})
+        pair = [Polynomial(first), Polynomial(second)]
+        pairs.append((*pair[:: rng.choice((1, -1))], (2, 2, 2, 1)))
+    return pairs
+
+
+def test_one_term_ends_a_two_free_stratum():
+    # A restricted equation c*m (c != 0) vanishes nowhere on its stratum,
+    # also with two free coordinates: neither an elimination error nor an
+    # unresolved orbit arises there.
+    cases = [
+        ("-1/2*y^6 + 2*z^2", "y^12 + 2*z^2*w - 2*w^2", (3, 1, 3, 6)),  # h1 is 2*z^2 on {x,z,w}
+        ("1/2*x^3 - 2*x^2*z - 3*z^3 + 3*y^2", "1/2*y^2 + w", (2, 3, 2, 6)),  # h2 is w on {x,z,w}
+        ("-2*z^3 + w", "x^3", (2, 6, 2, 6)),  # h1 is -2*z^3 on {x,y,z}
+    ]
+    outcomes = [_outcome(parse_poly(h1), parse_poly(h2), w) for h1, h2, w in cases]
+    assert [list(map(str, got)) for got in outcomes[:2]] == [
+        ["stratum={x} point=(1, 0, 0, 0) isotropy=3 singular=yes"],
+        ["stratum={x,z} unresolved: 1*z^0 + -4*z^1 + -6*z^3 = 0"],
+    ]
+    # Past {x,y,z}, h2 = x^3 vanishes on {y,z,w} and h1 leaves y free there.
+    assert outcomes[2] == ("StratumError", "system too complex: positive-dimensional solutions on stratum {y,z,w}")
+    outcomes = [_outcome(*pair) for pair in _one_term_pairs(200, 17)]
+    assert all(isinstance(got, list) for got in outcomes)
+    assert all(o.stratum != ("x", "y", "z") for got in outcomes for o in got)
+
+
 def test_singular_flags_match_fraction_jacobian_rank(catalog):
     # Whole listings (points, isotropy orders, singular flags, residuals)
     # and error texts against the frozen Fraction-point solver, whose flag
     # is the rank of the Fraction Jacobian: the catalog faces, the faces
     # rescaled by factors of height 7 and 12, two inputs with unresolved
-    # orbits, the seeded corpus of the orbit golden and pairs that take the
-    # elimination with a leading coefficient of either sign.
+    # orbits, the seeded corpus of the orbit golden, pairs that take the
+    # elimination with a leading coefficient of either sign and pairs one
+    # of whose equations is one term on a two-free stratum.
     catalog_faces = [
         (entry.virtual_equations.first, piece.polynomial, piece.weights.weights)
         for entry in catalog.entries
@@ -187,7 +240,8 @@ def test_singular_flags_match_fraction_jacobian_rank(catalog):
     faces.append((parse_poly("x*y + z*w^2 - 2*z^3"), parse_poly("x^2*z^2 + y^2*w^2"), (3, 3, 2, 2)))
     faces.append((parse_poly("x^2+y^2+z^4"), parse_poly("x*z^2+y*w^2"), (2, 2, 1, 1)))
     kinds = set()
-    for h1, h2i, weights in faces + _weighted_pairs(300, 20261019) + _elimination_pairs(300, 5):
+    pairs = _weighted_pairs(300, 20261019) + _elimination_pairs(300, 5) + _one_term_pairs(200, 17)
+    for h1, h2i, weights in faces + pairs:
         got = _outcome(h1, h2i, weights)
         assert got == _outcome(h1, h2i, weights, ref_orbits.exceptional_orbits), (h1, h2i, weights)
         kinds |= {getattr(o, "in_singular_locus", None) for o in got} if isinstance(got, list) else {got[0]}
@@ -461,7 +515,7 @@ def test_split_newton_structural_error():
     [
         ("3*x", "x", (2, 3, 6, 4), "both equations vanish on stratum {y,z}"),
         ("2*z - 2*w", "-2*x", (6, 3, 3, 3), "positive-dimensional solutions on stratum {y,z,w}"),
-        ("-2*z^3 + w", "x^3", (2, 6, 2, 6), "no constant-coefficient linear variable on stratum {x,y,z}"),
+        ("-2*z^3 + x^3 + w", "y^2 - z^6", (2, 6, 2, 6), "no constant-coefficient linear variable on stratum {x,y,z}"),
         ("1/3*z - 3/2*w", "1/2*w^3 + x", (6, 4, 2, 2), "stratum {x,y,z,w} has 3 free coordinates"),
         # Both vanish on the x-z plane, whose weights share a factor.
         ("y*w", "y^2 + w^2", (2, 3, 2, 3), "both equations vanish on stratum {x,z}"),
