@@ -111,8 +111,7 @@ def solve_affine(rows, rhs):
 
 
 def _solution(m, b, pivots, ncols):
-    # solve_affine's result from the reduced system (m | b).
-    # The rows past the pivot rows are zero; a nonzero rhs there is 0 = b.
+    # Solve the reduced system (m | b): past the pivot rows, 0 = b.
     if any(b[len(pivots) :]):
         return None
     den = lcm(*(m[r][col] for r, col in enumerate(pivots)))

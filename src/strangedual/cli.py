@@ -209,7 +209,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-@cache  # parse_args leaves the parser as it is: one per process
+@cache  # parse_args does not change the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strangedual",

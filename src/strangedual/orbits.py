@@ -336,27 +336,20 @@ def _rational_group_images(point, weights, slice_index):
     return {tuple(point), flipped}
 
 
-#: The 15 coordinate strata: indices, variable mask and names.
-_STRATA = tuple(
-    (stratum, sum(1 << i for i in stratum), tuple(VARIABLES[i] for i in stratum))
-    for size in range(1, 5)
-    for stratum in combinations(range(4), size)
-)
-
-
 @lru_cache(maxsize=256)
 def _plan(weights: tuple[int, ...]) -> tuple:
-    # The exceptional strata of the weights: each with its gcd g > 1, its
-    # slice (the first lightest coordinate) and the signs that map a point
-    # of the stratum to its other rational image.
+    # Each stratum whose weights share a factor g > 1: mask, names, g, slice
+    # (first lightest) and the signs of a point's other image.
     plan = []
-    for stratum, inside, names in _STRATA:
-        g = gcd(*[weights[i] for i in stratum])
-        if g > 1:
-            slice_index = min(stratum, key=weights.__getitem__)
-            ones = tuple(1 if i in stratum else 0 for i in range(4))
-            signs = min(_rational_group_images(ones, weights, slice_index))
-            plan.append((stratum, inside, names, g, slice_index, signs))
+    for size in range(1, 5):
+        for stratum in combinations(range(4), size):
+            g = gcd(*[weights[i] for i in stratum])
+            if g > 1:
+                ones = [int(i in stratum) for i in range(4)]
+                slice_index = min(stratum, key=weights.__getitem__)
+                signs = min(_rational_group_images(ones, weights, slice_index))
+                names = tuple(VARIABLES[i] for i in stratum)
+                plan.append((stratum, sum(1 << i for i in stratum), names, g, slice_index, signs))
     return tuple(plan)
 
 
@@ -385,18 +378,16 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
                 continue
             seen.add(point)
             seen.add(tuple(map(mul, point, signs)))
+            rep = tuple(Fraction(n, den) for n in point)
             v1, (a0, a1, a2, a3) = _jet(terms[0], point, den)
             v2, (b0, b1, b2, b3) = _jet(terms[1], point, den)
             if v1 or v2:
-                rep = tuple(Fraction(n, den) for n in point)
                 raise OrbitError(f"internal error: representative {rep} misses the variety")
             # Rank < 2 exactly when every 2x2 minor vanishes; the positive
             # powers of den scale whole rows, which keeps the rank.
-            singular = (
-                a0 * b1 == a1 * b0 and a0 * b2 == a2 * b0 and a0 * b3 == a3 * b0
-                and a1 * b2 == a2 * b1 and a1 * b3 == a3 * b1 and a2 * b3 == a3 * b2
-            )
-            results.append(OrbitRep(tuple(Fraction(n, den) for n in point), g, singular, names))
+            singular = a0 * b1 == a1 * b0 and a0 * b2 == a2 * b0 and a0 * b3 == a3 * b0 and (
+                a1 * b2 == a2 * b1 and a1 * b3 == a3 * b1 and a2 * b3 == a3 * b2)
+            results.append(OrbitRep(rep, g, singular, names))
         for variable, residual in unresolved:
             results.append(UnresolvedOrbit(names, variable, residual))
     return results
@@ -431,7 +422,7 @@ def classify_case(h1: Polynomial, h2i: Polynomial) -> CaseInfo:
     for i, j in combinations(range(4), 2):
         if all(mask & (1 << i | 1 << j) for mask in masks):
             return CaseInfo("A", subspace=(VARIABLES[i], VARIABLES[j]))
-    # (B): h1 free of z, and h2i = z*g2 with g2 free of w.
+    # (B): h1 free of z, h2i = z*g2 with g2 free of w.
     if not any(mask & 4 for mask, _, _ in _rows(h1)) and all(mask & 12 == 4 for mask, _, _ in _rows(h2i)):
         return CaseInfo("B", g1=h1, g2=h2i.split("z")[1])
     return CaseInfo("C")
@@ -539,11 +530,10 @@ def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
     h1_monos = [exps for _, exps, _ in _rows(h1)]
     if len(h1_monos) < 2:
         raise NewtonStructureError("h1 must have at least 2 terms")
-    # Each left null vector y of the rows [h2's monomials m_i; h1's
-    # differences] gives sum_i y_i (m_i . u) = 0 for every u.  On a subset
-    # of degree 1 it fixes the off-face degree m_k . u = -s / y_k, s the sum
-    # of y over the subset, when y_k != 0, and contradicts the subset when
-    # y_k = 0 != s; only a subset left free or fixed below 1 is solved.
+    # A left null vector y of [h2's monomials m_i; h1's differences] gives
+    # sum y_i (m_i . u) = 0: degree 1 on a subset fixes m_k . u = -s/y_k (s
+    # the sum of y over it) if y_k != 0, and is void if y_k = 0 != s; both
+    # read -s*y_k >= y_k**2.  Only an off-face degree free or below 1 is solved.
     differences = [[a - b for a, b in zip(other, h1_monos[0])] for other in h1_monos[1:]]
     nulls = [y[:4] for y in _linalg.nullspace(list(zip(*monos, *differences)))]
     faces = []
@@ -552,7 +542,7 @@ def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
         pairs = {(0 if off is None else y[off], sum(y[i] for i in subset)) for y in nulls} - {(0, 0)}
         if pairs:
             yk, total = pairs.pop()
-            if not yk or -total * yk >= yk * yk or any(a * total != b * yk for a, b in pairs):
+            if -total * yk >= yk * yk or any(a * total != b * yk for a, b in pairs):
                 continue
         rows = [monos[i] for i in subset] + differences
         solved = _linalg.solve_affine(rows, [1] * len(subset) + [0] * len(differences))

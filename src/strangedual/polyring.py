@@ -28,18 +28,14 @@ a kernel repacks its operands when a result would overflow them, and each
 result takes the width of its own degree.  A ``Fraction`` or a
 :class:`Monomial` is built only at the API boundary: the constructor,
 ``terms``, ``coefficient``, ``support``, ``leading_monomial`` and the value
-of ``evaluate``; ``jet`` returns ``int``s.  The term rows that ``jet``,
-``quasi_degree`` and the orbit solver read are built once per polynomial.
+of ``evaluate``; ``jet`` returns ``int``s.  ``jet``, ``quasi_degree`` and
+the orbit solver read term rows built once per polynomial.
 ``substitute`` takes a mapping from variable name to image polynomial, and
 the variables it does not name stay fixed.
 
 The kernels build one integer table per result (S. C. Johnson, SIGSAM Bull.
 8(3), 1974; M. Monagan and R. Pearce, J. Symbolic Comput. 46(7), 2011).
-``parse_poly`` drops the whitespace in one pass (once none parts two digit
-runs), splits the terms on the signs and the factors on '*', and sums each
-term's factor keys from a table filled once per call; a refused text is
-walked token by token only to name its error and offset.  ``format_poly``
-takes each variable's ``v^e`` text from a per-call table keyed by exponent.
+A refused text is walked token by token only to name its error and offset.
 """
 
 from __future__ import annotations
@@ -423,16 +419,15 @@ def _collect(rows) -> Polynomial:
 
 def _rows(p: Polynomial) -> tuple:
     # (mask, exponents, numerator) per term; mask bit k: the term uses x_k.
-    # Kept in a slot on first use: the polynomial never changes.
+    # Kept in a slot: the polynomial never changes.
     try:
         return p._term_rows
     except AttributeError:
         width = p._width
         rows = tuple(
-            ((a > 0) | (b > 0) << 1 | (c > 0) << 2 | (d > 0) << 3, exps, num)
-            for key, num in p._terms.items()
+            (sum(1 << k for k, e in enumerate(exps) if e), exps, c)
+            for key, c in p._terms.items()
             for exps in [_unpack(key, width)]
-            for a, b, c, d in [exps]
         )
         object.__setattr__(p, "_term_rows", rows)
         return rows
@@ -445,16 +440,12 @@ def _part(p: Polynomial, exponents) -> Polynomial:
 
 
 def _jet(rows, nums, den: int) -> tuple:
-    """Value and partials of the terms ``rows`` (from :func:`_rows`) at the
-    point ``nums``/``den``, integer numerators over a positive ``den``:
-    the value times den**D and the partials times den**(D - 1), D the top
-    total degree of the rows, as integers.
-
-    A term with exponents e contributes c * nums**e * den**(D - |e|).
-    Only the terms that use no zero coordinate, or one with exponent 1,
-    are visited; in the latter it stands in as 1, and the term is the one
-    partial left.
-    """
+    """The value times den**D and the partials times den**(D - 1), D the
+    top degree, of the terms ``rows`` (from :func:`_rows`) at the point
+    ``nums``/``den`` (integers, ``den`` > 0): a term is c * nums**e *
+    den**(D - |e|).  Only the terms that use no zero coordinate, or one
+    with exponent 1, are visited; that one stands in as 1, and the term
+    is the one partial left."""
     zero = sum(1 << i for i, n in enumerate(nums) if not n)
     a0, a1, a2, a3 = [n or 1 for n in nums]
     top = max([sum(exps) for _, exps, _ in rows], default=0)
@@ -557,8 +548,6 @@ def quasi_degree(p: Polynomial, weights) -> "int | QuasiFailure":
     degrees = {a * w0 + b * w1 + c * w2 + d * w3 for _, (a, b, c, d), _ in _rows(p)}
     if len(degrees) == 1:
         return degrees.pop()
-    # The witnesses: the leading term and the first in canonical order that
-    # differs from it.
     width = p._width
     first, *rest = [_unpack(key, width) for key in sorted(p._terms, reverse=True)]
     degree = sum(e * w for e, w in zip(first, weights))
