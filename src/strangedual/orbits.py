@@ -366,10 +366,9 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
         verdict = quasi_degree(p, action.weights)
         if isinstance(verdict, QuasiFailure):
             raise OrbitError(f"{label} equation is not quasi-homogeneous: {verdict}")
-    weights = tuple(action.weights)
     terms = [_rows(h1), _rows(h2i)]
     results: list = []
-    for stratum, inside, names, g, slice_index, signs in _plan(weights):
+    for stratum, inside, names, g, slice_index, signs in _plan(tuple(action.weights)):
         den, points, unresolved = _solve_stratum(terms, stratum, inside, slice_index)
         seen: set = set()
         # Over one denominator, integer order is the order of the points.
