@@ -1,11 +1,12 @@
 """Small exact linear-algebra helpers, all fraction-free.
 
-``mat_det`` is Bareiss elimination over ``int``.  ``rref`` is Gauss–Jordan
-over ``int``: a row with a ``Fraction`` is scaled to integers, and each
-new row is divided by its content.  ``mat_rank``, ``solve_affine`` and
-``nullspace`` build on it and take ``int`` or ``fractions.Fraction``
-entries.  ``solve_affine`` returns integer vectors over one positive
-denominator, the lcm of the pivots, so no ``Fraction`` is formed.
+``mat_det`` is Bareiss elimination over ``int`` (``bareiss``).  ``rref``
+is Gauss–Jordan over ``int``: a row with a ``Fraction`` is scaled to
+integers, and each new row is divided by its content.  ``mat_rank``,
+``solve_affine`` and ``nullspace`` build on it and take ``int`` or
+``fractions.Fraction`` entries.  ``solve_affine`` returns integer vectors
+over one positive denominator, the lcm of the pivots, so no ``Fraction``
+is formed.
 Everything is meant for the tiny matrices (at most 4x5) that show up in
 this package.  No pivoting heuristics beyond exactness are needed.
 """
@@ -18,15 +19,19 @@ from operator import index
 
 
 def mat_det(rows) -> int:
-    """Determinant of an integer matrix by Bareiss elimination.
-
-    Every division is exact (Sylvester's identity), so the work stays in
-    the integers.  An entry that is not an integer raises ``TypeError``.
-    """
+    """Determinant of an integer matrix; an entry that is not an integer
+    raises ``TypeError``."""
     m = [[index(entry) for entry in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    if any(len(row) != len(m) for row in m):
         raise ValueError("determinant of a non-square matrix")
+    return bareiss(m)
+
+
+def bareiss(m: list[list[int]]) -> int:
+    """Determinant of the first n columns of the n integer rows ``m``.
+    Bareiss elimination makes ``m``, further columns included, an
+    equivalent triangular system; each division is exact (Sylvester)."""
+    n = len(m)
     sign = 1
     previous = 1
     for col in range(n - 1):
@@ -40,10 +45,10 @@ def mat_det(rows) -> int:
         head = top[col]
         for row in m[col + 1 :]:
             lead = row[col]
-            for c in range(col + 1, n):
+            for c in range(col + 1, len(top)):
                 row[c] = (row[c] * head - lead * top[c]) // previous
         previous = head
-    return sign * m[-1][-1] if n else 1
+    return sign * m[-1][n - 1] if n else 1
 
 
 def _primitive(row: list[int]) -> list[int]:

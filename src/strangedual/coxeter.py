@@ -11,12 +11,18 @@ D_Pi(t) = (1 - t)^2 D_S(t).  Both are computed over Z from the numerator
 
     N(t) = (t - 1)^4 D_S(t)
          = (t^3 - 2t^2 - 2t + 1) * prod_i (t^(g_i) - 1)
-           + t^2 * sum_i (t^(g_i - 1) - 1) * prod_{j != i} (t^(g_j) - 1),
+           + t^2 * sum_i (t^(g_i - 1) - 1) * prod_{j != i} (t^(g_j) - 1).
 
-a sum of sparse products of binomials, followed by an exact division by
-(1 - t)^4 for D_S and (1 - t)^2 for D_Pi through the frame kernel of
-:mod:`strangedual.series` and its tail check; both exponents are even, so
-(1 - t)^k = (t - 1)^k.  The work is linear in g1 + g2 + g3 + g4.
+Expanding each product of binomials over the 16 subsets S of the four
+arms, with k = |S| and s = the sum of the g_i in S, gives
+
+    N(t) = sum_S (-1)^k t^s (1 + (k - 2) t + (2 - k) t^2 + t^3),
+
+since the S term of arm i's product has the power s + 1 when i is in S
+and s + 2 otherwise.  N is then divided exactly by (1 - t)^4 for D_S
+and (1 - t)^2 for D_Pi through the frame kernel of
+:mod:`strangedual.series` and its tail check; both exponents are even,
+so (1 - t)^k = (t - 1)^k.  The work is linear in g1 + g2 + g3 + g4.
 
 The graphs are emitted for documentation only: their doubled and dashed
 edges carry sign conventions defined in external sources, so nothing is
@@ -87,30 +93,20 @@ def _as_quadruple(gamma) -> GabrielovQuadruple:
     return GabrielovQuadruple(tuple(gamma))
 
 
-def _binomial_product(exponents) -> dict[int, int]:
-    """prod (t^g - 1) over ``exponents``, sparse as {power: coefficient}."""
-    terms = {0: 1}
-    for g in exponents:
-        product: dict[int, int] = {}
-        for power, coeff in terms.items():
-            product[power + g] = product.get(power + g, 0) + coeff
-            product[power] = product.get(power, 0) - coeff
-        terms = product
-    return terms
-
-
 def _over_t_minus_one(gamma, times: int) -> UniPolynomial:
     """N(t) / (t - 1)^times for the numerator N of the module docstring
     (``times`` even)."""
     gs = _as_quadruple(gamma).gammas
     numerator = [0] * (sum(gs) + 4)
-    for power, coeff in _binomial_product(gs).items():
-        for shift, head in enumerate((1, -2, -2, 1)):  # t^3 - 2t^2 - 2t + 1
-            numerator[power + shift] += head * coeff
-    for i in range(4):
-        arms = [g - 1 if j == i else g for j, g in enumerate(gs)]
-        for power, coeff in _binomial_product(arms).items():
-            numerator[power + 2] += coeff
+    subsets = [(0, 0)]  # (sum, size) of each subset of the arms
+    for g in gs:
+        subsets += [(s + g, k + 1) for s, k in subsets]
+    for s, k in subsets:
+        sign = -1 if k & 1 else 1
+        numerator[s] += sign
+        numerator[s + 1] += sign * (k - 2)
+        numerator[s + 2] -= sign * (k - 2)
+        numerator[s + 3] += sign
     degree = len(numerator) - 1 - times
     return _polynomial_part(_times_frame(numerator, ((1, -times),)), degree)
 

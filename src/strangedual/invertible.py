@@ -186,7 +186,7 @@ def from_terms(
     if len(rows) != len(active):
         raise TermCountError(f"{len(rows)} terms over {len(active)} active variables")
     matrix = ExponentMatrix(tuple(rows), active, tuple(coeffs))
-    if matrix.det() == 0 and not allow_singular:
+    if not allow_singular and matrix.det() == 0:
         raise SingularMatrixError("singular exponent matrix")
     return matrix
 
@@ -221,11 +221,13 @@ def canonical_weights(matrix: ExponentMatrix) -> WeightSolution:
 
     For det E != 0 this solves E.w = det(E).(1,..,1) by Cramer's rule:
     w_i is the determinant of E with column i replaced by (1,..,1), an
-    integer.  For det E = 0 with nullity one the degree is 0 and the
-    weight vector is the primitive kernel generator, so the defining
-    identity E.w = d.1 still holds.
+    integer, all read off one Bareiss elimination of (E | 1).  For
+    det E = 0 with nullity one the degree is 0 and the weight vector is
+    the primitive kernel generator, so the defining identity E.w = d.1
+    still holds.
     """
-    det = matrix.det()
+    m = [[*row, 1] for row in matrix.rows]
+    det = _linalg.bareiss(m)
     if det == 0:
         kernel = matrix.kernel_basis()
         if len(kernel) != 1:
@@ -235,10 +237,13 @@ def canonical_weights(matrix: ExponentMatrix) -> WeightSolution:
         weights = kernel[0]
         degree = 0
     else:
-        weights = tuple(
-            _linalg.mat_det([row[:i] + (1,) + row[i + 1 :] for row in matrix.rows])
-            for i in range(matrix.n)
-        )
+        weights = [0] * len(m)  # the w_j not yet found read 0
+        for i in reversed(range(len(m))):
+            row = m[i]
+            rest = det * row[-1] - sum(a * w for a, w in zip(row, weights))
+            weights[i], remainder = divmod(rest, row[i])
+            if remainder:
+                raise ArithmeticError(f"{rest} / {row[i]} is inexact")
         degree = det
     g = 0
     for value in (*weights, degree):
@@ -353,10 +358,9 @@ def smith_normal_form(rows) -> list[int]:
 
 def symmetry_group(matrix: ExponentMatrix) -> DiagonalGroup:
     """Invariant factors of the integer cokernel of E; order = |det E|."""
-    det = matrix.det()
-    if det == 0:
-        raise SingularMatrixError("diagonal symmetry group is infinite for det E = 0")
     diagonal = smith_normal_form(matrix.rows)
+    if 0 in diagonal:
+        raise SingularMatrixError("diagonal symmetry group is infinite for det E = 0")
     factors = tuple(d for d in diagonal if d != 1)
     order = 1
     for d in factors:

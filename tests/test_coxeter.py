@@ -68,6 +68,8 @@ def _geometric_product_charpoly(gammas):
 def test_charpoly_matches_geometric_product_oracle():
     rng = random.Random(11)
     seeded = [tuple(rng.randint(1, 60) for _ in range(4)) for _ in range(200)]
+    # Arms of 1 beside arms in the hundreds.
+    seeded += [tuple(rng.choice((1, rng.randint(100, 300))) for _ in range(4)) for _ in range(12)]
     one_minus_t_sq = UniPolynomial([1, -2, 1])
     for gammas in [*product(range(1, 9), repeat=4), *seeded]:
         expected = _geometric_product_charpoly(gammas)

@@ -10,6 +10,7 @@ from strangedual.invertible import (
     ExponentMatrix,
     SingularMatrixError,
     TermCountError,
+    WeightSolution,
     bh_transpose,
     canonical_weights,
     from_terms,
@@ -251,6 +252,102 @@ def test_canonical_weights_adjugate_oracle():
         solution = canonical_weights(ExponentMatrix.make(rows, ("x", "y", "z", "w")[:n]))
         assert (solution.weights, solution.degree) == (_adjugate_times_ones(rows), det)
         checked += 1
+
+
+def _weights_by_column_determinants(matrix):
+    # The per-column algorithm, frozen here: det E, then one determinant
+    # of E with column i set to 1 per column; the singular case as is.
+    det = mat_det(matrix.rows)
+    if det == 0:
+        kernel = matrix.kernel_basis()
+        if len(kernel) != 1:
+            raise SingularMatrixError(
+                f"kernel dimension {len(kernel)} != 1; no canonical weight direction"
+            )
+        weights = kernel[0]
+    else:
+        weights = tuple(
+            mat_det([row[:i] + (1,) + row[i + 1 :] for row in matrix.rows]) for i in range(matrix.n)
+        )
+    g = gcd(*weights, det) or 1
+    return WeightSolution(
+        weights, det, tuple(v // g for v in weights), det // g, all(v > 0 for v in weights)
+    )
+
+
+def _zero_pivot_rows(rng, n):
+    # A zero top-left entry, and for n >= 3 often a singular leading 2x2
+    # block, so elimination swaps rows more than once.
+    rows = [[rng.randint(0, 4) for _ in range(n)] for _ in range(n)]
+    rows[0][0] = 0
+    if n >= 3 and rng.random() < 0.5:
+        rows[1][:2] = [0, rng.randint(0, 4)]
+    return rows
+
+
+def _negative_det_rows(rng, n):
+    # Two rows of a nonsingular matrix swapped; n = 1 has no negative case.
+    while True:
+        rows = [[rng.randint(0, 5) for _ in range(n)] for _ in range(n)]
+        det = _det_int(rows)
+        if det > 0 and n >= 2:
+            return [rows[1], rows[0], *rows[2:]]
+        if det < 0 or (det > 0 and n == 1):
+            return rows
+
+
+def _singular_rows(rng, n):
+    # A repeated row, a row sum, a zero column or all zeros: nullity 1 to n.
+    rows = [[rng.randint(0, 4) for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(4)
+    if kind == 0 and n >= 2:
+        rows[-1] = list(rows[0])
+    elif kind == 1 and n >= 3:
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+    elif kind == 3:
+        rows = [[0] * n for _ in range(n)]
+    else:
+        column = rng.randrange(n)
+        for row in rows:
+            row[column] = 0
+    return rows
+
+
+@pytest.mark.parametrize(
+    "draw, seen",
+    [
+        (_zero_pivot_rows, {1, -1, 0, "error"}),
+        (_negative_det_rows, {1, -1}),  # +1: only the 1x1 matrices
+        (_singular_rows, {0, "error"}),
+    ],
+    ids=["zero-pivot", "negative-det", "singular"],
+)
+def test_canonical_weights_match_per_column_determinants(draw, seen):
+    # Outcomes: the sign of the degree, or "error" for a kernel of
+    # dimension above 1.
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        matrix = ExponentMatrix.make(draw(rng, n), ("x", "y", "z", "w")[:n])
+        try:
+            expected = _weights_by_column_determinants(matrix)
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError) as raised:
+                canonical_weights(matrix)
+            assert str(raised.value) == str(exc)
+            outcomes.add("error")
+        else:
+            solution = canonical_weights(matrix)
+            assert solution == expected and type(solution) is WeightSolution
+            assert [type(v) for v in solution] == [type(v) for v in expected]
+            outcomes.add((expected.degree > 0) - (expected.degree < 0))
+        if mat_det(matrix.rows):
+            assert symmetry_group(matrix).order == abs(mat_det(matrix.rows))
+        else:
+            with pytest.raises(SingularMatrixError, match="infinite for det E = 0"):
+                symmetry_group(matrix)
+    assert outcomes == seen
 
 
 def test_smith_normal_form_minor_gcd_oracle(catalog):
