@@ -276,6 +276,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return _wrap, (self._terms, self._den, self._width)
+
     # -- calculus / evaluation ----------------------------------------------
 
     def split(self, var: str) -> tuple["Polynomial", "Polynomial"]:

@@ -176,6 +176,9 @@ class FrameProduct:
     def __setattr__(self, name, value):
         raise AttributeError("FrameProduct is immutable")
 
+    def __reduce__(self):
+        return FrameProduct, (self._exps,)
+
     def __str__(self) -> str:
         return format_frame(self)
 
@@ -262,6 +265,9 @@ class UniPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPolynomial is immutable")
+
+    def __reduce__(self):
+        return UniPolynomial, (self.coefficients,)
 
     def __str__(self) -> str:
         if not self.coefficients:

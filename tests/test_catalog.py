@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -86,6 +88,19 @@ def test_verify_all_green(catalog):
     assert report.passed == 80
     assert report.ok
     assert report.to_text().endswith("80/80 checks passed")
+
+
+def test_polynomials_and_catalogs_copy_and_pickle(catalog):
+    # Each immutable value type rebuilds from its own data, so copies equal
+    # the original and a deep-copied catalog verifies like the shipped one.
+    poly = parse_poly("x + 1/2*y")
+    for copied in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+        assert copied == poly and hash(copied) == hash(poly)
+        assert str(copied) == "x + 1/2*y"
+    clone = copy.deepcopy(catalog)
+    assert clone == catalog and pickle.loads(pickle.dumps(catalog)) == catalog
+    assert verify_all(clone).to_text() == verify_all(catalog).to_text()
+    assert verify_all(clone).passed == 80
 
 
 def test_report_json_roundtrip(catalog):
