@@ -18,11 +18,11 @@ shipped catalog every check is an exact identity.
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
 from collections import namedtuple
 from collections.abc import Callable, Iterable
-from importlib import resources
 
 from . import matfac as mf
 from ._errors import StrangedualError
@@ -205,7 +205,7 @@ class Catalog(namedtuple("Catalog", "entries")):
 
 
 def default_catalog_path() -> str:
-    return str(resources.files("strangedual").joinpath("data/catalog.json"))
+    return os.path.join(os.path.dirname(__file__), "data", "catalog.json")
 
 
 _MISSING = object()  # the value of an absent key
