@@ -1,10 +1,10 @@
 """Small exact linear-algebra helpers, all fraction-free.
 
 ``mat_det`` is Bareiss elimination over ``int`` (``bareiss``).  ``rref``
-is Gauss–Jordan over ``int``: a row with a ``Fraction`` is scaled to
-integers, and each new row is divided by its content.  ``mat_rank``,
-``solve_affine`` and ``nullspace`` build on it and take ``int`` or
-``fractions.Fraction`` entries.  ``solve_affine`` returns integer vectors
+is Gauss–Jordan over ``int``: each new row is divided by its content.
+``mat_rank``, ``solve_affine`` and ``nullspace`` build on it and take
+``int`` entries; a ``Fraction`` or ``float`` entry raises ``TypeError``
+from ``math.gcd``.  ``solve_affine`` returns integer vectors
 over one positive denominator, the lcm of the pivots, so no ``Fraction``
 is formed.
 Everything is meant for the tiny matrices (at most 4x5) that show up in
@@ -65,13 +65,7 @@ def rref(rows, rhs=None):
     are not scaled to 1, so no ``Fraction`` is formed.  The rhs is ``None``
     when no right-hand side was supplied.
     """
-    m = []
-    for row, b in zip(rows, repeat(0) if rhs is None else rhs):
-        row = [*row, b]
-        if any(type(v) is not int for v in row):
-            scale = lcm(*(v.denominator for v in row))
-            row = [v.numerator * (scale // v.denominator) for v in row]
-        m.append(_primitive(row))
+    m = [_primitive([*row, b]) for row, b in zip(rows, repeat(0) if rhs is None else rhs)]
     nrows = len(m)
     ncols = len(m[0]) - 1 if m else 0
     pivots: list[int] = []

@@ -300,7 +300,8 @@ def smith_normal_form(rows) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Exact integer row/column reduction, pivoting on the entry of smallest
-    absolute value.  Returns non-negative diagonal entries satisfying the
+    absolute value, makes the matrix diagonal; a pairwise (gcd, lcm) pass
+    over the diagonal then gives non-negative entries satisfying the
     divisibility chain d_1 | d_2 | ...  An entry that is not an integer
     raises ``TypeError``.
     """
@@ -340,20 +341,15 @@ def smith_normal_form(rows) -> list[int]:
                 if m[t][j]:
                     dirty = True
             if not dirty:
-                # Pivot must also divide the rest of the block.
-                offender = None
-                for i in range(t + 1, nrows):
-                    for j in range(t + 1, ncols):
-                        if m[i][j] % head:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                for j in range(t, ncols):
-                    m[t][j] += m[offender][j]
-    return [abs(m[i][i]) for i in range(size)]
+                break
+    # diag(a, b) ~ diag(gcd(a, b), lcm(a, b)) over Z (M. Newman, *Integral
+    # Matrices*, Ch. II); once d_i has met every later entry it divides
+    # them all.  A zero moves last: gcd(0, b) = |b|, lcm(0, b) = 0.
+    diagonal = [abs(m[i][i]) for i in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            diagonal[i], diagonal[j] = gcd(diagonal[i], diagonal[j]), lcm(diagonal[i], diagonal[j])
+    return diagonal
 
 
 def symmetry_group(matrix: ExponentMatrix) -> DiagonalGroup:

@@ -18,10 +18,13 @@ uses its product, primitive gcd and primitive integer form.
 
 The text notation mirrors the tables it came from: ``2^2*8*10 / 1^2*4*5``
 stands for (1-t^2)^2 (1-t^8)(1-t^10) / (1-t)^2 (1-t^4)(1-t^5).
+``parse_frame`` reads it in one pass over regex tokens: a base with an
+optional ``^`` exponent, or any other single non-space character.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, zip_longest
@@ -95,10 +98,6 @@ class WeightSystem(namedtuple("WeightSystem", "weights degrees")):
         if any(v <= 0 for v in self.weights + self.degrees):
             raise SeriesError(f"weight system entries must be positive: {self}")
         return self
-
-    @staticmethod
-    def parse(text: str) -> "WeightSystem":
-        return parse_weight_system(text)
 
     def __str__(self) -> str:
         ws = ",".join(str(w) for w in self.weights)
@@ -406,6 +405,10 @@ def format_frame(frame: FrameProduct) -> str:
     return f"{side(numerator)} / {side(denominator)}"
 
 
+# A base with an optional '^' and exponent, or any other non-space character.
+_FRAME_TOKEN = re.compile(r"(\d+)(?:\^(\d*))?|(\S)")
+
+
 def _frame_int(digits: str, offset: int) -> int:
     try:
         return int(digits)
@@ -413,78 +416,46 @@ def _frame_int(digits: str, offset: int) -> int:
         raise FrameSyntaxError("number too long", offset) from None
 
 
-def parse_frame(text: str, warnings: list[str] | None = None) -> FrameProduct:
+def parse_frame(text: str) -> FrameProduct:
     """Parse the ``a^p*b*c / d^q*e`` notation ('*' or a unicode dot).
 
     A side consisting of the single token ``1`` (with no exponent) is the
-    empty side.  A base repeated within one side is merged; a note is
-    appended to ``warnings`` when that happens.
+    empty side.  A base repeated within one side is merged.
     """
     normalised = text.replace("·", "*").replace("⋅", "*")
-
-    def parse_side(chunk: str, offset0: int, sign: int):
-        items: list[tuple[int, int, bool]] = []
-        expecting_item = True
-        i = 0
-        while i < len(chunk):
-            ch = chunk[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch == "*":
-                if expecting_item:
-                    raise FrameSyntaxError("unexpected '*'", offset0 + i + 1)
-                expecting_item = True
-                i += 1
-                continue
-            if not ch.isdecimal():
-                raise FrameSyntaxError(f"unexpected character {ch!r}", offset0 + i + 1)
-            if not expecting_item:
-                raise FrameSyntaxError("missing '*' between factors", offset0 + i + 1)
-            j = i
-            while j < len(chunk) and chunk[j].isdecimal():
-                j += 1
-            base = _frame_int(chunk[i:j], offset0 + i + 1)
-            exponent = 1
-            explicit = False
-            if j < len(chunk) and chunk[j] == "^":
-                j += 1
-                k = j
-                while k < len(chunk) and chunk[k].isdecimal():
-                    k += 1
-                if k == j:
-                    raise FrameSyntaxError("expected exponent", offset0 + j + 1)
-                exponent = _frame_int(chunk[j:k], offset0 + j + 1)
-                explicit = True
-                j = k
-            if base <= 0:
-                raise FrameSyntaxError("frame base must be positive", offset0 + i + 1)
-            if base > MAX_FRAME_BASE:
-                raise FrameSyntaxError(
-                    f"frame base {base} exceeds limit {MAX_FRAME_BASE}", offset0 + i + 1
-                )
-            items.append((base, sign * exponent, explicit))
-            expecting_item = False
-            i = j
-        if expecting_item:
-            raise FrameSyntaxError("expected factor", offset0 + len(chunk) + 1)
-        if len(items) == 1 and items[0][0] == 1 and not items[0][2]:
-            return []  # bare "1": the empty side
-        return [(base, alpha) for base, alpha, _ in items]
-
     slash_count = normalised.count("/")
     if slash_count > 1:
         second = normalised.index("/", normalised.index("/") + 1)
         raise FrameSyntaxError("more than one '/'", second + 1)
-    if slash_count:
-        num_text, den_text = normalised.split("/")
-        pairs = parse_side(num_text, 0, +1)
-        pairs += parse_side(den_text, len(num_text) + 1, -1)
-    else:
-        pairs = parse_side(normalised, 0, +1)
-    seen: set[int] = set()
-    for base, _ in pairs:
-        if base in seen and warnings is not None:
-            warnings.append(f"repeated base {base} merged")
-        seen.add(base)
+    pairs: list[tuple[int, int]] = []
+    sign, start, expecting, bare = 1, 0, True, False
+    # The appended '/' ends the last side as the written one ends the first.
+    for token in _FRAME_TOKEN.finditer(normalised + "/"):
+        digits, power, other = token.groups()
+        offset = token.start() + 1
+        if other == "/":
+            if expecting:
+                raise FrameSyntaxError("expected factor", offset)
+            if bare and len(pairs) == start + 1:
+                pairs.pop()  # bare "1": the empty side
+            sign, start, expecting = -1, len(pairs), True
+        elif other == "*":
+            if expecting:
+                raise FrameSyntaxError("unexpected '*'", offset)
+            expecting = True
+        elif other:
+            raise FrameSyntaxError(f"unexpected character {other!r}", offset)
+        elif not expecting:
+            raise FrameSyntaxError("missing '*' between factors", offset)
+        else:
+            base = _frame_int(digits, offset)
+            if power == "":
+                raise FrameSyntaxError("expected exponent", token.end() + 1)
+            alpha = 1 if power is None else _frame_int(power, token.start(2) + 1)
+            if base <= 0:
+                raise FrameSyntaxError("frame base must be positive", offset)
+            if base > MAX_FRAME_BASE:
+                raise FrameSyntaxError(f"frame base {base} exceeds limit {MAX_FRAME_BASE}", offset)
+            pairs.append((base, sign * alpha))
+            expecting, bare = False, base == 1 and power is None
     return FrameProduct(pairs)

@@ -6,12 +6,14 @@ reference polynomials of ``_reference_polyring`` by ``restrict``, a
 constant-coefficient linear variable is eliminated by ``substitute``, the
 univariate restrictions meet in a monic Euclidean gcd over Q, and points
 are ``Fraction`` 4-tuples.  Membership is checked by evaluation and the
-singular flag comes from the rank of the ``Fraction`` Jacobian.  It is
+singular flag says the ``Fraction`` Jacobian has rank below 2.  It is
 kept only as a differential oracle for ``test_orbits.py`` and must not
-change with the library.  Its one change since: a stratum on which a
+change with the library.  Its changes since: a stratum on which a
 restricted equation is one term has no points, with two free
-coordinates too (a term c*m, c != 0, vanishes nowhere on the stratum).  The records and error classes are the
-library's own.
+coordinates too (a term c*m, c != 0, vanishes nowhere on the stratum);
+and the rank test is its own (every 2x2 minor is 0), because the
+library's elimination takes integer rows only.  The records and error
+classes are the library's own.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from math import gcd, isqrt, lcm
 
 import _reference_polyring as ref
 
-from strangedual._linalg import mat_rank
 from strangedual.orbits import OrbitRep, StratumError, UnresolvedOrbit
 
 VARIABLES = ("x", "y", "z", "w")
@@ -185,6 +186,15 @@ def rational_group_images(point, weights, slice_index):
     return {tuple(point), flipped}
 
 
+def _rank_below_two(rows):
+    """Every 2x2 minor of ``rows`` is 0."""
+    return all(
+        r[i] * s[j] == r[j] * s[i]
+        for r, s in combinations(rows, 2)
+        for i, j in combinations(range(len(r)), 2)
+    )
+
+
 def exceptional_orbits(h1, h2i, action):
     """The orbit list of the library's ``exceptional_orbits`` for library
     polynomials ``h1`` and ``h2i`` (weighted homogeneous for ``action``)."""
@@ -207,6 +217,6 @@ def exceptional_orbits(h1, h2i, action):
                 seen |= rational_group_images(point, weights, slice_index)
                 assert all(p.evaluate(point) == 0 for p in equations)
                 jacobian = [[d.evaluate(point) for d in row] for row in gradient]
-                results.append(OrbitRep(point, g, mat_rank(jacobian) < 2, names))
+                results.append(OrbitRep(point, g, _rank_below_two(jacobian), names))
             results.extend(UnresolvedOrbit(names, v, r) for v, r in unresolved)
     return results

@@ -154,6 +154,23 @@ def test_saito_dual_domain_error(capsys):
     assert "does not divide" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("6*7 / ", "expected factor at offset 7"),
+        ("4 / 2 / 2", "more than one '/' at offset 7"),
+        ("6 7", "missing '*' between factors at offset 3"),
+        ("6**7", "unexpected '*' at offset 3"),
+        ("2^ 3", "expected exponent at offset 3"),
+        ("0*2", "frame base must be positive at offset 1"),
+        ("2*1000001", "frame base 1000001 exceeds limit 1000000 at offset 3"),
+    ],
+    ids=["empty-side", "two-slashes", "missing-star", "double-star", "empty-exponent", "zero-base", "past-limit"],
+)
+def test_saito_dual_frame_syntax_error(capsys, text, message):
+    assert run(capsys, "saito-dual", text, "--degree", "42") == (1, "", f"error: {message}\n")
+
+
 def test_split_newton(capsys):
     code, out, _ = run(capsys, "split-newton", "-y*z + x*w + z^3 + w^2", "--h1", "x*y - w^2")
     assert code == 0
@@ -606,6 +623,14 @@ def test_every_field_of_the_shipped_entry_is_total(capsys, tmp_path):
             "entry J': field 'parent.change': expected variable, found '*' at offset 4",
         ),
         (("parent", "change", "w"), "", "entry J': field 'parent.change': empty input at offset 1"),
+        (("zeta_frame",), "2 ^3", "entry J': field 'zeta_frame': unexpected character '^' at offset 3"),
+        (("zeta_frame",), "2^2*8*10 /", "entry J': field 'zeta_frame': expected factor at offset 11"),
+        (
+            ("zeta_frame",),
+            "2^2*8*10 / 1^2*4*5 / 2",
+            "entry J': field 'zeta_frame': more than one '/' at offset 20",
+        ),
+        (("zeta_frame",), "0 / 1", "entry J': field 'zeta_frame': frame base must be positive at offset 1"),
     ],
     ids=[
         "dual-int",
@@ -633,6 +658,10 @@ def test_every_field_of_the_shipped_entry_is_total(capsys, tmp_path):
         "change-unknown-variable",
         "change-image-syntax",
         "change-image-empty",
+        "zeta-frame-caret",
+        "zeta-frame-empty-side",
+        "zeta-frame-two-slashes",
+        "zeta-frame-zero-base",
     ],
 )
 def test_wrong_kind_is_one_load_error(capsys, tmp_path, path, value, message):

@@ -176,11 +176,10 @@ def test_symmetry_group_order_is_abs_det():
     assert symmetry_group(bh_transpose(matrix)).order == symmetry_group(matrix).order
 
 
-def _minor_gcd(rows, k):
-    n = len(rows)
+def _minor_gcd(rows, ncols, k):
     g = 0
-    for row_idx in combinations(range(n), k):
-        for col_idx in combinations(range(n), k):
+    for row_idx in combinations(range(len(rows)), k):
+        for col_idx in combinations(range(ncols), k):
             sub = [[rows[i][j] for j in col_idx] for i in row_idx]
             g = gcd(g, abs(int(_det_int(sub))))
     return g
@@ -352,22 +351,34 @@ def test_canonical_weights_match_per_column_determinants(draw, seen):
 
 def test_smith_normal_form_minor_gcd_oracle(catalog):
     # d_1 * ... * d_k equals the gcd of all k x k minors, on the catalog's
-    # exponent matrices (each singular, of rank 3) and on seeded matrices.
+    # exponent matrices (each singular, of rank 3), on seeded square and
+    # rectangular matrices, and on diagonals of coprime entries, which are
+    # not yet a divisibility chain.
     matrices = [entry.exponent_matrix().rows for entry in catalog.entries]
     rng = random.Random(42)
     for _ in range(60):
         n = rng.randint(2, 4)
         matrices.append([[rng.randint(-4, 6) for _ in range(n)] for _ in range(n)])
+    for _ in range(60):
+        shape = rng.sample(range(1, 5), 2)
+        matrices.append([[rng.randint(-4, 6) for _ in range(shape[1])] for _ in range(shape[0])])
+    for _ in range(30):
+        primes = rng.sample((2, 3, 5, 7, 11, -13, -17), rng.randint(2, 4))
+        matrices.append([[p if i == j else 0 for j in range(len(primes))] for i, p in enumerate(primes)])
+    matrices += [[[6, 0, 0], [0, 0, 0], [0, 0, 10]], [[0, 0], [0, 4]]]
     for rows in matrices:
-        n = len(rows)
+        nrows, ncols = len(rows), len(rows[0])
         diagonal = smith_normal_form(rows)
-        for i in range(n - 1):
+        assert len(diagonal) == min(nrows, ncols)
+        for i in range(len(diagonal) - 1):
             if diagonal[i]:
                 assert diagonal[i + 1] % diagonal[i] == 0
+            else:
+                assert diagonal[i + 1] == 0
         product = 1
-        for k in range(1, n + 1):
+        for k in range(1, len(diagonal) + 1):
             product *= diagonal[k - 1]
-            assert product == _minor_gcd(rows, k)
+            assert product == _minor_gcd(rows, ncols, k)
 
 
 def test_smith_normal_form_known():

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
-from strangedual._linalg import mat_rank, nullspace, solve_affine
+import pytest
+
+from strangedual._linalg import mat_rank, nullspace, rref, solve_affine
 
 
 def _det(rows):
@@ -45,9 +47,19 @@ def _entry(rng, rational):
     return rng.randint(-4, 4)
 
 
+def _integral(rows, rhs):
+    # Each equation times the lcm of its denominators: the same solutions.
+    scales = [lcm(*(Fraction(v).denominator for v in [*row, b])) for row, b in zip(rows, rhs)]
+    return (
+        [[int(v * k) for v in row] for row, k in zip(rows, scales)],
+        [int(b * k) for b, k in zip(rhs, scales)],
+    )
+
+
 def _systems(seed, count):
     """Seeded 1x1 to 4x5 systems with zero columns, repeated rows and,
-    for about a third of them, a right-hand side that breaks a repeat."""
+    for about a third of them, a right-hand side that breaks a repeat.
+    Each comes with its integer multiple, the form the solvers take."""
     rng = random.Random(seed)
     for _ in range(count):
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
@@ -65,20 +77,20 @@ def _systems(seed, count):
                 rhs[-1] = rhs[0] + 1
             else:
                 rhs = [_entry(rng, rational) for _ in range(nrows)]
-        yield rows, rhs
+        yield rows, rhs, *_integral(rows, rhs)
 
 
 def test_elimination_matches_minor_oracle():
     solved = inconsistent = degenerate = 0
-    for rows, rhs in _systems(11, 200):
+    for rows, rhs, int_rows, int_rhs in _systems(11, 200):
         ncols = len(rows[0])
         rank = _rank(rows)
-        assert mat_rank(rows) == rank
-        basis = nullspace(rows)
+        assert mat_rank(int_rows) == rank
+        basis = nullspace(int_rows)
         assert len(basis) == ncols - rank
         assert all(_apply(rows, vec) == [0] * len(rows) for vec in basis)
         assert _rank(basis) == len(basis)
-        solution = solve_affine(rows, rhs)
+        solution = solve_affine(int_rows, int_rhs)
         if solution is None:
             # Inconsistent exactly when b raises the rank of [A | b].
             assert _rank([row + [b] for row, b in zip(rows, rhs)]) > rank
@@ -93,3 +105,18 @@ def test_elimination_matches_minor_oracle():
         solved += 1
         degenerate += rank < ncols
     assert min(solved, inconsistent, degenerate) >= 30
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: rref([[Fraction(1, 2), 1]]),
+        lambda: mat_rank([[1, 2], [Fraction(2), 4]]),
+        lambda: solve_affine([[1.5, 2]], [1]),
+        lambda: nullspace([[1, 0.0]]),
+    ],
+    ids=["rref-fraction", "rank-integral-fraction", "solve-float", "nullspace-float"],
+)
+def test_elimination_takes_integer_rows_only(solve):
+    with pytest.raises(TypeError):
+        solve()

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from math import gcd
 from pathlib import Path
 
 import _reference_orbits as ref_orbits
+import _reference_series as ref_series
 import pytest
 
 from strangedual.cli import main
@@ -299,10 +301,8 @@ def test_parse_frame_unicode_dot():
 
 
 def test_parse_frame_merges_repeated_base():
-    warnings = []
-    frame = parse_frame("2*2^2 / 3", warnings)
+    frame = parse_frame("2*2^2 / 3")
     assert frame == FrameProduct({2: 3, 3: -1})
-    assert warnings == ["repeated base 2 merged"]
 
 
 def test_parse_frame_bare_one_is_identity():
@@ -376,3 +376,73 @@ def test_parse_frame_rejects_non_decimal_and_overlong_numbers(text):
     # error, not a ValueError.
     with pytest.raises(FrameSyntaxError):
         parse_frame(text)
+
+
+def _frame_outcome(parse, text):
+    try:
+        return ("parsed", parse(text))
+    except SeriesError as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "offset", None))
+
+
+#: Frame text pieces: a Unicode decimal digit (U+0663), a superscript that
+#: is not a decimal, tab, NBSP and the ideographic space, both dots, bases
+#: at and past the limit, digit runs past int()'s limit, letters and signs.
+_FRAME_PIECES = (
+    *"0123456789",
+    "\u0663", "\u00b2", "\t", " ", " ", "\u00a0", "\u3000",
+    "^", "^", "*", "*", "\u00b7", "\u22c5", "/",
+    "0", "1000000", "1000001", "12",
+    "x", "t", "-", "+", "(", ".",
+)
+_FRAME_LONG = ("9" * 4301, "\u0663" * 4301, "0" * 4300 + "7")
+
+
+def _frame_text(rng):
+    if rng.randrange(4) == 0:  # piece soup
+        return "".join(rng.choice(_FRAME_PIECES) for _ in range(rng.randint(0, 10)))
+    sides = []
+    for _ in range(rng.choice((1, 2, 2))):
+        factors = [
+            rng.choice(("1", "2", "6", "12", "\u0663", "1000000"))
+            + rng.choice(("", "", f"^{rng.randint(0, 12)}"))
+            for _ in range(rng.randint(1, 4))
+        ]
+        sides.append(rng.choice(("*", " * ", "\u00b7", "\u22c5")).join(factors))
+    chars = list(rng.choice((" / ", "/", "\t/\u3000")).join(sides))
+    for _ in range(rng.randint(0, 2)):  # insert, delete or replace a piece
+        at = rng.randint(0, len(chars))
+        piece = rng.choice(_FRAME_LONG) if rng.randrange(100) == 0 else rng.choice(_FRAME_PIECES)
+        chars[at : at + rng.randrange(2)] = rng.choice(("", piece))
+    return "".join(chars)
+
+
+def test_parse_frame_matches_character_scanner_reference():
+    # The token reader gives the frozen scanner's frame, or its error with
+    # the same type, message and offset.
+    rng = random.Random(20261020)
+    texts = [_frame_text(rng) for _ in range(20000)]
+    texts += [f"{long}{tail}" for long in _FRAME_LONG for tail in ("", "^2", " / 1")]
+    texts += [f"2^{long} / 3" for long in _FRAME_LONG]
+    messages = set()
+    parsed = 0
+    for text in texts:
+        expected = _frame_outcome(ref_series.parse_frame, text)
+        assert _frame_outcome(parse_frame, text) == expected, text
+        if expected[0] == "error":
+            messages.add(re.sub("[0-9]+", "N", expected[2].split(" at offset")[0]))
+        else:
+            parsed += 1
+    assert parsed >= 5000
+    # The fuzz reaches every error the grammar has.
+    assert messages >= {
+        "more than one '/'",
+        "expected factor",
+        "expected exponent",
+        "unexpected '*'",
+        "missing '*' between factors",
+        "number too long",
+        "frame base must be positive",
+        "frame base N exceeds limit N",
+        *(f"unexpected character {ch!r}" for ch in "\u00b2^-+x.t("),
+    }
