@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import index
 
-from ._errors import StrangedualError
+from ._errors import StrangedualError, checked_make
 from .series import MAX_FRAME_BASE, UniPolynomial, _polynomial_part, _times_frame
 
 __all__ = [
@@ -61,6 +61,7 @@ class GabrielovQuadruple(namedtuple("GabrielovQuadruple", "gammas")):
     """
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, gammas: tuple[int, int, int, int]):
         self = tuple.__new__(cls, (gammas,))

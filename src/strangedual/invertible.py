@@ -29,7 +29,7 @@ from math import gcd, lcm
 from operator import index
 
 from . import _linalg
-from ._errors import StrangedualError
+from ._errors import StrangedualError, checked_make
 from .polyring import Monomial, Polynomial, VARIABLES
 
 __all__ = [
@@ -70,6 +70,7 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
     """
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(
         cls,
@@ -109,9 +110,10 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
         return _linalg.mat_det(self.rows)
 
     def transpose(self) -> "ExponentMatrix":
-        n = self.n
-        rows = tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n))
-        return ExponentMatrix(rows, self.variables, self.coefficients)
+        # Unchecked: __new__ and _make checked this matrix, and its
+        # transpose is square and non-negative with the same coefficients.
+        rows = tuple(zip(*self.rows))
+        return tuple.__new__(ExponentMatrix, (rows, self.variables, self.coefficients))
 
     def row_multiset(self) -> tuple[tuple[int, ...], ...]:
         """Rows as a sorted tuple, for order-free comparisons."""
@@ -296,14 +298,32 @@ class DiagonalGroup(namedtuple("DiagonalGroup", "invariant_factors order")):
         return f"{parts} (order {self.order})"
 
 
+def _pivot(m: list[list[int]], t: int) -> tuple[int, int] | None:
+    """The first entry, row by row, of least absolute value in the block
+    of ``m`` from (t, t), or None when the block is zero.  A unit ends
+    the scan, as no nonzero entry is smaller."""
+    best, pivot = 0, None
+    for i in range(t, len(m)):
+        row = m[i]
+        for j in range(t, len(row)):
+            e = row[j]
+            if e < 0:
+                e = -e
+            if e and (e < best or not best):
+                if e == 1:
+                    return i, j
+                best, pivot = e, (i, j)
+    return pivot
+
+
 def smith_normal_form(rows) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Exact integer row/column reduction, pivoting on the entry of smallest
-    absolute value, makes the matrix diagonal; a pairwise (gcd, lcm) pass
-    over the diagonal then gives non-negative entries satisfying the
-    divisibility chain d_1 | d_2 | ...  An entry that is not an integer
-    raises ``TypeError``.
+    absolute value (the first unit found ends the search), makes the
+    matrix diagonal; a pairwise (gcd, lcm) pass over the diagonal then
+    gives non-negative entries satisfying the divisibility chain
+    d_1 | d_2 | ...  An entry that is not an integer raises ``TypeError``.
     """
     m = [[index(e) for e in row] for row in rows]
     nrows = len(m)
@@ -311,13 +331,7 @@ def smith_normal_form(rows) -> list[int]:
     size = min(nrows, ncols)
     for t in range(size):
         while True:
-            pivot = None
-            best = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
-                        best = abs(m[i][j])
-                        pivot = (i, j)
+            pivot = _pivot(m, t)
             if pivot is None:
                 break
             pi, pj = pivot

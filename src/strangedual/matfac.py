@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from ._errors import StrangedualError
+from ._errors import StrangedualError, checked_make
 from .polyring import Polynomial, parse_poly
 
 __all__ = [
@@ -59,6 +59,7 @@ class FactorizationTriple(namedtuple("FactorizationTriple", "a b c")):
     """
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, a: Polynomial, b: Polynomial, c: Polynomial):
         self = tuple.__new__(cls, (a, b, c))
@@ -92,6 +93,7 @@ class CompleteIntersectionPair(namedtuple("CompleteIntersectionPair", "first sec
     """A pair of equations cutting out a complete intersection in C^4."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, first: Polynomial, second: Polynomial):
         self = tuple.__new__(cls, (first, second))

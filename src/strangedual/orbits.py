@@ -38,7 +38,7 @@ from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
 from . import _linalg
-from ._errors import StrangedualError
+from ._errors import StrangedualError, checked_make
 from .polyring import Polynomial, QuasiFailure, VARIABLES, _jet, _part, _rows, quasi_degree
 from .series import UniPolynomial, WeightSystem
 
@@ -75,6 +75,7 @@ class CStarAction(namedtuple("CStarAction", "weights")):
     """Diagonal C*-action with positive integer weights on (x, y, z, w)."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, weights: tuple[int, int, int, int]):
         self = tuple.__new__(cls, (weights,))

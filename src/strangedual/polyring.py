@@ -49,7 +49,7 @@ from math import gcd, lcm
 from itertools import repeat
 from operator import floordiv, mul, or_
 
-from ._errors import StrangedualError
+from ._errors import StrangedualError, checked_make
 
 VARIABLES = ("x", "y", "z", "w")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -76,6 +76,7 @@ class Monomial(namedtuple("Monomial", "exponents")):
     """A power product x^a * y^b * z^c * w^d with non-negative exponents."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, exponents: tuple[int, int, int, int]):
         self = tuple.__new__(cls, (exponents,))

@@ -9,7 +9,9 @@ functions of monodromy operators and the orbit polynomials Or(t).  Frame
 products multiply by adding exponents.  One integer kernel, shared with
 the Coxeter polynomials, multiplies a truncated power series by a frame
 product: ``frame_expand`` is that kernel under ``MAX_EXPAND_WORK``, and
-``frame_to_polynomial`` is ``frame_expand`` plus a tail check.
+``frame_to_polynomial`` is ``frame_expand`` plus a tail check.  Over
+(1 - t^l) the kernel loops per element on lists shorter than 16 l, and
+takes running sums per residue class mod l on longer ones.
 
 :class:`UniPolynomial` is the package's one univariate polynomial type:
 dense, over Q, with integral coefficients kept as ``int``.  Frame
@@ -32,7 +34,7 @@ from math import gcd, lcm
 from operator import index, sub
 from collections.abc import Iterable, Mapping, Sequence
 
-from ._errors import StrangedualError
+from ._errors import StrangedualError, checked_make
 
 __all__ = [
     "WeightSystem",
@@ -90,6 +92,7 @@ class WeightSystem(namedtuple("WeightSystem", "weights degrees")):
     intersection; printed as ``w1,w2,w3,w4;d1,d2``."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, weights: tuple[int, ...], degrees: tuple[int, ...]):
         self = tuple.__new__(cls, (weights, degrees))
@@ -230,8 +233,12 @@ class UniPolynomial:
     def primitive_gcd(self, other: "UniPolynomial") -> "UniPolynomial":
         """The gcd as coprime integers with a positive lead, by a primitive
         pseudo-remainder sequence (G. E. Collins, J. ACM 14, 1967) that
-        scales by lc(b) only where lc(b) does not divide."""
+        scales by lc(b) only where lc(b) does not divide.  When
+        ``_GCD_PRIME`` divides neither lead, a gcd of degree 0 modulo it
+        proves the gcd is 1 first, as reduction cannot lower its degree."""
         a, b = list(self.primitive()), list(other.primitive())
+        if a and b and a[-1] % _GCD_PRIME and b[-1] % _GCD_PRIME and _coprime_mod_p(a, b):
+            return UniPolynomial((1,))
         while b:
             lead, n = b[-1], len(b)
             while len(a) >= n:
@@ -292,6 +299,28 @@ class UniPolynomial:
         return f"UniPolynomial({list(self.coefficients)})"
 
 
+#: The prime 2^61 - 1 of the coprimality test in ``primitive_gcd``.
+_GCD_PRIME = 2**61 - 1
+
+
+def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
+    """Whether the polynomials ``a`` and ``b`` (coefficient lists, leads
+    prime to ``_GCD_PRIME``) have a constant gcd modulo ``_GCD_PRIME``."""
+    p = _GCD_PRIME
+    a, b = [c % p for c in a], [c % p for c in b]
+    while b:
+        inverse, n = pow(b[-1], -1, p), len(b)
+        while len(a) >= n:
+            q = a.pop() * inverse % p
+            shift = len(a) - n + 1
+            for j in range(n - 1):
+                a[shift + j] = (a[shift + j] - q * b[j]) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def _exact(value) -> int | Fraction:
     """``value`` as an exact rational: an ``int`` when integral."""
     value = Fraction(value)
@@ -325,17 +354,32 @@ def saito_dual(frame: FrameProduct, d: int) -> FrameProduct:
     return FrameProduct({d // base: -alpha for base, alpha in frame.items()})
 
 
+#: List length, in multiples of l, from which running sums per residue
+#: class beat the per-element loop over (1 - t^l): timed on small ints,
+#: they did from 14 l to 20 l for l = 2..16 and from 12 l to 14 l for
+#: l = 30..60 (CPython 3.11).
+_SHORT_LIST_FACTOR = 16
+
+
 def _times_frame(coeffs: list[int], items: Iterable[tuple[int, int]]) -> list[int]:
     """Multiply the power series ``coeffs`` in place by prod (1-t^l)^alpha
     over the pairs (l, alpha) of ``items``, truncated to its length: times
-    (1-t^l) subtracts the list shifted by l, over (1-t^l) takes running
-    sums along each residue class mod l."""
+    (1-t^l) subtracts the list shifted by l, over (1-t^l) adds c[i - l]
+    into c[i] in index order: one ``accumulate`` for l = 1, a per-element
+    loop below ``_SHORT_LIST_FACTOR`` * l entries, and else one
+    ``accumulate`` per residue class mod l."""
+    n = len(coeffs)
     for base, alpha in items:
         for _ in range(abs(alpha)):
             if alpha > 0:
                 coeffs[base:] = list(map(sub, coeffs[base:], coeffs))
+            elif base == 1:
+                coeffs[:] = accumulate(coeffs)
+            elif n < _SHORT_LIST_FACTOR * base:
+                for i in range(base, n):
+                    coeffs[i] += coeffs[i - base]
             else:
-                for start in range(min(base, len(coeffs))):
+                for start in range(base):
                     coeffs[start::base] = list(accumulate(coeffs[start::base]))
     return coeffs
 
@@ -353,7 +397,15 @@ def _polynomial_part(coeffs: Sequence[int], degree: int) -> UniPolynomial:
                 power,
                 coeffs[power],
             )
-    return UniPolynomial(coeffs[: degree + 1])
+    # The coefficients are ints: build the polynomial without the
+    # per-coefficient pass of UniPolynomial(), dropping trailing zeros here.
+    coeffs = coeffs[: degree + 1]
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    poly = object.__new__(UniPolynomial)
+    object.__setattr__(poly, "coefficients", tuple(coeffs[:end]))
+    return poly
 
 
 def frame_to_polynomial(frame: FrameProduct) -> UniPolynomial:

@@ -1,15 +1,42 @@
-"""Frozen copy of the character scanner behind ``series.parse_frame``.
+"""Frozen copies of the character scanner behind ``series.parse_frame``
+and of the remainder sequence behind ``UniPolynomial.primitive_gcd``.
 
-This is the frame-text reader as it stood before the one-pass token
-reader: a nested per-side scanner over character indices.  It is kept
-only as a differential oracle for ``test_series.py`` and must not change
-with the library.  ``FrameProduct``, ``FrameSyntaxError`` and
-``MAX_FRAME_BASE`` are the library's own, which did not change.
+The first is the frame-text reader as it stood before the one-pass token
+reader: a nested per-side scanner over character indices.  The second is
+the gcd as it stood before its coprimality test modulo a prime.  Both
+are kept only as differential oracles for ``test_series.py`` and must
+not change with the library.  ``FrameProduct``, ``FrameSyntaxError``,
+``MAX_FRAME_BASE`` and ``UniPolynomial.primitive`` are the library's
+own, which did not change.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from strangedual.series import MAX_FRAME_BASE, FrameProduct, FrameSyntaxError
+
+
+def primitive_gcd(first, second) -> tuple[int, ...]:
+    """Coefficients of the gcd of two ``UniPolynomial``s as coprime
+    integers with a positive lead, by the primitive pseudo-remainder
+    sequence alone."""
+    a, b = list(first.primitive()), list(second.primitive())
+    while b:
+        lead, n = b[-1], len(b)
+        while len(a) >= n:
+            top = a.pop()
+            shift = len(a) - n + 1
+            q, r = divmod(top, lead)
+            if r:
+                a, q = [lead * c for c in a], top
+            for j in range(n - 1):
+                a[shift + j] -= q * b[j]
+            while a and not a[-1]:
+                a.pop()
+        content = gcd(*a)
+        a, b = b, [c // content for c in a]
+    return tuple(-c for c in a) if a and a[-1] < 0 else tuple(a)
 
 
 def _frame_int(digits: str, offset: int) -> int:

@@ -10,6 +10,7 @@ import pytest
 
 from strangedual.catalog import default_catalog_path, load_catalog, report_from_json, verify_all
 from strangedual.cli import build_parser, main
+from strangedual.polyring import format_poly, parse_poly
 
 
 def run(capsys, *argv):
@@ -298,6 +299,13 @@ def test_charpoly_arm_bounds(gammas, code, stderr):
     assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == code
 
 
+def _written_out_pair(n):
+    """h1 = (x+y)^n - 3y^n + z^n and h2 = (x+2y)^n - 5y^n + w^n, expanded."""
+    h1 = parse_poly("x + y") ** n - parse_poly(f"3*y^{n} - z^{n}")
+    h2 = parse_poly("x + 2*y") ** n - parse_poly(f"5*y^{n} - w^{n}")
+    return format_poly(h1), format_poly(h2)
+
+
 @pytest.mark.parametrize(
     "argv, stderr",
     [
@@ -334,6 +342,12 @@ def test_charpoly_arm_bounds(gammas, code, stderr):
             ("dolgachev", "--weights", "2", "1", "2", "2", "x*z - w^2", "z^1200 - 2*w^1200 + x^1200"),
             "error: system too complex: elimination degree 2400 on stratum {x,z,w} exceeds limit ",
         ),
+        # Two coprime univariate equations of degree 200 with 137-bit
+        # coefficients, whose gcd the orbit solver takes.
+        (
+            ("dolgachev", "--weights", "2", "2", "2", "2", *_written_out_pair(200)),
+            "error: system too complex: no constant-coefficient linear variable on stratum {x,y,z}",
+        ),
     ],
     ids=[
         "expand-huge",
@@ -344,6 +358,7 @@ def test_charpoly_arm_bounds(gammas, code, stderr):
         "dolgachev-degree-past-bound",
         "dolgachev-orbits-jet-past-bound",
         "dolgachev-elimination-past-bound",
+        "dolgachev-coprime-gcd-degree-200",
     ],
 )
 def test_bounded_work_inputs(argv, stderr):
@@ -351,7 +366,8 @@ def test_bounded_work_inputs(argv, stderr):
     # ended in a traceback: the expansion before its work bound, the orbit
     # search while it walked the slice's cyclic group, O(weight) steps,
     # the printing of an exponent with more digits than str(int) converts,
-    # and the orbit solver's dense list and jet at an equation's degree.
+    # the orbit solver's dense list and jet at an equation's degree, and
+    # its gcd of two coprime equations by a remainder sequence alone.
     # The elimination past the degree bound is refused before it is formed.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     argv = [sys.executable, "-m", "strangedual.cli", *argv]

@@ -73,6 +73,11 @@ def test_transpose_involution_random():
         rows = tuple(tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(n))
         matrix = ExponentMatrix.make(rows, ("x", "y", "z", "w")[:n])
         assert bh_transpose(bh_transpose(matrix)) == matrix
+        # The transpose skips the constructor's checks; it equals the
+        # matrix the checked constructor builds from the transposed rows.
+        columns = tuple(tuple(row[i] for row in rows) for i in range(n))
+        checked = ExponentMatrix(columns, matrix.variables, matrix.coefficients)
+        assert bh_transpose(matrix) == checked and type(bh_transpose(matrix)) is ExponentMatrix
 
 
 def _cramer_2x2(matrix):
@@ -352,8 +357,10 @@ def test_canonical_weights_match_per_column_determinants(draw, seen):
 def test_smith_normal_form_minor_gcd_oracle(catalog):
     # d_1 * ... * d_k equals the gcd of all k x k minors, on the catalog's
     # exponent matrices (each singular, of rank 3), on seeded square and
-    # rectangular matrices, and on diagonals of coprime entries, which are
-    # not yet a divisibility chain.
+    # rectangular matrices, on diagonals of coprime entries, which are
+    # not yet a divisibility chain, and on matrices with negative entries
+    # and units off the diagonal, where the pivot search stops at the
+    # first unit.
     matrices = [entry.exponent_matrix().rows for entry in catalog.entries]
     rng = random.Random(42)
     for _ in range(60):
@@ -365,7 +372,19 @@ def test_smith_normal_form_minor_gcd_oracle(catalog):
     for _ in range(30):
         primes = rng.sample((2, 3, 5, 7, 11, -13, -17), rng.randint(2, 4))
         matrices.append([[p if i == j else 0 for j in range(len(primes))] for i, p in enumerate(primes)])
+    for _ in range(60):
+        nrows, ncols = rng.randint(2, 5), rng.randint(2, 5)
+        rows = [
+            [rng.choice((0, rng.randint(-9, -2), rng.randint(2, 9))) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(nrows), rng.randrange(ncols)
+            if i != j:
+                rows[i][j] = rng.choice((-1, 1))
+        matrices.append(rows)
     matrices += [[[6, 0, 0], [0, 0, 0], [0, 0, 10]], [[0, 0], [0, 4]]]
+    matrices += [[[4, -6], [-1, 9]], [[0, 6, 1], [-1, 0, 4]]]
     for rows in matrices:
         nrows, ncols = len(rows), len(rows[0])
         diagonal = smith_normal_form(rows)

@@ -117,9 +117,12 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
     ],
 )
 def test_validated_records(cls, bad, error, message, good):
-    with pytest.raises(error) as exc:
-        cls(*bad)
-    assert type(exc.value) is error and str(exc.value) == message
+    # _make and _replace build through the same checks as the constructor.
+    bad_fields = dict(zip(cls._fields, bad))
+    for build in (lambda: cls(*bad), lambda: cls._make(bad), lambda: cls(*good)._replace(**bad_fields)):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error and str(exc.value) == message
     record = cls(*good)
     assert tuple(record) == good and hash(record) == hash(good)
     for field in record._fields:

@@ -12,6 +12,7 @@ import _reference_orbits as ref_orbits
 import _reference_series as ref_series
 import pytest
 
+from strangedual import series
 from strangedual.cli import main
 from strangedual.series import (
     FrameProduct,
@@ -169,6 +170,40 @@ def test_gcd_matches_euclidean_reference():
         assert monic == ref_orbits.monic_gcd(a.coefficients, b.coefficients)
 
 
+def test_gcd_matches_frozen_remainder_sequence():
+    # The gcd against the remainder sequence alone, on pairs of degree at
+    # most 30: random pairs (nearly always coprime), pairs with a built
+    # common factor, leads that are multiples of the prime of the
+    # coprimality test (which skip it), and pairs coprime over Z that
+    # share a factor modulo that prime (t and t + p), where it cannot
+    # decide and the sequence must run.
+    p = 2**61 - 1
+    rng = random.Random(20261020)
+
+    def poly(degree, lead=None):
+        coeffs = [rng.randint(-50, 50) for _ in range(degree)]
+        return UniPolynomial(coeffs + [lead or rng.choice((-1, 1)) * rng.randint(1, 50)])
+
+    pairs = []
+    for _ in range(60):
+        pairs.append((poly(rng.randint(0, 30)), poly(rng.randint(0, 30))))
+    for _ in range(60):
+        common = poly(rng.randint(1, 10))
+        pairs.append((common * poly(rng.randint(0, 20)), common * poly(rng.randint(0, 20))))
+    for _ in range(30):
+        pairs.append((poly(rng.randint(0, 30), lead=p * rng.randint(1, 3)), poly(rng.randint(0, 30))))
+    for _ in range(30):
+        t, shifted = UniPolynomial([0, 1]), UniPolynomial([p, 1])
+        pairs.append((t * poly(rng.randint(0, 15)), shifted * poly(rng.randint(0, 15))))
+    degrees = set()
+    for a, b in pairs:
+        got = a.primitive_gcd(b).coefficients
+        assert got == ref_series.primitive_gcd(a, b)
+        assert got == b.primitive_gcd(a).coefficients
+        degrees.add(len(got) - 1)
+    assert 0 in degrees and max(degrees) >= 5
+
+
 def test_frame_degree_and_expansion_consistency():
     rng = random.Random(5)
     for _ in range(100):
@@ -248,6 +283,15 @@ def test_frame_expand_matches_longdivision_oracle():
         order = 25
         numerator, denominator = _dense_numerator_denominator(frame)
         assert frame_expand(frame, order) == _long_division_series(numerator, denominator, order)
+    # Division by (1 - t^l) loops per element below _SHORT_LIST_FACTOR * l
+    # entries and sums per residue class from there on; orders on both
+    # sides of that length, and l = 1, which takes one running sum.
+    for _ in range(100):
+        base = rng.randint(1, 12)
+        length = base * series._SHORT_LIST_FACTOR + rng.randint(-3, 2)
+        frame = FrameProduct({base: rng.randint(-3, 1), rng.randint(1, 3): rng.randint(-2, 2)})
+        numerator, denominator = _dense_numerator_denominator(frame)
+        assert frame_expand(frame, length - 1) == _long_division_series(numerator, denominator, length - 1)
 
 
 def test_frame_to_polynomial_matches_dense_division_oracle():
@@ -258,8 +302,11 @@ def test_frame_to_polynomial_matches_dense_division_oracle():
     # long-division expansion.
     rng = random.Random(404)
     outcomes = {True: 0, False: 0}
-    for _ in range(300):
+    for k in range(400):
         pairs = [(rng.randint(1, 8), rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
+        if k >= 300:  # numerators long or short against each base, and l = 1
+            pairs = [(rng.randint(1, 3), -rng.randint(1, 3)), (1, rng.randint(-2, 2))]
+            pairs.append((rng.randint(1, 30), rng.randint(1, 3)))
         if rng.random() < 0.5:  # each denominator factor over a multiple of its base
             pairs += [(rng.randint(1, 3) * base, -alpha) for base, alpha in pairs if alpha < 0]
         frame = FrameProduct(pairs)
