@@ -355,9 +355,9 @@ def saito_dual(frame: FrameProduct, d: int) -> FrameProduct:
 
 
 #: List length, in multiples of l, from which running sums per residue
-#: class beat the per-element loop over (1 - t^l): timed on small ints,
-#: they did from 14 l to 20 l for l = 2..16 and from 12 l to 14 l for
-#: l = 30..60 (CPython 3.11).
+#: class beat the per-element loop over (1 - t^l).  Timed on small ints
+#: (CPython 3.11), the crossover lay between 14 l and 20 l for l = 2..16
+#: and between 12 l and 14 l for l = 30..60.
 _SHORT_LIST_FACTOR = 16
 
 
