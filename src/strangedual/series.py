@@ -400,11 +400,10 @@ def _polynomial_part(coeffs: Sequence[int], degree: int) -> UniPolynomial:
     # The coefficients are ints: build the polynomial without the
     # per-coefficient pass of UniPolynomial(), dropping trailing zeros here.
     coeffs = coeffs[: degree + 1]
-    end = len(coeffs)
-    while end and not coeffs[end - 1]:
-        end -= 1
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
     poly = object.__new__(UniPolynomial)
-    object.__setattr__(poly, "coefficients", tuple(coeffs[:end]))
+    object.__setattr__(poly, "coefficients", tuple(coeffs))
     return poly
 
 
