@@ -20,7 +20,10 @@ A point is four integer numerators over one denominator, and
 Newton split solves, in integers, only the subsets that the left null
 space of its rows leaves possible as faces, and runs Fourier-Motzkin on
 integer rows (A. Schrijver, Theory of Linear and
-Integer Programming, 1986, 12.2).
+Integer Programming, 1986, 12.2).  A Newton polygon is a function of the
+support alone, so the face search is planned once per pair of supports,
+in an ``lru_cache`` of 256 pairs, and the faces are cut from each call's
+coefficients.
 
 The case (A)/(B)/(C) classification and the principal-orbit filter turn
 this enumeration into the pair of isotropy orders attached to each half
@@ -38,7 +41,7 @@ from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
 from . import _linalg
-from ._errors import StrangedualError, checked_make
+from ._errors import StrangedualError, all_integers, checked_make
 from .polyring import Polynomial, QuasiFailure, VARIABLES, _jet, _part, _rows, quasi_degree
 from .series import UniPolynomial, WeightSystem
 
@@ -79,6 +82,8 @@ class CStarAction(namedtuple("CStarAction", "weights")):
 
     def __new__(cls, weights: tuple[int, int, int, int]):
         self = tuple.__new__(cls, (weights,))
+        if not all_integers(self.weights):
+            raise OrbitError(f"weights must be integers, got {self.weights!r}")
         if len(self.weights) != 4 or any(w <= 0 for w in self.weights):
             raise OrbitError(f"need 4 positive weights, got {self.weights!r}")
         return self
@@ -522,14 +527,43 @@ def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
     every other support point (and the origin) strictly below it, and
     makes h1 homogeneous as well; the last condition is what singles out
     the two faces the weighted-homogeneous pairs live on.  Exactly two
-    qualifying faces must exist.
+    qualifying faces must exist.  The face search reads only the supports,
+    so it is planned once per pair of supports, in an ``lru_cache`` of 256
+    pairs; the faces are cut from each call's coefficients.
     """
-    monos = [exps for _, exps, _ in _rows(h2)]
-    if len(monos) != 4:
-        raise NewtonStructureError(f"h2 must have exactly 4 terms, found {len(monos)}")
-    h1_monos = [exps for _, exps, _ in _rows(h1)]
-    if len(h1_monos) < 2:
+    rows = _rows(h2)
+    if len(rows) != 4:
+        raise NewtonStructureError(f"h2 must have exactly 4 terms, found {len(rows)}")
+    h1_rows = _rows(h1)
+    if len(h1_rows) < 2:
         raise NewtonStructureError("h1 must have at least 2 terms")
+    # Sorted keys: one support written in two term orders is one entry.
+    faces = _newton_plan(
+        tuple(sorted(exps for _, exps, _ in rows)), tuple(sorted(exps for _, exps, _ in h1_rows))
+    )
+    return NewtonSplit(tuple(NewtonFace(_part(h2, exps), weights) for exps, weights in faces))
+
+
+@lru_cache(maxsize=256)
+def _newton_plan(monos: tuple, h1_monos: tuple) -> tuple:
+    # The two faces of _newton_faces, planned once per pair of supports
+    # (sorted exponent tuples), as _plan is per weight system.  A raised
+    # error leaves no entry, so every call raises it again.
+    faces = _newton_faces(monos, h1_monos)
+    if len(faces) != 2:
+        raise NewtonStructureError(
+            f"expected exactly 2 origin-avoiding faces, found {len(faces)}"
+        )
+    return faces
+
+
+def _newton_faces(monos: tuple, h1_monos: tuple) -> tuple:
+    # Every qualifying face of the support ``monos`` of h2 for the support
+    # ``h1_monos`` of h1, as (face exponents, WeightSystem), ordered by
+    # ascending face degrees.  The order of either support does not matter:
+    # every h1 term has one degree under a face's weights, and every face
+    # term has the other.
+    #
     # A left null vector y of [h2's monomials m_i; h1's differences] gives
     # sum y_i (m_i . u) = 0: degree 1 on a subset fixes m_k . u = -s/y_k (s
     # the sum of y over it) if y_k != 0, and is void if y_k = 0 != s; both
@@ -563,16 +597,7 @@ def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
         weights = _linalg.primitive_integer_vector(u)
         d2 = _dot(monos[subset[0]], weights)
         d1 = _dot(h1_monos[0], weights)
-        face_poly = _part(h2, [monos[i] for i in subset])
-        faces.append(
-            (
-                (d1, d2, tuple(-wt for wt in weights)),
-                NewtonFace(face_poly, WeightSystem(tuple(weights), (d1, d2))),
-            )
-        )
-    if len(faces) != 2:
-        raise NewtonStructureError(
-            f"expected exactly 2 origin-avoiding faces, found {len(faces)}"
-        )
-    faces.sort(key=lambda item: item[0])
-    return NewtonSplit((faces[0][1], faces[1][1]))
+        face = tuple(monos[i] for i in subset)
+        faces.append(((d1, d2, tuple(-wt for wt in weights)), (face, WeightSystem(weights, (d1, d2)))))
+    faces.sort(key=itemgetter(0))
+    return tuple(face for _, face in faces)

@@ -34,7 +34,7 @@ from math import gcd, lcm
 from operator import index, sub
 from collections.abc import Iterable, Mapping, Sequence
 
-from ._errors import StrangedualError, checked_make
+from ._errors import StrangedualError, all_integers, checked_make
 
 __all__ = [
     "WeightSystem",
@@ -98,6 +98,8 @@ class WeightSystem(namedtuple("WeightSystem", "weights degrees")):
         self = tuple.__new__(cls, (weights, degrees))
         if not self.weights or not self.degrees:
             raise SeriesError("weight system needs weights and degrees")
+        if not all_integers(self.weights + self.degrees):
+            raise SeriesError(f"weight system entries must be integers: {self}")
         if any(v <= 0 for v in self.weights + self.degrees):
             raise SeriesError(f"weight system entries must be positive: {self}")
         return self

@@ -6,14 +6,19 @@ is fixed by a homogeneity condition of h1), keeps the vectors that make h1
 homogeneous, and records the top-degree terms of h2 when there are three
 or four of them: each such set is a face, certified by the vectors found
 for it.  When the box finds fewer faces than the solver, it is widened
-once, to 2 * BOX, before the counts must agree.
+once, to 2 * BOX, before the counts must agree.  ``_certify`` checks the
+faces found from their weights alone, so it also covers weights past any
+box.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
-from strangedual import _linalg
+import pytest
+
+from strangedual import _linalg, orbits
 from strangedual.cli import main
 from strangedual.orbits import NewtonStructureError, split_newton
 from strangedual.polyring import Monomial, Polynomial, VARIABLES, parse_poly
@@ -219,3 +224,60 @@ def test_shared_degree_supports_match_the_box(monkeypatch):
         assert (found, face_sizes, len(solves)) == {0: (1, (4,), 1), -1: (1, (3,), 1), 1: (0, (), 0)}[step]
         seen[step] = seen.get(step, 0) + 1
     assert set(seen) == {0, -1, 1}, seen
+
+
+def _certify(h2, h1, faces):
+    """Check each (terms, weight system) of ``faces`` from its weights
+    alone, whatever their size: the box decides completeness, this only
+    that every face found is a face.  The weights must be primitive and
+    positive, the face's terms must share one degree d2 with every other
+    term of h2 strictly below it, and h1 must be homogeneous of degree d1."""
+    support = _exponents(h2)
+    for terms, ws in faces:
+        w = ws.weights
+        d1, d2 = ws.degrees
+        assert min(w) > 0 and gcd(*w) == 1, ws
+        assert len(terms) >= 3 and set(terms) <= set(support)
+        assert {_dot(e, w) for e in terms} == {d2}
+        assert all(_dot(e, w) < d2 for e in support if e not in terms)
+        assert {_dot(e, w) for e in _exponents(h1)} == {d1}
+
+
+def _split_faces(h2, h1):
+    split = split_newton(h2, h1)
+    faces = []
+    for face in split.faces:
+        terms = [m.exponents for m in face.polynomial.support()]
+        # Each face keeps h2's coefficients.
+        assert face.polynomial == Polynomial({Monomial(e): h2.coefficient(Monomial(e)) for e in terms})
+        faces.append((terms, face.weights))
+    return faces
+
+
+def test_faces_with_large_weights_are_certified(catalog):
+    # Weights past the box's [1, 2 * BOX]: one face of (18, 34, 11, 21),
+    # where all three face terms and h1 have degree 108 and z^6*w has 87.
+    h1 = parse_poly("x^6 + y*z*w^3")
+    h2 = parse_poly("z^6*w^2 - 3*x^3*z^3*w + 2*z^6*w + x*y^2*z^2")
+    supports = [tuple(sorted(_exponents(p))) for p in (h2, h1)]
+    (face,) = orbits._newton_faces(*supports)
+    assert face[1] == WeightSystem((18, 34, 11, 21), (108, 108))
+    _certify(h2, h1, [face])
+    with pytest.raises(NewtonStructureError, match="found 1$"):
+        split_newton(h2, h1)
+    # With y*z*w^3 in place of z^6*w there are two faces, the second with
+    # weights up to 219.
+    h2 = parse_poly("z^6*w^2 - 3*x^3*z^3*w + 2*y*z*w^3 + x*y^2*z^2")
+    faces = _split_faces(h2, h1)
+    assert [str(ws) for _, ws in faces] == ["18,34,11,21;108,108", "144,136,71,219;864,864"]
+    _certify(h2, h1, faces)
+    # The catalog pairs and seeded diagonal rescalings of them.
+    rng = random.Random(41)
+    for entry in catalog.entries:
+        h1, h2 = entry.virtual_equations
+        _certify(h2, h1, _split_faces(h2, h1))
+        for _ in range(10):
+            factors = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) * rng.choice((1, -1)) for _ in range(4)]
+            scaling = {v: Polynomial.constant(f) * Polynomial.variable(v) for v, f in zip(VARIABLES, factors)}
+            g1, g2 = h1.substitute(scaling), h2.substitute(scaling)
+            _certify(g2, g1, _split_faces(g2, g1))

@@ -25,7 +25,7 @@ from strangedual.orbits import (
     split_newton,
 )
 from strangedual import orbits as orbits_module
-from strangedual.polyring import Monomial, Polynomial, parse_poly
+from strangedual.polyring import Monomial, Polynomial, _rows, parse_poly
 from strangedual.series import parse_weight_system
 
 
@@ -508,6 +508,71 @@ def test_split_newton_structural_error():
         split_newton(
             parse_poly("x^2 + x*y + y^2 + w^2"), parse_poly("x*y - w^2")
         )
+
+
+# The Newton face search is cached per pair of supports.
+
+
+def _cut(h2, exps):
+    # The terms of h2 with these exponents, built term by term.
+    return Polynomial({Monomial(e): h2.coefficient(Monomial(e)) for e in exps})
+
+
+def test_split_newton_cache_keeps_each_calls_coefficients():
+    # One support, two sets of coefficients, split back to back: each face
+    # carries its own h2's terms, never those of the split cached before it.
+    h1 = parse_poly("x*y - w^2")
+    h2s = [parse_poly("-y*z + x*w + z^3 + w^2"), parse_poly("5*y*z - 1/3*x*w + 7*z^3 - 2*w^2")]
+    splits = [split_newton(h2, h1) for h2 in h2s]
+    assert [f.weights for f in splits[0].faces] == [f.weights for f in splits[1].faces]
+    for h2, split in zip(h2s, splits):
+        for face in split.faces:
+            assert face.polynomial == _cut(h2, [m.exponents for m in face.polynomial.support()])
+    assert splits[1].polynomials() == (parse_poly("-1/3*x*w + 7*z^3 - 2*w^2"), parse_poly("7*z^3 - 2*w^2 + 5*y*z"))
+
+
+def test_split_newton_cache_ignores_term_order():
+    texts = [("-x*w + y*z + z^2 + x*z", "x*y - w^3"), ("x*z + z^2 - x*w + y*z", "-w^3 + x*y")]
+    pairs = [tuple(map(parse_poly, t)) for t in texts]
+    # Equal pairs whose terms are kept in different orders.
+    assert pairs[0] == pairs[1]
+    for p, q in zip(*pairs):
+        assert [e for _, e, _ in _rows(p)] != [e for _, e, _ in _rows(q)]
+    first = split_newton(*pairs[0])
+    hits = orbits_module._newton_plan.cache_info().hits
+    assert split_newton(*pairs[1]) == first
+    assert orbits_module._newton_plan.cache_info().hits == hits + 1
+
+
+def test_split_newton_errors_are_not_cached():
+    info = orbits_module._newton_plan.cache_info
+    assert info().maxsize == 256
+    h2, h1 = parse_poly("x^2 + x*y + y^2 + w^2"), parse_poly("x*y - w^2")
+    size = info().currsize
+    texts = []
+    for _ in range(2):
+        with pytest.raises(NewtonStructureError) as caught:
+            split_newton(h2, h1)
+        texts.append(str(caught.value))
+    assert texts == ["expected exactly 2 origin-avoiding faces, found 1"] * 2
+    assert info().currsize == size
+
+
+def test_split_newton_rescaled_catalog_matches_uncached_search(catalog):
+    # Diagonal rescalings keep the supports, so all 20 of an entry share one
+    # cache entry; each split must be the uncached search's faces cut from
+    # its own coefficients.
+    rng = random.Random(5)
+    search = orbits_module._newton_plan.__wrapped__
+    for entry in catalog.entries:
+        h1, h2 = entry.virtual_equations
+        for _ in range(20):
+            factors = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) * rng.choice((1, -1)) for _ in range(4)]
+            scaling = {v: Polynomial.constant(f) * Polynomial.variable(v) for v, f in zip("xyzw", factors)}
+            g1, g2 = h1.substitute(scaling), h2.substitute(scaling)
+            supports = [tuple(sorted(m.exponents for m in p.support())) for p in (g2, g1)]
+            expected = [(_cut(g2, exps), weights) for exps, weights in search(*supports)]
+            assert [tuple(face) for face in split_newton(g2, g1).faces] == expected
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,20 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
         ),
         (
             WeightSystem,
+            ((2.5, 2, 1, 1), (4, 4)),
+            SeriesError,
+            "weight system entries must be integers: 2.5,2,1,1;4,4",
+            ((2, 2, 1, 1), (4, 4)),
+        ),
+        (
+            WeightSystem,
+            ((2, 2, 1, 1), (Fraction(9, 2), 4)),
+            SeriesError,
+            "weight system entries must be integers: 2,2,1,1;9/2,4",
+            ((2, 2, 1, 1), (4, 4)),
+        ),
+        (
+            WeightSystem,
             ((), (6,)),
             SeriesError,
             "weight system needs weights and degrees",
@@ -71,6 +85,20 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
             OrbitError,
             "need 4 positive weights, got (1, 2, 3)",
             ((2, 3, 3, 2),),
+        ),
+        (
+            CStarAction,
+            ((2.0, 2, 1, 1),),
+            OrbitError,
+            "weights must be integers, got (2.0, 2, 1, 1)",
+            ((2, 2, 1, 1),),
+        ),
+        (
+            CStarAction,
+            ((Fraction(2), 2, 1, 1),),
+            OrbitError,
+            "weights must be integers, got (Fraction(2, 1), 2, 1, 1)",
+            ((2, 2, 1, 1),),
         ),
         (
             GabrielovQuadruple,
@@ -108,8 +136,12 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
         "matrix-square",
         "matrix-coefficients",
         "weights-positive",
+        "weights-float",
+        "weights-fraction",
         "weights-empty",
         "cstar-action",
+        "cstar-float",
+        "cstar-fraction",
         "gabrielov",
         "triple-a",
         "triple-c",
