@@ -98,9 +98,10 @@ class WeightSystem(namedtuple("WeightSystem", "weights degrees")):
         self = tuple.__new__(cls, (weights, degrees))
         if not self.weights or not self.degrees:
             raise SeriesError("weight system needs weights and degrees")
-        if not all_integers(self.weights + self.degrees):
+        entries = self.weights + self.degrees
+        if not all_integers(entries):
             raise SeriesError(f"weight system entries must be integers: {self}")
-        if any(v <= 0 for v in self.weights + self.degrees):
+        if any(v <= 0 for v in entries):
             raise SeriesError(f"weight system entries must be positive: {self}")
         return self
 
