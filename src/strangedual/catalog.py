@@ -37,7 +37,6 @@ from .polyring import (
     quasi_degree,
 )
 from .series import (
-    FrameProduct,
     SeriesError,
     WeightSystem,
     frame_to_polynomial,
@@ -160,22 +159,16 @@ class SeriesEntry(namedtuple("SeriesEntry", _ENTRY_FIELDS)):
 
     @property
     def source_poly(self) -> Polynomial:
-        total = Polynomial.zero()
-        for term in self.source_terms:
-            total = total + term
-        return total
+        return sum(self.source_terms, Polynomial.zero())
 
     @property
     def duality_poly(self) -> Polynomial:
-        total = Polynomial.zero()
-        for term in self.duality_terms:
-            total = total + term
-        return total
+        return sum(self.duality_terms, Polynomial.zero())
 
     def exponent_matrix(self) -> ExponentMatrix:
         """Exponent matrix of the four-term polynomial, rows in the
         catalog's stored term order (the order transposition respects)."""
-        return from_terms(self.duality_terms, allow_singular=True)
+        return from_terms(self.duality_terms)
 
     def dolgachev_flat(self) -> tuple[int, int, int, int]:
         return self.dolgachev[0] + self.dolgachev[1]

@@ -64,7 +64,7 @@ def _parse_terms(text: str):
 
 def _cmd_transpose(args) -> int:
     # Row order follows the written term order, as in the tables.
-    matrix = inv.from_terms(_parse_terms(args.poly), _vars_list(args.vars), allow_singular=True)
+    matrix = inv.from_terms(_parse_terms(args.poly), _vars_list(args.vars))
     print(inv.bh_transpose(matrix).to_polynomial())
     return 0
 
@@ -73,7 +73,7 @@ def _cmd_weights(args) -> int:
     # Rows in canonical term order, like terms combined; the results do not
     # depend on the row order once the determinant is made non-negative.
     terms = [Polynomial({mono: coeff}) for mono, coeff in _parse(args.poly).terms()]
-    matrix = inv.from_terms(terms, _vars_list(args.vars), allow_singular=True).oriented()
+    matrix = inv.from_terms(terms, _vars_list(args.vars)).oriented()
     solution = inv.canonical_weights(matrix)
     raw = ",".join(str(w) for w in solution.weights)
     red = ",".join(str(w) for w in solution.reduced_weights)

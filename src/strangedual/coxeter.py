@@ -75,14 +75,6 @@ class GabrielovQuadruple(namedtuple("GabrielovQuadruple", "gammas")):
     def of(g1: int, g2: int, g3: int, g4: int) -> "GabrielovQuadruple":
         return GabrielovQuadruple((g1, g2, g3, g4))
 
-    @property
-    def pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        g = self.gammas
-        return ((g[0], g[1]), (g[2], g[3]))
-
-    def total(self) -> int:
-        return sum(self.gammas)
-
     def __str__(self) -> str:
         g = self.gammas
         return f"{g[0]},{g[1]};{g[2]},{g[3]}"

@@ -91,16 +91,15 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
         return self
 
     @staticmethod
-    def make(rows, variables=None, coefficients=None) -> "ExponentMatrix":
-        """Build from any integer rows; an exponent that is not an integer
-        (``2.7``, ``"2"``) raises ``TypeError`` instead of being truncated."""
+    def make(rows, variables=None) -> "ExponentMatrix":
+        """Build from any integer rows, every coefficient 1; an exponent that
+        is not an integer (``2.7``, ``"2"``) raises ``TypeError`` instead of
+        being truncated."""
         rows = tuple(tuple(index(e) for e in row) for row in rows)
         n = len(rows)
         if variables is None:
             variables = VARIABLES[:n]
-        if coefficients is None:
-            coefficients = (Fraction(1),) * n
-        return ExponentMatrix(rows, tuple(variables), tuple(Fraction(c) for c in coefficients))
+        return ExponentMatrix(rows, tuple(variables), (Fraction(1),) * n)
 
     @property
     def n(self) -> int:
@@ -153,22 +152,17 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
 
 
-def from_terms(
-    terms,
-    active_vars=VARIABLES,
-    *,
-    allow_singular: bool = False,
-) -> ExponentMatrix:
+def from_terms(terms, active_vars=VARIABLES) -> ExponentMatrix:
     """Exponent matrix with one row per term, in the order given.
 
     ``terms`` is a sequence of single-term polynomials, one per active
     variable, using no variable outside ``active_vars``.  The row order
     follows the sequence, which is what distinguishes transposes of
     singular matrices (a catalog entry's stored term order is such a
-    sequence).  A singular matrix is rejected unless ``allow_singular``
-    is set (the four-term series polynomials are singular by
-    construction).  No orientation is applied; see
-    :meth:`ExponentMatrix.oriented`.
+    sequence).  A singular matrix is accepted (the four-term series
+    polynomials are singular by construction); the operations that need
+    det E != 0 raise :class:`SingularMatrixError` themselves.  No
+    orientation is applied; see :meth:`ExponentMatrix.oriented`.
     """
     active = tuple(active_vars)
     if len(set(active)) != len(active) or any(v not in VARIABLES for v in active):
@@ -187,10 +181,7 @@ def from_terms(
         coeffs.append(coeff)
     if len(rows) != len(active):
         raise TermCountError(f"{len(rows)} terms over {len(active)} active variables")
-    matrix = ExponentMatrix(tuple(rows), active, tuple(coeffs))
-    if not allow_singular and matrix.det() == 0:
-        raise SingularMatrixError("singular exponent matrix")
-    return matrix
+    return ExponentMatrix(tuple(rows), active, tuple(coeffs))
 
 
 def bh_transpose(matrix: ExponentMatrix) -> ExponentMatrix:

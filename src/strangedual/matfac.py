@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from ._errors import StrangedualError, checked_make
-from .polyring import Polynomial, parse_poly
+from .polyring import Polynomial
 
 __all__ = [
     "FactorizationTriple",
@@ -77,10 +77,6 @@ class FactorizationTriple(namedtuple("FactorizationTriple", "a b c")):
             raise FactorizationError(f"c must have degree >= 2: {self.c}")
         return self
 
-    @staticmethod
-    def parse(a: str, b: str, c: str) -> "FactorizationTriple":
-        return FactorizationTriple(parse_poly(a), parse_poly(b), parse_poly(c))
-
     def hypersurface(self) -> Polynomial:
         """x*c + a*b, the polynomial being factorized."""
         return _X * self.c + self.a * self.b
@@ -100,10 +96,6 @@ class CompleteIntersectionPair(namedtuple("CompleteIntersectionPair", "first sec
         if self.first.is_zero() or self.second.is_zero():
             raise MatfacError("complete intersection equations must be nonzero")
         return self
-
-    @staticmethod
-    def parse(first: str, second: str) -> "CompleteIntersectionPair":
-        return CompleteIntersectionPair(parse_poly(first), parse_poly(second))
 
     def __str__(self) -> str:
         return f"({self.first}, {self.second})"

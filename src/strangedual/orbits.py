@@ -17,9 +17,8 @@ univariate restrictions.  An equation, or an
 eliminated one, of total degree past 2048 (``_MAX_DEGREE``) is refused.
 A point is four integer numerators over one denominator, and
 ``Fraction``s are built only for each kept :class:`OrbitRep`.  The
-Newton split solves, in integers, only the subsets that the left null
-space of its rows leaves possible as faces, and runs Fourier-Motzkin on
-integer rows (A. Schrijver, Theory of Linear and
+Newton split solves each subset of the support in integers and runs
+Fourier-Motzkin on integer rows (A. Schrijver, Theory of Linear and
 Integer Programming, 1986, 12.2).  A Newton polygon is a function of the
 support alone, so the face search is planned once per pair of supports,
 in an ``lru_cache`` of 256 pairs, and the faces are cut from each call's
@@ -478,9 +477,6 @@ class NewtonSplit(namedtuple("NewtonSplit", "faces")):
 
     __slots__ = ()
 
-    def polynomials(self) -> tuple[Polynomial, Polynomial]:
-        return (self.faces[0].polynomial, self.faces[1].polynomial)
-
 
 def _strict_feasible(rows: list[list[int]], nvars: int):
     """Fourier-Motzkin solver for strict inequalities c0 + sum ci ti > 0 in
@@ -563,21 +559,10 @@ def _newton_faces(monos: tuple, h1_monos: tuple) -> tuple:
     # ascending face degrees.  The order of either support does not matter:
     # every h1 term has one degree under a face's weights, and every face
     # term has the other.
-    #
-    # A left null vector y of [h2's monomials m_i; h1's differences] gives
-    # sum y_i (m_i . u) = 0: degree 1 on a subset fixes m_k . u = -s/y_k (s
-    # the sum of y over it) if y_k != 0, and is void if y_k = 0 != s; both
-    # read -s*y_k >= y_k**2.  Only an off-face degree free or below 1 is solved.
     differences = [[a - b for a, b in zip(other, h1_monos[0])] for other in h1_monos[1:]]
-    nulls = [y[:4] for y in _linalg.nullspace(list(zip(*monos, *differences)))]
     faces = []
     for off in (3, 2, 1, 0, None):  # the triples, then the whole support
         subset = tuple(i for i in range(4) if i != off)
-        pairs = {(0 if off is None else y[off], sum(y[i] for i in subset)) for y in nulls} - {(0, 0)}
-        if pairs:
-            yk, total = pairs.pop()
-            if -total * yk >= yk * yk or any(a * total != b * yk for a, b in pairs):
-                continue
         rows = [monos[i] for i in subset] + differences
         solved = _linalg.solve_affine(rows, [1] * len(subset) + [0] * len(differences))
         if solved is None:

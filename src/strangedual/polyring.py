@@ -2,7 +2,8 @@ r"""Exact sparse polynomial arithmetic in the fixed ambient ring Q[x,y,z,w].
 
 Every polynomial in this package lives in at most four variables: monomials
 are exponent 4-tuples for (x, y, z, w), with zeros on unused coordinates,
-and coefficients are exact rationals.
+and coefficients are exact rationals: an ``int`` or a ``Fraction`` goes in,
+and a ``float`` or any other value raises :class:`PolynomialError`.
 
 The text grammar is::
 
@@ -47,7 +48,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from itertools import repeat
-from operator import floordiv, mul, or_
+from operator import floordiv, index, mul, or_
 
 from ._errors import StrangedualError, checked_make
 
@@ -144,10 +145,16 @@ def _repack(table: dict, width: int, new: int) -> dict:
 
 
 def _ratio(value) -> tuple[int, int]:
-    # Numerator and denominator of an int, a Fraction or what Fraction() reads.
-    if type(value) is not int and type(value) is not Fraction:
-        value = Fraction(value)
-    return value.numerator, value.denominator
+    # Numerator and denominator of an int (what operator.index takes) or a
+    # Fraction; a float, str or other inexact value is refused, not rounded.
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    try:
+        return index(value), 1
+    except TypeError:
+        raise PolynomialError(f"coefficients and points must be int or Fraction, got {value!r}") from None
 
 
 def _fraction(num: int, den: int) -> Fraction:
@@ -302,14 +309,12 @@ class Polynomial:
         den, value, _ = self.jet(point)
         return _fraction(value, den)
 
-    def jet(self, point, den: int = 1) -> tuple[int, int, tuple[int, int, int, int]]:
+    def jet(self, point) -> tuple[int, int, tuple[int, int, int, int]]:
         """``(den, value, partials)``: the value and the four partials at the
-        rational 4-tuple ``point``/``den`` (``den`` a positive integer) as
-        integers over one positive denominator."""
+        rational 4-tuple ``point`` as integers over one positive denominator."""
         ratios = [_ratio(v) for v in point]
         common = lcm(*[q for _, q in ratios])
         nums = [n * (common // q) for n, q in ratios]
-        common *= den
         value, partials = _jet(_rows(self), nums, common)
         return common ** max(self.degree(), 0) * self._den, value, tuple(v * common for v in partials)
 

@@ -152,10 +152,6 @@ class FrameProduct:
                     table.pop(base, None)
         object.__setattr__(self, "_exps", tuple(sorted(table.items())))
 
-    @staticmethod
-    def identity() -> "FrameProduct":
-        return FrameProduct()
-
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._exps
 
@@ -207,10 +203,6 @@ class UniPolynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    @staticmethod
-    def one() -> "UniPolynomial":
-        return UniPolynomial((1,))
 
     def is_zero(self) -> bool:
         return not self.coefficients

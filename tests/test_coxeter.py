@@ -81,12 +81,11 @@ def test_quadruple_validation():
     for bad in ((0, 1, 1, 1), (1, 1, 1, 10**6 + 1), (1, 1, 1)):
         with pytest.raises(ValueError, match=r"in \[1, 1000000\]"):
             GabrielovQuadruple(bad)
-    assert GabrielovQuadruple((10**6, 1, 1, 1)).total() == 10**6 + 3
+    assert GabrielovQuadruple((10**6, 1, 1, 1)).gammas == (10**6, 1, 1, 1)
     with pytest.raises(TypeError):
         charpoly_S((2.5, 2, 2, 6))
     quad = GabrielovQuadruple.of(2, 2, 3, 5)
-    assert quad.pairs == ((2, 2), (3, 5))
-    assert quad.total() == 12
+    assert quad.gammas == (2, 2, 3, 5)
     assert str(quad) == "2,2;3,5"
 
 

@@ -27,7 +27,7 @@ I_F = "x^12*w^6 + y^12*w^6 + z^2 + x^6*y^6*w^6"
 
 
 def _ordered_matrix(text):
-    return from_terms(parse_poly_terms(text), allow_singular=True)
+    return from_terms(parse_poly_terms(text))
 
 
 def test_from_terms_small():
@@ -45,9 +45,14 @@ def test_from_terms_term_count_error():
         from_terms(parse_poly_terms("x^2 + 2*x*y + y^2"), ("x", "y"))
 
 
-def test_from_terms_rejects_singular_by_default():
+def test_from_terms_accepts_singular():
+    matrix = from_terms(parse_poly_terms(KFLAT_F))
+    assert matrix.det() == 0
+    # The operations that need det E != 0 refuse it themselves.
     with pytest.raises(SingularMatrixError):
-        from_terms(parse_poly_terms(KFLAT_F))
+        grading_operator(matrix)
+    with pytest.raises(SingularMatrixError):
+        symmetry_group(matrix)
 
 
 def test_transpose_kflat_is_l():

@@ -13,7 +13,11 @@ from strangedual.polyring import parse_poly
 
 
 def triple(a, b, c):
-    return FactorizationTriple.parse(a, b, c)
+    return FactorizationTriple(parse_poly(a), parse_poly(b), parse_poly(c))
+
+
+def ci_pair(first, second):
+    return CompleteIntersectionPair(parse_poly(first), parse_poly(second))
 
 
 def test_verify_factorization_q_series():
@@ -45,11 +49,11 @@ def test_triple_validation():
 
 def test_lift_examples():
     t = triple("w^2", "w", "-x^2*z + z^2 + x*w^2")
-    assert lift(t) == CompleteIntersectionPair.parse(
+    assert lift(t) == ci_pair(
         "x*y - w^2", "-x^2*z + y*w + z^2 + x*w^2"
     )
     t = triple("w^3", "z", "-x*w + z^2 + x*z")
-    assert lift(t) == CompleteIntersectionPair.parse("x*y - w^3", "-x*w + z^2 + y*z + x*z")
+    assert lift(t) == ci_pair("x*y - w^3", "-x*w + z^2 + y*z + x*z")
 
 
 def test_lift_negated_first_equation():
@@ -60,31 +64,31 @@ def test_lift_negated_first_equation():
 
 
 def test_reduce_examples():
-    pair = CompleteIntersectionPair.parse("x*y - w^2", "-x^2*z + y*w + z^2 + x*w^2")
+    pair = ci_pair("x*y - w^2", "-x^2*z + y*w + z^2 + x*w^2")
     assert reduce(pair) == parse_poly("-x^3*z + x*z^2 + x^2*w^2 + w^3")
-    pair = CompleteIntersectionPair.parse("x*y - z*w", "-x^2*w + z^2 + y*w + x*w^2")
+    pair = ci_pair("x*y - z*w", "-x^2*w + z^2 + y*w + x*w^2")
     assert reduce(pair) == parse_poly("-x^3*w + x*z^2 + x^2*w^2 + z*w^2")
 
 
 def test_reduce_accepts_negated_first_equation():
-    pair = CompleteIntersectionPair.parse("w^2 - x*y", "-x^2*z + y*w + z^2 + x*w^2")
+    pair = ci_pair("w^2 - x*y", "-x^2*z + y*w + z^2 + x*w^2")
     assert reduce(pair) == parse_poly("-x^3*z + x*z^2 + x^2*w^2 + w^3")
 
 
 def test_reduce_shape_errors():
     with pytest.raises(ShapeError):
-        reduce(CompleteIntersectionPair.parse("x^2 + y^2", "z^2 + y*w"))
+        reduce(ci_pair("x^2 + y^2", "z^2 + y*w"))
     with pytest.raises(ShapeError):
-        reduce(CompleteIntersectionPair.parse("x*y - w^2", "z^2 + y^2*w"))  # y^2 term
+        reduce(ci_pair("x*y - w^2", "z^2 + y^2*w"))  # y^2 term
     with pytest.raises(ShapeError):
-        reduce(CompleteIntersectionPair.parse("x*y - w^2", "z^2 + x*w"))  # no y part
+        reduce(ci_pair("x*y - w^2", "z^2 + x*w"))  # no y part
     with pytest.raises(ShapeError):
-        reduce(CompleteIntersectionPair.parse("x*y - x*z", "z^2 + y*w"))  # a involves x
+        reduce(ci_pair("x*y - x*z", "z^2 + y*w"))  # a involves x
 
 
 def test_reduce_names_the_first_term_of_y_degree_past_one():
     # The highest term in degree-lex order with y-degree > 1.
-    pair = CompleteIntersectionPair.parse("x*y - w^2", "x*w + y^2*z^5 + x*y^3")
+    pair = ci_pair("x*y - w^2", "x*w + y^2*z^5 + x*y^3")
     with pytest.raises(ShapeError) as exc:
         reduce(pair)
     assert str(exc.value) == "term y^2*z^5 has y-degree 2 > 1"

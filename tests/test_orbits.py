@@ -10,6 +10,7 @@ from pathlib import Path
 import _reference_orbits as ref_orbits
 import pytest
 
+from strangedual.catalog import verify_all
 from strangedual.orbits import (
     _rational_group_images,
     _rational_roots,
@@ -265,7 +266,7 @@ def test_dolgachev_pairs_full_catalog(catalog):
 
         before = outcomes(faces)
         split = split_newton(h2, h1)
-        assert outcomes(faces) == outcomes(split.polynomials()) == before
+        assert outcomes(faces) == outcomes(_face_polynomials(split)) == before
         assert [pair for _, _, pair in before] == [tuple(sorted(expected)) for expected in entry.dolgachev]
 
 
@@ -465,9 +466,13 @@ def test_orbit_report_format():
 # Newton splits.
 
 
+def _face_polynomials(split):
+    return tuple(face.polynomial for face in split.faces)
+
+
 def test_split_newton_m_series():
     split = split_newton(parse_poly("-y*z + x*w + z^3 + w^2"), parse_poly("x*y - w^2"))
-    assert split.polynomials() == (
+    assert _face_polynomials(split) == (
         parse_poly("x*w + z^3 + w^2"),
         parse_poly("z^3 + w^2 - y*z"),
     )
@@ -477,12 +482,12 @@ def test_split_newton_m_series():
 
 def test_split_newton_jprime_and_i():
     split = split_newton(parse_poly("-x^2*z + y*w + z^2 + x*w^2"), parse_poly("x*y - w^2"))
-    assert split.polynomials() == (
+    assert _face_polynomials(split) == (
         parse_poly("-x^2*z + z^2 + x*w^2"),
         parse_poly("z^2 + x*w^2 + y*w"),
     )
     split = split_newton(parse_poly("-x*w + y*z + z^2 + x*z"), parse_poly("x*y - w^3"))
-    assert split.polynomials() == (
+    assert _face_polynomials(split) == (
         parse_poly("-x*w + y*z + x*z"),
         parse_poly("y*z + x*z + z^2"),
     )
@@ -528,7 +533,7 @@ def test_split_newton_cache_keeps_each_calls_coefficients():
     for h2, split in zip(h2s, splits):
         for face in split.faces:
             assert face.polynomial == _cut(h2, [m.exponents for m in face.polynomial.support()])
-    assert splits[1].polynomials() == (parse_poly("-1/3*x*w + 7*z^3 - 2*w^2"), parse_poly("7*z^3 - 2*w^2 + 5*y*z"))
+    assert _face_polynomials(splits[1]) == (parse_poly("-1/3*x*w + 7*z^3 - 2*w^2"), parse_poly("7*z^3 - 2*w^2 + 5*y*z"))
 
 
 def test_split_newton_cache_ignores_term_order():
@@ -556,6 +561,16 @@ def test_split_newton_errors_are_not_cached():
         texts.append(str(caught.value))
     assert texts == ["expected exactly 2 origin-avoiding faces, found 1"] * 2
     assert info().currsize == size
+
+
+def test_second_verify_all_searches_no_newton_face(catalog):
+    # The Newton check of verify_all plans each entry's pair of supports;
+    # a second pass over the catalog finds every plan in the cache.
+    info = orbits_module._newton_plan.cache_info
+    verify_all(catalog)
+    before = info()
+    assert verify_all(catalog).ok
+    assert (info().hits - before.hits, info().misses) == (len(catalog.entries), before.misses)
 
 
 def test_split_newton_rescaled_catalog_matches_uncached_search(catalog):

@@ -1,7 +1,9 @@
 import os
 import random
+import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -229,6 +231,25 @@ def test_evaluate():
     p = parse_poly("x*y - w^2")
     assert p.evaluate((1, 1, 0, 1)) == 0
     assert p.evaluate((2, 3, 0, 1)) == 5
+
+
+@pytest.mark.parametrize("value", [0.1, "1/2", Decimal("0.5"), 1 + 0j], ids=["float", "str", "Decimal", "complex"])
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda v: Polynomial({Monomial((1, 0, 0, 0)): v}),
+        Polynomial.constant,
+        X.scale,
+        lambda v: parse_poly("x + y").evaluate((v, 1, 0, 0)),
+    ],
+    ids=["constructor", "constant", "scale", "evaluate"],
+)
+def test_inexact_values_are_refused(use, value):
+    # A coefficient or a point is an int or a Fraction; nothing is rounded.
+    with pytest.raises(PolynomialError, match=f"int or Fraction, got {re.escape(repr(value))}$"):
+        use(value)
+    # What operator.index takes is an exact integer.
+    assert use(True) == use(1)
 
 
 # -- reference loops ------------------------------------------------------------

@@ -9,7 +9,6 @@ fall back below it are compared too.
 
 import random
 from fractions import Fraction
-from math import lcm
 
 import _reference_polyring as ref
 
@@ -180,10 +179,6 @@ def test_jet_matches_reference_partials():
             assert Fraction(value, den) == p_ref.evaluate(point) == p.evaluate(point)
             for var, d in zip("xyzw", partials):
                 assert Fraction(d, den) == p_ref.partial(var).evaluate(point)
-            # The same point as integer numerators over one denominator.
-            common = lcm(*(Fraction(v).denominator for v in point))
-            den2, value2, partials2 = p.jet(tuple(int(v * common) for v in point), common)
-            assert [v * den for v in (value2, *partials2)] == [v * den2 for v in (value, *partials)]
     half, y = Fraction(1, 2), Fraction(-2, 3)
     den, value, partials = parse_poly("x^4097 - 3*x^4094*y").jet((half, y, 0, 5))
     assert Fraction(partials[0], den) == 4097 * half**4096 - 3 * 4094 * half**4093 * y
@@ -214,8 +209,5 @@ def test_jet_at_zero_coordinates_matches_reference():
             assert Fraction(value, den) == p_ref.evaluate(point)
             for var, d in zip("xyzw", partials):
                 assert Fraction(d, den) == p_ref.partial(var).evaluate(point)
-            common = lcm(*(Fraction(v).denominator for v in point))
-            den2, value2, partials2 = p.jet(tuple(int(v * common) for v in point), common)
-            assert [v * den for v in (value2, *partials2)] == [v * den2 for v in (value, *partials)]
             lone += text == once and value == 0 and partials[0] != 0
     assert lone == 2  # the x partial of 3*x*y^2*w at the two points where only x is 0

@@ -82,8 +82,8 @@ def test_poincare_msharp_dual():
 
 def test_frame_product_mul_identity_and_cancellation():
     a = FrameProduct({2: 1, 5: -1})
-    assert a * FrameProduct.identity() == a
-    assert FrameProduct({2: 1}) / FrameProduct({2: 1}) == FrameProduct.identity()
+    assert a * FrameProduct() == a
+    assert FrameProduct({2: 1}) / FrameProduct({2: 1}) == FrameProduct()
 
 
 def test_frame_product_mul_catalog_row():
@@ -118,7 +118,7 @@ def test_saito_dual_domain_error():
 
 
 def test_frame_to_polynomial_identity():
-    assert frame_to_polynomial(FrameProduct.identity()) == UniPolynomial.one()
+    assert frame_to_polynomial(FrameProduct()) == UniPolynomial((1,))
 
 
 def test_frame_to_polynomial_pure_denominator():
@@ -242,14 +242,14 @@ def test_frame_expand_counts_monomials_below_relations():
 
 def test_frame_expand_examples():
     assert frame_expand(poincare(parse_weight_system("2,6,5,4;8,10")), 6) == (1, 0, 1, 0, 2, 1, 3)
-    assert frame_expand(FrameProduct.identity(), 3) == (1, 0, 0, 0)
+    assert frame_expand(FrameProduct(), 3) == (1, 0, 0, 0)
     assert frame_expand(FrameProduct({1: 1}), 3) == (1, -1, 0, 0)
 
 
 def _dense_numerator_denominator(frame):
     """P and Q of the frame product P/Q, by dense products of (1 - t^l)."""
-    numerator = UniPolynomial.one()
-    denominator = UniPolynomial.one()
+    numerator = UniPolynomial((1,))
+    denominator = UniPolynomial((1,))
     for base, alpha in frame.items():
         for _ in range(abs(alpha)):
             factor = UniPolynomial([1] + [0] * (base - 1) + [-1])
@@ -355,7 +355,7 @@ def test_parse_frame_merges_repeated_base():
 def test_parse_frame_bare_one_is_identity():
     # The classical notation prints "1" for an empty side; the (1 - t) factor
     # always carries an explicit exponent.
-    assert parse_frame("1") == FrameProduct.identity()
+    assert parse_frame("1") == FrameProduct()
     assert parse_frame("1^1") == FrameProduct({1: 1})
     assert parse_frame("1 / 1^2") == FrameProduct({1: -2})
 
