@@ -6,28 +6,27 @@ with nontrivial isotropy) all lie in coordinate strata whose weights
 share a common factor.  Enumerating the strata, slicing each orbit by
 fixing the lowest-weight coordinate to 1 and solving the restricted
 system exactly yields orbit representatives, their isotropy orders and
-a singular-locus flag.  Each equation's integer terms are the rows the
-polynomial keeps, with a bitmask of the variables each term uses: a
-term survives a stratum when its mask lies inside it.  The strata of a
-weight system are planned once.  A stratum on which an equation is one
-term has no points.  With two free coordinates, a variable v that one
-equation holds as a*v + R(u) is eliminated into the other in integers;
-the last free coordinate is a rational root of the primitive gcd of the
-univariate restrictions.  An equation, or an
-eliminated one, of total degree past 2048 (``_MAX_DEGREE``) is refused.
-A point is four integer numerators over one denominator, and
-``Fraction``s are built only for each kept :class:`OrbitRep`.  The
-Newton split solves each subset of the support in integers and runs
-Fourier-Motzkin on integer rows (A. Schrijver, Theory of Linear and
-Integer Programming, 1986, 12.2).  A Newton polygon is a function of the
-support alone, so the face search is planned once per pair of supports,
-in an ``lru_cache`` of 256 pairs, and the faces are cut from each call's
-coefficients.
+a singular-locus flag.  The strata, the terms that survive on each, the
+jet rows of its points and the input checks depend only on the weights
+and the two supports, so the solver is planned once per weight system
+and pair of supports (an ``lru_cache`` of 256), and each call sums its
+own coefficients per planned key.  A stratum on which an equation is
+one term has no points.  With two free coordinates, a variable v that
+one equation holds as a*v + R(u) is eliminated into the other in
+integers; the last free coordinate is a rational root of the primitive
+gcd of the univariate restrictions.  An equation, or an eliminated one,
+of total degree past 2048 (``_MAX_DEGREE``) is refused.  A point is
+four integer numerators over one denominator, and ``Fraction``s are
+built only for each kept :class:`OrbitRep`.  The Newton split solves
+each subset of the support in integers and runs Fourier-Motzkin on
+integer rows (A. Schrijver, Theory of Linear and Integer Programming,
+1986, 12.2); its face search is planned once per pair of supports too.
 
-The case (A)/(B)/(C) classification and the principal-orbit filter turn
-this enumeration into the pair of isotropy orders attached to each half
-of the defining equations; the Newton-polygon split of the second
-equation produces those halves in the first place.
+The case (A)/(B)/(C) classification, cached on the two sets of term
+masks, and the principal-orbit filter turn this enumeration into the
+pair of isotropy orders attached to each half of the defining
+equations; the Newton-polygon split of the second equation produces
+those halves in the first place.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from operator import itemgetter, mul
 
 from . import _linalg
 from ._errors import StrangedualError, all_integers, checked_make
-from .polyring import Polynomial, QuasiFailure, VARIABLES, _jet, _part, _rows, quasi_degree
+from .polyring import Polynomial, QuasiFailure, VARIABLES, _jet, _jet_rows, _part, _quasi_degree, _rows
 from .series import UniPolynomial, WeightSystem
 
 __all__ = [
@@ -128,6 +127,7 @@ class UnresolvedOrbit(namedtuple("UnresolvedOrbit", "stratum variable coefficien
 #: The largest total degree of an equation, or of an eliminated one, that
 #: the orbit solver takes: its dense polynomials and jets grow with it.
 _MAX_DEGREE = 2048
+_ZERO = Fraction(0)  # every zero coordinate of a kept point
 
 
 # -- univariate root finding ---------------------------------------------------
@@ -226,27 +226,23 @@ def _name(stratum: tuple[int, ...]) -> str:
     return f"stratum {{{','.join(VARIABLES[i] for i in stratum)}}}"
 
 
-def _solve_stratum(terms, stratum: tuple[int, ...], inside: int, slice_index: int):
-    """Solve h1 = h2 = 0 on the stratum (coordinates in ``stratum``, mask
-    ``inside``, nonzero, others zero) with the slice coordinate 1.
-
-    ``terms`` holds each equation's ``_rows``.  Returns ``(den, points,
-    unresolved)``: the points are integer 4-tuples over the positive
-    ``den``, with all stratum coordinates nonzero.
+def _solve_stratum(coeffs, planned):
+    """Solve h1 = h2 = 0 on the stratum ``planned`` of :func:`_orbit_plan`
+    (its coordinates nonzero, the others zero) with the slice coordinate 1,
+    for each equation's ``coeffs`` in ``_rows`` order.  Returns ``(den,
+    points, unresolved)``: the points are integer 4-tuples over the
+    positive ``den``, with all stratum coordinates nonzero.
     """
-    free = [i for i in stratum if i != slice_index]
+    stratum, _, _, slice_index, _, free, keyed, _ = planned
     if len(free) > 2:
         raise StratumError(f"system too complex: {_name(stratum)} has {len(free)} free coordinates")
-    # Key: the free exponent (0 if none), or the pair of them.
-    key_of = itemgetter(*free) if free else lambda exps: 0
     tables = []
-    for rows in terms:
-        table = {}
-        for mask, exps, c in rows:
-            if mask | inside == inside:
-                key = key_of(exps)
-                table[key] = table.get(key, 0) + c
-        table = {key: c for key, c in table.items() if c}
+    for c, groups in zip(coeffs, keyed):
+        table = {}  # each planned key with the sum of its rows' coefficients
+        for key, rows in groups:
+            total = sum([c[i] for i in rows]) if len(rows) > 1 else c[rows[0]]
+            if total:
+                table[key] = total
         if len(table) == 1:
             return 1, [], []  # c*t^e with c != 0 vanishes at no t != 0
         tables.append(table)
@@ -342,19 +338,43 @@ def _rational_group_images(point, weights, slice_index):
 
 
 @lru_cache(maxsize=256)
-def _plan(weights: tuple[int, ...]) -> tuple:
-    # Each stratum whose weights share a factor g > 1: mask, names, g, slice
-    # (first lightest) and the signs of a point's other image.
+def _orbit_plan(weights: tuple[int, ...], supports: tuple) -> tuple:
+    # _strata after the degree and quasi-homogeneity checks: an error leaves no entry.
+    for label, support in zip(("first", "second"), supports):
+        degree = max(map(sum, support), default=-1)
+        if degree > _MAX_DEGREE:
+            raise OrbitError(f"{label} equation degree {degree} exceeds limit {_MAX_DEGREE}")
+        verdict = _quasi_degree(support, weights)
+        if isinstance(verdict, QuasiFailure):
+            raise OrbitError(f"{label} equation is not quasi-homogeneous: {verdict}")
+    return _strata(weights, supports)
+
+
+def _strata(weights: tuple[int, ...], supports: tuple) -> tuple:
+    # Each stratum whose weights share a factor g > 1: coordinates, names, g,
+    # slice (first lightest), the signs of a point's other image and the free
+    # coordinates; per equation, each free-exponent key of the rows inside
+    # the stratum with their indices, and the jet rows.
     plan = []
     for size in range(1, 5):
         for stratum in combinations(range(4), size):
             g = gcd(*[weights[i] for i in stratum])
             if g > 1:
-                ones = [int(i in stratum) for i in range(4)]
                 slice_index = min(stratum, key=weights.__getitem__)
-                signs = min(_rational_group_images(ones, weights, slice_index))
+                signs = min(_rational_group_images([int(i in stratum) for i in range(4)], weights, slice_index))
+                free = tuple(i for i in stratum if i != slice_index)
+                key_of = itemgetter(*free) if free else lambda exps: 0
+                outside = 15 - sum(1 << i for i in stratum)
+                keyed = []
+                for support in supports:
+                    groups = {}
+                    for index, exps in enumerate(support):
+                        if not any(e for i, e in enumerate(exps) if outside >> i & 1):
+                            groups.setdefault(key_of(exps), []).append(index)
+                    keyed.append(tuple((key, tuple(rows)) for key, rows in groups.items()))
+                jets = tuple(_jet_rows(support, outside) for support in supports)
                 names = tuple(VARIABLES[i] for i in stratum)
-                plan.append((stratum, sum(1 << i for i in stratum), names, g, slice_index, signs))
+                plan.append((stratum, names, g, slice_index, signs, free, tuple(keyed), jets))
     return tuple(plan)
 
 
@@ -365,16 +385,12 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
     stratum solutions with no rational representative) in deterministic
     stratum order.  The pair must be weighted homogeneous for the action.
     """
-    for label, p in (("first", h1), ("second", h2i)):
-        if p.degree() > _MAX_DEGREE:
-            raise OrbitError(f"{label} equation degree {p.degree()} exceeds limit {_MAX_DEGREE}")
-        verdict = quasi_degree(p, action.weights)
-        if isinstance(verdict, QuasiFailure):
-            raise OrbitError(f"{label} equation is not quasi-homogeneous: {verdict}")
     terms = [_rows(h1), _rows(h2i)]
+    coeffs = [[c for _, _, c in rows] for rows in terms]
     results: list = []
-    for stratum, inside, names, g, slice_index, signs in _plan(tuple(action.weights)):
-        den, points, unresolved = _solve_stratum(terms, stratum, inside, slice_index)
+    for planned in _orbit_plan(tuple(action.weights), tuple(tuple([e for _, e, _ in rows]) for rows in terms)):
+        _, names, g, _, signs, _, _, (jet1, jet2) = planned
+        den, points, unresolved = _solve_stratum(coeffs, planned)
         seen: set = set()
         # Over one denominator, integer order is the order of the points.
         for point in sorted(points):
@@ -382,9 +398,9 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
                 continue
             seen.add(point)
             seen.add(tuple(map(mul, point, signs)))
-            rep = tuple(Fraction(n, den) for n in point)
-            v1, (a0, a1, a2, a3) = _jet(terms[0], point, den)
-            v2, (b0, b1, b2, b3) = _jet(terms[1], point, den)
+            rep = tuple(_ZERO if not n else Fraction(n) if den == 1 else Fraction(n, den) for n in point)
+            v1, (a0, a1, a2, a3) = _jet(jet1, coeffs[0], point, den)
+            v2, (b0, b1, b2, b3) = _jet(jet2, coeffs[1], point, den)
             if v1 or v2:
                 raise OrbitError(f"internal error: representative {rep} misses the variety")
             # Rank < 2 exactly when every 2x2 minor vanishes; the positive
@@ -421,14 +437,20 @@ class CaseInfo(namedtuple("CaseInfo", "kind subspace g1 g2", defaults=(None, Non
 
 def classify_case(h1: Polynomial, h2i: Polynomial) -> CaseInfo:
     """Classify the pair per the (A)/(B)/(C) trichotomy."""
-    # x_i = x_j = 0 kills both equations when every term uses x_i or x_j.
-    masks = {mask for p in (h1, h2i) for mask, _, _ in _rows(p)}
+    case = _case(frozenset(mask for mask, _, _ in _rows(h1)), frozenset(mask for mask, _, _ in _rows(h2i)))
+    return CaseInfo("B", g1=h1, g2=h2i.split("z")[1]) if case.kind == "B" else case
+
+
+@lru_cache(maxsize=256)
+def _case(masks1: frozenset, masks2: frozenset) -> CaseInfo:
+    # The verdict from the sets of term masks, (B) without g1 and g2.  x_i =
+    # x_j = 0 kills both equations when every term uses x_i or x_j.
     for i, j in combinations(range(4), 2):
-        if all(mask & (1 << i | 1 << j) for mask in masks):
+        if all(mask & (1 << i | 1 << j) for mask in masks1 | masks2):
             return CaseInfo("A", subspace=(VARIABLES[i], VARIABLES[j]))
     # (B): h1 free of z, h2i = z*g2 with g2 free of w.
-    if not any(mask & 4 for mask, _, _ in _rows(h1)) and all(mask & 12 == 4 for mask, _, _ in _rows(h2i)):
-        return CaseInfo("B", g1=h1, g2=h2i.split("z")[1])
+    if not any(mask & 4 for mask in masks1) and all(mask & 12 == 4 for mask in masks2):
+        return CaseInfo("B")
     return CaseInfo("C")
 
 

@@ -168,7 +168,12 @@ class Polynomial:
 
     def __new__(cls, terms: Mapping[Monomial, int | Fraction] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        return _collect([(mono.exponents, *_ratio(coeff)) for mono, coeff in items])
+        rows = []
+        for mono, coeff in items:
+            if not isinstance(mono, Monomial):
+                raise PolynomialError(f"a term key must be a Monomial, got {mono!r}")
+            rows.append((mono.exponents, *_ratio(coeff)))
+        return _collect(rows)
 
     # -- constructors -----------------------------------------------------
 
@@ -313,9 +318,12 @@ class Polynomial:
         """``(den, value, partials)``: the value and the four partials at the
         rational 4-tuple ``point`` as integers over one positive denominator."""
         ratios = [_ratio(v) for v in point]
+        if len(ratios) != 4:
+            raise PolynomialError(f"a point has 4 coordinates, got {len(ratios)}")
         common = lcm(*[q for _, q in ratios])
         nums = [n * (common // q) for n, q in ratios]
-        value, partials = _jet(_rows(self), nums, common)
+        rows, zero = _rows(self), sum(1 << i for i, n in enumerate(nums) if not n)
+        value, partials = _jet(_jet_rows([e for _, e, _ in rows], zero), [c for _, _, c in rows], nums, common)
         return common ** max(self.degree(), 0) * self._den, value, tuple(v * common for v in partials)
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
@@ -448,25 +456,31 @@ def _part(p: Polynomial, exponents) -> Polynomial:
     return _new({key: c for key, c in p._terms.items() if key in keys}, p._den, p._width)
 
 
-def _jet(rows, nums, den: int) -> tuple:
-    """The value times den**D and the partials times den**(D - 1), D the
-    top degree, of the terms ``rows`` (from :func:`_rows`) at the point
-    ``nums``/``den`` (integers, ``den`` > 0): a term is c * nums**e *
-    den**(D - |e|).  Only the terms that use no zero coordinate, or one
-    with exponent 1, are visited; that one stands in as 1, and the term
-    is the one partial left."""
-    zero = sum(1 << i for i, n in enumerate(nums) if not n)
+def _jet_rows(support, zero: int) -> tuple:
+    # The rows (index, outside, exponents, D - |e|) of _jet for the exponent
+    # tuples ``support`` at a point with zero coordinates ``zero``: the terms
+    # that use no zero coordinate (outside None) or one, with exponent 1.
+    top = max(map(sum, support), default=0)
+    rows = []
+    for index, exps in enumerate(support):
+        dead = [i for i, e in enumerate(exps) if e and zero >> i & 1]
+        if not dead or len(dead) == 1 and exps[dead[0]] == 1:
+            rows.append((index, dead[0] if dead else None, exps, top - sum(exps)))
+    return tuple(rows)
+
+
+def _jet(planned, coeffs, nums, den: int) -> tuple:
+    """The value times den**D and the partials times den**(D - 1), D the top
+    degree, at the point ``nums``/``den`` (integers, ``den`` > 0), over the
+    rows of :func:`_jet_rows`: a term is c * nums**e * den**lift, with c from
+    ``coeffs`` (in ``_rows`` order) and a zero coordinate standing in as 1."""
     a0, a1, a2, a3 = [n or 1 for n in nums]
-    top = max([sum(exps) for _, exps, _ in rows], default=0)
     value, partials = 0, [0, 0, 0, 0]
-    for mask, exps, c in rows:
-        dead = mask & zero
-        if dead and (dead & dead - 1 or exps[dead.bit_length() - 1] > 1):
-            continue
+    for index, outside, exps, lift in planned:
         e0, e1, e2, e3 = exps
-        term = c * a0**e0 * a1**e1 * a2**e2 * a3**e3 * den ** (top - e0 - e1 - e2 - e3)
-        if dead:
-            partials[dead.bit_length() - 1] += term
+        term = coeffs[index] * a0**e0 * a1**e1 * a2**e2 * a3**e3 * den**lift
+        if outside is not None:
+            partials[outside] += term
             continue
         value += term
         for i, e in enumerate(exps):
@@ -548,17 +562,21 @@ def quasi_degree(p: Polynomial, weights) -> "int | QuasiFailure":
     witness terms of different weighted degree.  The zero polynomial is
     rejected.
     """
-    if p.is_zero():
-        raise ZeroPolynomialError("quasi_degree of the zero polynomial")
     weights = tuple(weights)
-    if len(weights) != 4 or any(w <= 0 for w in weights):
+    if p and (len(weights) != 4 or any(w <= 0 for w in weights)):
         raise PolynomialError(f"weights must be 4 positive integers, got {weights!r}")
+    return _quasi_degree([exps for _, exps, _ in _rows(p)], weights)
+
+
+def _quasi_degree(support, weights) -> "int | QuasiFailure":
+    # quasi_degree on the exponent tuples of the terms, in any order.
+    if not support:
+        raise ZeroPolynomialError("quasi_degree of the zero polynomial")
     w0, w1, w2, w3 = weights
-    degrees = {a * w0 + b * w1 + c * w2 + d * w3 for _, (a, b, c, d), _ in _rows(p)}
+    degrees = {a * w0 + b * w1 + c * w2 + d * w3 for a, b, c, d in support}
     if len(degrees) == 1:
         return degrees.pop()
-    width = p._width
-    first, *rest = [_unpack(key, width) for key in sorted(p._terms, reverse=True)]
+    first, *rest = sorted(support, key=lambda exps: (sum(exps), exps), reverse=True)
     degree = sum(e * w for e, w in zip(first, weights))
     for exps in rest:
         d = sum(e * w for e, w in zip(exps, weights))

@@ -6,8 +6,11 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import strangedual
 from strangedual import StrangedualError
+from strangedual.polyring import Polynomial, PolynomialError, parse_poly
 
 
 def test_every_error_class_has_the_one_base():
@@ -30,3 +33,17 @@ def test_no_handler_catches_every_exception():
         if broad.match(line)
     ]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: parse_poly("x + y").evaluate((1, 2)), "a point has 4 coordinates, got 2"),
+        (lambda: Polynomial({(1, 0, 0, 0): 1}), "a term key must be a Monomial, got (1, 0, 0, 0)"),
+    ],
+    ids=["point-of-two-coordinates", "tuple-term-key"],
+)
+def test_malformed_library_input_raises_polynomial_error(build, message):
+    with pytest.raises(PolynomialError) as caught:
+        build()
+    assert str(caught.value) == message

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import _reference_orbits as ref_orbits
@@ -588,6 +588,157 @@ def test_split_newton_rescaled_catalog_matches_uncached_search(catalog):
             supports = [tuple(sorted(m.exponents for m in p.support())) for p in (g2, g1)]
             expected = [(_cut(g2, exps), weights) for exps, weights in search(*supports)]
             assert [tuple(face) for face in split_newton(g2, g1).faces] == expected
+
+
+# The orbit solver is planned per weight system and pair of supports.
+
+
+def test_orbit_plan_keeps_each_calls_points():
+    # One support, two rescalings, solved back to back: the second call
+    # hits the plan and still gets the points of its own coefficients.
+    h1, h2 = parse_poly("x^2 - 4*y^2 + z*w^3"), parse_poly("x*z^2 + y*w^2")
+    info = orbits_module._orbit_plan.cache_info
+    listings = []
+    for factors in ((1, 1, 1, 1), (Fraction(3, 2), Fraction(-5, 7), 2, Fraction(1, 3))):
+        g1, g2 = _rescaled(h1, factors), _rescaled(h2, factors)
+        hits = info().hits
+        listings.append(exceptional_orbits(g1, g2, CStarAction((2, 2, 1, 1))))
+        assert listings[-1] == ref_orbits.exceptional_orbits(g1, g2, CStarAction((2, 2, 1, 1)))
+    assert info().hits == hits + 1
+    points = [{o.point for o in listing if o.stratum == ("x", "y")} for listing in listings]
+    assert points[0] == {(1, Fraction(1, 2), 0, 0), (1, Fraction(-1, 2), 0, 0)}
+    assert points[1] == {(1, Fraction(21, 20), 0, 0), (1, Fraction(-21, 20), 0, 0)}
+
+
+@pytest.mark.parametrize(
+    "h1, h2, message",
+    [
+        ("x*y - w^2", "x^2*z + y*z", "second equation is not quasi-homogeneous: not quasi-homogeneous: x^2*z has weighted degree 3 but y*z has 2"),
+        ("x^2049 + y", "x", "first equation degree 2049 exceeds limit 2048"),
+        # Both equations fail: the first equation's checks come first, and
+        # each equation's degree comes before its quasi-homogeneity.
+        ("x + y^2", "x^2049 + y", "first equation is not quasi-homogeneous: not quasi-homogeneous: y^2 has weighted degree 2 but x has 1"),
+        ("x^2049 + y^2", "x + y^2", "first equation degree 2049 exceeds limit 2048"),
+        ("x + y", "x^2049 + y^2", "second equation degree 2049 exceeds limit 2048"),
+    ],
+)
+def test_orbit_plan_errors_are_not_cached(h1, h2, message):
+    info = orbits_module._orbit_plan.cache_info
+    assert info().maxsize == 256
+    size = info().currsize
+    for _ in range(2):
+        with pytest.raises(OrbitError) as caught:
+            exceptional_orbits(parse_poly(h1), parse_poly(h2), CStarAction((1, 1, 1, 1)))
+        assert str(caught.value) == message
+        assert info().currsize == size
+
+
+def test_second_verify_all_plans_no_orbit_solve(catalog):
+    # The Dolgachev check solves each of the 16 catalog faces; a second
+    # pass over the catalog finds every plan and case verdict cached.
+    plan, case = orbits_module._orbit_plan.cache_info, orbits_module._case.cache_info
+    verify_all(catalog)
+    before = plan(), case()
+    assert verify_all(catalog).ok
+    faces = sum(len(entry.decomposition) for entry in catalog.entries)
+    assert (plan().hits - before[0].hits, plan().misses) == (faces, before[0].misses)
+    assert (case().hits - before[1].hits, case().misses) == (faces, before[1].misses)
+
+
+def _family(rng, weights, count):
+    """``count`` pairs for ``weights`` on one support written in one term
+    order: a seeded weighted-homogeneous pair, then rescalings of it and
+    fresh coefficients in turn."""
+    while True:
+        top = max(weights)
+        pair = [_homogeneous(rng, weights, rng.choice((top, 2 * top, lcm(*weights)))) for _ in range(2)]
+        if None not in pair:
+            break
+    supports = [[m.exponents for m, _ in p.terms()] for p in pair]
+    members = []
+    for n in range(count):
+        factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
+        members.append(tuple(
+            Polynomial({
+                Monomial(e): (p.coefficient(Monomial(e)) * prod(f**k for f, k in zip(factors, e)))
+                if n % 2 else Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                for e in support
+            })
+            for p, support in zip(pair, supports)
+        ))
+    return [(*members[n], weights) for n in range(count)]
+
+
+def test_planned_families_match_reference():
+    # Families that share one support and vary the coefficients, solved
+    # back to back so that every member after the first hits the plan:
+    # the listings and error texts of the frozen Fraction-point solver.
+    rng = random.Random(20261021)
+    info = orbits_module._orbit_plan.cache_info
+    hits, expected_hits, kinds = info().hits, 0, set()
+    for _ in range(60):
+        weights = tuple(rng.choice((1, 2, 2, 3, 4, 6)) for _ in range(4))
+        family = _family(rng, weights, 6)
+        expected_hits += len(family) - 1
+        for h1, h2i, weights in family:
+            got = _outcome(h1, h2i, weights)
+            assert got == _outcome(h1, h2i, weights, ref_orbits.exceptional_orbits), (h1, h2i, weights)
+            kinds |= {type(o).__name__ for o in got} if isinstance(got, list) else {got[0]}
+    assert info().hits - hits >= expected_hits
+    assert kinds == {"OrbitRep", "UnresolvedOrbit", "StratumError"}
+
+
+def test_planned_strata_sum_rows_that_share_a_key():
+    # Rows that differ only in the slice exponent share a free-exponent key
+    # and are summed on the stratum; for some members of a family their
+    # coefficients cancel.  Such rows cannot both lie in one quasi-homogeneous
+    # equation, so the planned strata are solved directly, against the
+    # frozen solver's restriction to the slice.
+    weights = (2, 2, 2, 1)
+    rng = random.Random(29)
+    cancelled = 0
+    for _ in range(40):
+        supports, twins = [], []
+        for _ in range(2):
+            support = sorted({tuple(rng.randint(0, 2) * (i < 3) for i in range(4)) for _ in range(rng.randint(1, 3))})
+            pairs = []
+            for a, exps in enumerate(list(support)):
+                # The same free exponents at a higher exponent of x, y or z,
+                # the slices of the strata of these weights.
+                s = rng.randrange(3)
+                twin = tuple(e + (i == s) * rng.randint(1, 2) for i, e in enumerate(exps))
+                if twin not in support:
+                    pairs.append((a, len(support)))
+                    support.append(twin)
+            support.append((0, 0, 0, rng.randint(1, 2)))  # a row outside every stratum
+            supports.append(support)
+            twins.append(pairs)
+        strata = orbits_module._strata(weights, tuple(map(tuple, supports)))
+        for _ in range(4):
+            coeffs = [[rng.choice((-2, -1, 1, 2)) for _ in support] for support in supports]
+            for c, pairs in zip(coeffs, twins):
+                for a, b in pairs:
+                    if rng.random() < 0.4:
+                        c[b] = -c[a]
+                        cancelled += 1
+            equations = [
+                ref_orbits.ref.Polynomial({ref_orbits.ref.Monomial(e): Fraction(k) for e, k in zip(support, c)})
+                for support, c in zip(supports, coeffs)
+            ]
+            for planned in strata:
+                stratum, slice_index = planned[0], planned[3]
+                try:
+                    den, points, unresolved = orbits_module._solve_stratum(coeffs, planned)
+                    got = {tuple(Fraction(n, den) for n in p) for p in points}, unresolved
+                except StratumError as error:
+                    got = str(error)
+                try:
+                    points, unresolved = ref_orbits.solve_stratum(*equations, stratum, slice_index)
+                    expected = set(points), unresolved
+                except StratumError as error:
+                    expected = str(error)
+                assert got == expected, (supports, coeffs, stratum)
+    assert cancelled > 20
 
 
 @pytest.mark.parametrize(
