@@ -365,14 +365,14 @@ def _strata(weights: tuple[int, ...], supports: tuple) -> tuple:
                 free = tuple(i for i in stratum if i != slice_index)
                 key_of = itemgetter(*free) if free else lambda exps: 0
                 outside = 15 - sum(1 << i for i in stratum)
-                keyed = []
-                for support in supports:
-                    groups = {}
-                    for index, exps in enumerate(support):
-                        if not any(e for i, e in enumerate(exps) if outside >> i & 1):
-                            groups.setdefault(key_of(exps), []).append(index)
-                    keyed.append(tuple((key, tuple(rows)) for key, rows in groups.items()))
                 jets = tuple(_jet_rows(support, outside) for support in supports)
+                keyed = []
+                for rows in jets:  # the rows inside the stratum are the jet rows with no outside
+                    groups = {}
+                    for index, dead, exps, _ in rows:
+                        if dead is None:
+                            groups.setdefault(key_of(exps), []).append(index)
+                    keyed.append(tuple((key, tuple(indices)) for key, indices in groups.items()))
                 names = tuple(VARIABLES[i] for i in stratum)
                 plan.append((stratum, names, g, slice_index, signs, free, tuple(keyed), jets))
     return tuple(plan)
