@@ -240,7 +240,7 @@ def _solve_stratum(coeffs, planned):
     for c, groups in zip(coeffs, keyed):
         table = {}  # each planned key with the sum of its rows' coefficients
         for key, rows in groups:
-            total = sum([c[i] for i in rows]) if len(rows) > 1 else c[rows[0]]
+            total = sum([c[i] for i in rows])
             if total:
                 table[key] = total
         if len(table) == 1:
@@ -565,8 +565,8 @@ def split_newton(h2: Polynomial, h1: Polynomial) -> NewtonSplit:
 @lru_cache(maxsize=256)
 def _newton_plan(monos: tuple, h1_monos: tuple) -> tuple:
     # The two faces of _newton_faces, planned once per pair of supports
-    # (sorted exponent tuples), as _plan is per weight system.  A raised
-    # error leaves no entry, so every call raises it again.
+    # (sorted exponent tuples).  A raised error leaves no entry, so every
+    # call raises it again.
     faces = _newton_faces(monos, h1_monos)
     if len(faces) != 2:
         raise NewtonStructureError(
