@@ -48,23 +48,16 @@ def _vars_list(text: str) -> tuple[str, ...]:
     return names
 
 
-def _parse(text: str):
+def _parse(text: str, read=parse_poly):
     try:
-        return parse_poly(text)
-    except PolynomialError as exc:
-        raise CommandError(f"bad polynomial {text!r}: {exc}") from None
-
-
-def _parse_terms(text: str):
-    try:
-        return parse_poly_terms(text)
+        return read(text)
     except PolynomialError as exc:
         raise CommandError(f"bad polynomial {text!r}: {exc}") from None
 
 
 def _cmd_transpose(args) -> int:
     # Row order follows the written term order, as in the tables.
-    matrix = inv.from_terms(_parse_terms(args.poly), _vars_list(args.vars))
+    matrix = inv.from_terms(_parse(args.poly, parse_poly_terms), _vars_list(args.vars))
     print(inv.bh_transpose(matrix).to_polynomial())
     return 0
 
@@ -123,7 +116,7 @@ def _cmd_saito_dual(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    quadruple = GabrielovQuadruple.of(args.g1, args.g2, args.g3, args.g4)
+    quadruple = GabrielovQuadruple((args.g1, args.g2, args.g3, args.g4))
     print(charpoly_S(quadruple) if args.graph == "S" else charpoly_Pi(quadruple))
     if args.dot:
         print(emit_graph(quadruple, args.graph).to_dot())

@@ -71,10 +71,6 @@ class GabrielovQuadruple(namedtuple("GabrielovQuadruple", "gammas")):
             )
         return self
 
-    @staticmethod
-    def of(g1: int, g2: int, g3: int, g4: int) -> "GabrielovQuadruple":
-        return GabrielovQuadruple((g1, g2, g3, g4))
-
     def __str__(self) -> str:
         g = self.gammas
         return f"{g[0]},{g[1]};{g[2]},{g[3]}"

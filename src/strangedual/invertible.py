@@ -29,7 +29,7 @@ from math import gcd, lcm
 from operator import index
 
 from . import _linalg
-from ._errors import StrangedualError, checked_make
+from ._errors import StrangedualError, all_integers, checked_make
 from .polyring import Monomial, Polynomial, VARIABLES
 
 __all__ = [
@@ -84,6 +84,9 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
             raise InvertibleError("rows, variables and coefficients must have equal length")
         if any(len(row) != n for row in self.rows):
             raise InvertibleError("exponent matrix must be square")
+        _columns(self.variables)
+        if not all(map(all_integers, self.rows)):
+            raise InvertibleError(f"exponents must be integers, got {self.rows!r}")
         if any(e < 0 for row in self.rows for e in row):
             raise InvertibleError("exponents must be non-negative")
         if any(c == 0 for c in self.coefficients):
@@ -91,19 +94,11 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
         return self
 
     @staticmethod
-    def make(rows, variables=None) -> "ExponentMatrix":
-        """Build from any integer rows, every coefficient 1; an exponent that
-        is not an integer (``2.7``, ``"2"``) raises ``TypeError`` instead of
-        being truncated."""
+    def make(rows) -> "ExponentMatrix":
+        """Build from integer rows over the first n variables, coefficients 1;
+        a non-integer (``2.7``, ``"2"``) raises ``TypeError``, not truncated."""
         rows = tuple(tuple(index(e) for e in row) for row in rows)
-        n = len(rows)
-        if variables is None:
-            variables = VARIABLES[:n]
-        return ExponentMatrix(rows, tuple(variables), (Fraction(1),) * n)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+        return ExponentMatrix(rows, VARIABLES[: len(rows)], (Fraction(1),) * len(rows))
 
     def det(self) -> int:
         return _linalg.mat_det(self.rows)
@@ -139,7 +134,7 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
 
     def to_polynomial(self) -> Polynomial:
         # The constructor adds up equal rows.
-        columns = [VARIABLES.index(v) for v in self.variables]
+        columns = _columns(self.variables)
         terms = []
         for row, coeff in zip(self.rows, self.coefficients):
             exps = [0, 0, 0, 0]
@@ -148,8 +143,12 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
             terms.append((Monomial(tuple(exps)), coeff))
         return Polynomial(terms)
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
+
+def _columns(variables) -> list[int]:
+    """Each name's column; a repeated name or one not in VARIABLES is refused."""
+    if len(set(variables)) != len(variables) or any(v not in VARIABLES for v in variables):
+        raise InvertibleError(f"bad variable list {variables!r}")
+    return [VARIABLES.index(v) for v in variables]
 
 
 def from_terms(terms, active_vars=VARIABLES) -> ExponentMatrix:
@@ -165,9 +164,7 @@ def from_terms(terms, active_vars=VARIABLES) -> ExponentMatrix:
     orientation is applied; see :meth:`ExponentMatrix.oriented`.
     """
     active = tuple(active_vars)
-    if len(set(active)) != len(active) or any(v not in VARIABLES for v in active):
-        raise InvertibleError(f"bad variable list {active!r}")
-    positions = [VARIABLES.index(v) for v in active]
+    positions = _columns(active)
     rows = []
     coeffs = []
     for term in terms:
@@ -201,12 +198,6 @@ class WeightSolution(namedtuple("WeightSolution", "weights degree reduced_weight
     """
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        raw = ",".join(str(w) for w in self.weights)
-        red = ",".join(str(w) for w in self.reduced_weights)
-        note = "" if self.positive else "  [non-positive component]"
-        return f"({raw}; {self.degree}) reduced ({red}; {self.reduced_degree}){note}"
 
 
 def canonical_weights(matrix: ExponentMatrix) -> WeightSolution:
@@ -281,12 +272,6 @@ class DiagonalGroup(namedtuple("DiagonalGroup", "invariant_factors order")):
     """
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        if not self.invariant_factors:
-            return "trivial group"
-        parts = " x ".join(f"Z/{d}" for d in self.invariant_factors)
-        return f"{parts} (order {self.order})"
 
 
 def _pivot(m: list[list[int]], t: int) -> tuple[int, int] | None:

@@ -34,13 +34,13 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, repeat
 from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
 from . import _linalg
 from ._errors import StrangedualError, all_integers, checked_make
-from .polyring import Polynomial, QuasiFailure, VARIABLES, _jet, _jet_rows, _part, _quasi_degree, _rows
+from .polyring import Polynomial, QuasiFailure, VARIABLES, _fraction, _jet, _jet_rows, _part, _quasi_degree, _rows
 from .series import UniPolynomial, WeightSystem
 
 __all__ = [
@@ -127,7 +127,6 @@ class UnresolvedOrbit(namedtuple("UnresolvedOrbit", "stratum variable coefficien
 #: The largest total degree of an equation, or of an eliminated one, that
 #: the orbit solver takes: its dense polynomials and jets grow with it.
 _MAX_DEGREE = 2048
-_ZERO = Fraction(0)  # every zero coordinate of a kept point
 
 
 # -- univariate root finding ---------------------------------------------------
@@ -156,9 +155,9 @@ def _divisors(n: int) -> list[int]:
 
 
 def _rational_roots(coeffs) -> tuple[set[tuple[int, int]], tuple[int, ...] | None]:
-    """Nonzero rational roots of a univariate polynomial over Q.
+    """Nonzero rational roots of a univariate polynomial over Z.
 
-    ``coeffs`` runs from the constant term up.  Returns ``(roots,
+    ``coeffs`` are integers from the constant term up.  Returns ``(roots,
     residual)``: each root p/q as a pair ``(p, q)`` in lowest terms with
     q > 0, and the primitive integer coefficient tuple of the rootless
     factor of degree >= 1 that remains after splitting off t^k and all
@@ -398,7 +397,7 @@ def exceptional_orbits(h1: Polynomial, h2i: Polynomial, action: CStarAction):
                 continue
             seen.add(point)
             seen.add(tuple(map(mul, point, signs)))
-            rep = tuple(_ZERO if not n else Fraction(n) if den == 1 else Fraction(n, den) for n in point)
+            rep = tuple(map(_fraction, point, repeat(den)))
             v1, (a0, a1, a2, a3) = _jet(jet1, coeffs[0], point, den)
             v2, (b0, b1, b2, b3) = _jet(jet2, coeffs[1], point, den)
             if v1 or v2:

@@ -50,11 +50,12 @@ from math import gcd, lcm
 from itertools import repeat
 from operator import floordiv, index, mul, or_
 
-from ._errors import StrangedualError, checked_make
+from ._errors import StrangedualError, all_integers, checked_make
 
 VARIABLES = ("x", "y", "z", "w")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _VAR_INDEX.update({name.upper(): i for i, name in enumerate(VARIABLES)})
+_ZERO = Fraction(0)  # the one zero that _fraction returns
 
 
 class PolynomialError(StrangedualError):
@@ -74,15 +75,17 @@ class ZeroPolynomialError(PolynomialError):
 
 
 class Monomial(namedtuple("Monomial", "exponents")):
-    """A power product x^a * y^b * z^c * w^d with non-negative exponents."""
+    """A power product x^a * y^b * z^c * w^d with non-negative integer
+    exponents; any other tuple raises ``PolynomialError``."""
 
     __slots__ = ()
     _make = checked_make
 
     def __new__(cls, exponents: tuple[int, int, int, int]):
         self = tuple.__new__(cls, (exponents,))
-        if len(self.exponents) != 4 or any(e < 0 for e in self.exponents):
-            raise ValueError(f"bad exponent tuple {self.exponents!r}")
+        exps = self.exponents
+        if len(exps) != 4 or not all_integers(exps) or any(e < 0 for e in exps):
+            raise PolynomialError(f"bad exponent tuple {exps!r}")
         return self
 
     @property
@@ -158,7 +161,7 @@ def _ratio(value) -> tuple[int, int]:
 
 
 def _fraction(num: int, den: int) -> Fraction:
-    return Fraction(num) if den == 1 else Fraction(num, den)
+    return _ZERO if not num else Fraction(num) if den == 1 else Fraction(num, den)
 
 
 class Polynomial:
@@ -218,7 +221,7 @@ class Polynomial:
     def coefficient(self, mono: Monomial) -> Fraction:
         exps, width = mono.exponents, self._width
         if sum(exps) >> width:  # past the field width, so past the degree
-            return Fraction(0)
+            return _ZERO
         return _fraction(self._terms.get(_pack(exps, width), 0), self._den)
 
     def degree(self) -> int:

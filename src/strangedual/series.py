@@ -14,9 +14,8 @@ product: ``frame_expand`` is that kernel under ``MAX_EXPAND_WORK``, and
 takes running sums per residue class mod l on longer ones.
 
 :class:`UniPolynomial` is the package's one univariate polynomial type:
-dense, over Q, with integral coefficients kept as ``int``.  Frame
-expansion and the Coxeter polynomials use it over Z; the orbit solver
-uses its product, primitive gcd and primitive integer form.
+dense, over Z.  Frame expansion and the Coxeter polynomials build it;
+the orbit solver uses its product, primitive gcd and primitive form.
 
 The text notation mirrors the tables it came from: ``2^2*8*10 / 1^2*4*5``
 stands for (1-t^2)^2 (1-t^8)(1-t^10) / (1-t)^2 (1-t^4)(1-t^5).
@@ -28,9 +27,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from fractions import Fraction
 from itertools import accumulate, zip_longest
-from math import gcd, lcm
+from math import gcd
 from operator import index, sub
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -158,12 +156,6 @@ class FrameProduct:
     def __mul__(self, other: "FrameProduct") -> "FrameProduct":
         return FrameProduct(self._exps + other._exps)
 
-    def __truediv__(self, other: "FrameProduct") -> "FrameProduct":
-        return self * other.inverse()
-
-    def inverse(self) -> "FrameProduct":
-        return FrameProduct({b: -a for b, a in self._exps})
-
     def degree(self) -> int:
         """Degree of the rational function: sum of l * alpha_l."""
         return sum(b * a for b, a in self._exps)
@@ -188,18 +180,17 @@ class FrameProduct:
 
 
 class UniPolynomial:
-    """Immutable dense univariate polynomial over Q in the variable t.
+    """Immutable dense univariate polynomial over Z in the variable t.
 
     ``coefficients`` runs from the constant term up, with no trailing
-    zeros.  An integral coefficient is stored as a plain ``int`` and only
-    a non-integral one as a ``Fraction``, so integer work such as frame
-    expansion and Coxeter polynomials never builds a ``Fraction``.
+    zeros; a value ``operator.index`` refuses (a ``float``, ``Fraction``,
+    ``str``, ...) raises ``SeriesError``.
     """
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: Iterable[int | Fraction] = ()):
-        coeffs = [c if type(c) is int else _exact(c) for c in coefficients]
+    def __init__(self, coefficients: Iterable[int] = ()):
+        coeffs = [c if type(c) is int else _integer(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -251,12 +242,9 @@ class UniPolynomial:
         return UniPolynomial(-c for c in a) if a and a[-1] < 0 else UniPolynomial(a)
 
     def primitive(self) -> tuple[int, ...]:
-        """The coprime integer coefficients of the same polynomial up to a
-        positive scalar: denominators cleared and the content divided out."""
-        scale = lcm(*(c.denominator for c in self.coefficients))
-        ints = [int(c * scale) for c in self.coefficients]
-        content = gcd(*ints)
-        return tuple(v // content for v in ints)
+        """The coefficients divided by their content, signs kept."""
+        content = gcd(*self.coefficients)
+        return tuple(c // content for c in self.coefficients)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPolynomial) and self.coefficients == other.coefficients
@@ -316,10 +304,11 @@ def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
     return len(a) == 1
 
 
-def _exact(value) -> int | Fraction:
-    """``value`` as an exact rational: an ``int`` when integral."""
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+def _integer(value) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise SeriesError(f"coefficients must be integers, got {value!r}") from None
 
 
 # -- operations ---------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_quadruple_validation():
     assert GabrielovQuadruple((10**6, 1, 1, 1)).gammas == (10**6, 1, 1, 1)
     with pytest.raises(TypeError):
         charpoly_S((2.5, 2, 2, 6))
-    quad = GabrielovQuadruple.of(2, 2, 3, 5)
+    quad = GabrielovQuadruple((2, 2, 3, 5))
     assert quad.gammas == (2, 2, 3, 5)
     assert str(quad) == "2,2;3,5"
 

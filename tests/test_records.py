@@ -18,7 +18,7 @@ from strangedual.matfac import (
     MatfacError,
 )
 from strangedual.orbits import CStarAction, OrbitError
-from strangedual.polyring import Monomial, Polynomial, parse_poly
+from strangedual.polyring import Monomial, Polynomial, PolynomialError, parse_poly
 from strangedual.series import SeriesError, WeightSystem
 
 ONE = (Fraction(1), Fraction(1))
@@ -28,8 +28,9 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
 @pytest.mark.parametrize(
     "cls, bad, error, message, good",
     [
-        (Monomial, ((1, 2, 3),), ValueError, "bad exponent tuple (1, 2, 3)", ((1, 0, 0, 2),)),
-        (Monomial, ((1, -1, 0, 0),), ValueError, "bad exponent tuple (1, -1, 0, 0)", ((0,) * 4,)),
+        (Monomial, ((1, 2, 3),), PolynomialError, "bad exponent tuple (1, 2, 3)", ((1, 0, 0, 2),)),
+        (Monomial, ((1, -1, 0, 0),), PolynomialError, "bad exponent tuple (1, -1, 0, 0)", ((0,) * 4,)),
+        (Monomial, ((0.5, 0, 0, 0),), PolynomialError, "bad exponent tuple (0.5, 0, 0, 0)", ((1, 0, 0, 0),)),
         (
             ExponentMatrix,
             (((2, 1), (0, 3)), ("x",), ONE),
@@ -43,6 +44,20 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
             InvertibleError,
             "exponent matrix must be square",
             (((2, 1), (0, 3)), ("x", "y"), ONE),
+        ),
+        (
+            ExponentMatrix,
+            (((2.5, 0), (0, 1)), ("x", "y"), ONE),
+            InvertibleError,
+            "exponents must be integers, got ((2.5, 0), (0, 1))",
+            (((2, 0), (0, 1)), ("x", "y"), ONE),
+        ),
+        (
+            ExponentMatrix,
+            (((2, 0), (0, 1)), ("x", "q"), ONE),
+            InvertibleError,
+            "bad variable list ('x', 'q')",
+            (((2, 0), (0, 1)), ("x", "y"), ONE),
         ),
         (
             ExponentMatrix,
@@ -132,8 +147,11 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
     ids=[
         "monomial-length",
         "monomial-negative",
+        "monomial-float",
         "matrix-lengths",
         "matrix-square",
+        "matrix-float",
+        "matrix-variables",
         "matrix-coefficients",
         "weights-positive",
         "weights-float",

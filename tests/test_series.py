@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -83,7 +84,7 @@ def test_poincare_msharp_dual():
 def test_frame_product_mul_identity_and_cancellation():
     a = FrameProduct({2: 1, 5: -1})
     assert a * FrameProduct() == a
-    assert FrameProduct({2: 1}) / FrameProduct({2: 1}) == FrameProduct()
+    assert FrameProduct({2: 1}) * FrameProduct({2: -1}) == FrameProduct()
 
 
 def test_frame_product_mul_catalog_row():
@@ -133,31 +134,35 @@ def test_frame_to_polynomial_jprime():
     assert poly.degree() == 11
 
 
-def test_unipolynomial_over_q():
-    # Rational coefficients are kept exactly; integral ones become ints.
-    assert UniPolynomial([Fraction(1, 2)]).coefficients == (Fraction(1, 2),)
-    assert UniPolynomial([Fraction(3, 2), 1]).coefficients == (Fraction(3, 2), 1)
-    assert type(UniPolynomial([Fraction(4, 2)]).coefficients[0]) is int
-    a = UniPolynomial([-1, 2]) * UniPolynomial([3, 1])  # (2t - 1)(t + 3)
-    b = UniPolynomial([-1, 2]) * UniPolynomial([-5, 1])  # (2t - 1)(t - 5)
-    assert UniPolynomial([Fraction(-3, 4), 0, Fraction(3, 2)]).primitive() == (-1, 0, 2)
+def test_unipolynomial_over_z():
+    # A float would be rounded, a str parsed and a Fraction kept over Q.
+    for value in (0.1, 2.0, Fraction(1, 2), Fraction(4, 2), "1/2", Decimal(1), 1j):
+        with pytest.raises(SeriesError, match=re.escape(f"coefficients must be integers, got {value!r}")):
+            UniPolynomial([1, value])
+    poly = UniPolynomial([True, 0, False])
+    assert poly.coefficients == (1,) and type(poly.coefficients[0]) is int
+    assert UniPolynomial([-6, 0, 4, 0]).primitive() == (-3, 0, 2)
+    assert UniPolynomial([6, -9]).primitive() == (2, -3)
+    assert UniPolynomial().primitive() == ()
 
 
 def test_gcd_matches_euclidean_reference():
     # The primitive remainder sequence against the monic Euclidean gcd over
     # Q of the frozen orbit solver, on products of random factors sharing
-    # some of them, with rational scales and zero operands.
+    # some of them, with integer scales and zero operands.
     rng = random.Random(20261022)
 
     def factor():
         return UniPolynomial([rng.randint(-6, 6) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 4)])
 
+    def scale():
+        numerator = rng.choice((-1, 1)) * rng.randint(1, 9)
+        rng.randint(1, 9)  # the draw of a denominator, kept so the seeded sequence stays
+        return numerator
+
     for _ in range(300):
         shared = [factor() for _ in range(rng.randint(0, 2))]
-        a, b = (
-            UniPolynomial([Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))])
-            for _ in range(2)
-        )
+        a, b = (UniPolynomial([scale()]) for _ in range(2))
         for f in shared + [factor() for _ in range(rng.randint(0, 2))]:
             a = a * f
         for f in shared + [factor() for _ in range(rng.randint(0, 2))]:
