@@ -1,5 +1,5 @@
-"""The package's one exception base, and the ``_make`` and integer test of
-its validated records; a leaf module, so every module can import them."""
+"""The package's one exception base, the ``_make`` of its validated records
+and its one integer check; a leaf module, so every module can import them."""
 
 from operator import index
 
@@ -13,13 +13,16 @@ class StrangedualError(Exception):
 checked_make = classmethod(lambda cls, values: cls(*values))
 
 
-def all_integers(values) -> bool:
-    """Whether ``operator.index`` takes every value.  A ``float`` or
-    ``Fraction`` is refused even when it equals an integer: it would share
-    that integer's keys in a cache."""
-    try:
-        for value in values:
-            index(value)
-    except TypeError:
-        return False
-    return True
+def integers(values, error: type[Exception], what: str) -> tuple[int, ...]:
+    """The values as a tuple of ``int``, by ``operator.index``; else ``error``
+    naming ``what``.  A ``float`` or ``Fraction`` is refused even when equal
+    to an integer, as it would share that integer's cache keys.  A loop over
+    single values tests ``type(v) is int`` and calls this on a failure."""
+    values = tuple(values)
+    for value in values:
+        if type(value) is not int:
+            try:
+                return tuple(map(index, values))
+            except TypeError:
+                raise error(f"{what} must be integers, got {values!r}") from None
+    return values

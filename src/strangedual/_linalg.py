@@ -2,11 +2,11 @@
 
 ``mat_det`` is Bareiss elimination over ``int`` (``bareiss``).  ``rref``
 is Gauss–Jordan over ``int``: each new row is divided by its content.
-``mat_rank``, ``solve_affine`` and ``nullspace`` build on it and take
-``int`` entries; a ``Fraction`` or ``float`` entry raises ``TypeError``
-from ``math.gcd``.  ``solve_affine`` returns integer vectors
-over one positive denominator, the lcm of the pivots, so no ``Fraction``
-is formed.
+``mat_rank``, ``solve_affine`` and ``nullspace`` build on it.  All take
+``int`` entries; this private module raises ``TypeError`` on any other
+(``mat_det`` through ``_errors.integers``, the rest from ``math.gcd``).
+``solve_affine`` returns integer vectors over one positive denominator,
+the lcm of the pivots, so no ``Fraction`` is formed.
 Everything is meant for the tiny matrices (at most 4x5) that show up in
 this package.  No pivoting heuristics beyond exactness are needed.
 """
@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd, lcm
-from operator import index
+
+from ._errors import integers
 
 
 def mat_det(rows) -> int:
     """Determinant of an integer matrix; an entry that is not an integer
     raises ``TypeError``."""
-    m = [[index(entry) for entry in row] for row in rows]
+    m = [list(integers(row, TypeError, "matrix entries")) for row in rows]
     if any(len(row) != len(m) for row in m):
         raise ValueError("determinant of a non-square matrix")
     return bareiss(m)

@@ -131,8 +131,7 @@ def _cmd_split_newton(args) -> int:
 
 
 def _cmd_dolgachev(args) -> int:
-    weights = tuple(args.weights)
-    action = CStarAction(weights)
+    action = CStarAction(args.weights)
     h1, h2 = _parse(args.first), _parse(args.second)
     if args.orbits:
         for orbit in exceptional_orbits(h1, h2, action):

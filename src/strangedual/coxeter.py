@@ -32,14 +32,14 @@ computed from them here.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import index
 
-from ._errors import StrangedualError, checked_make
+from ._errors import StrangedualError, checked_make, integers
 from .series import MAX_FRAME_BASE, UniPolynomial, _polynomial_part, _times_frame
 
 __all__ = [
     "GabrielovQuadruple",
     "ArmRangeError",
+    "GraphShapeError",
     "charpoly_S",
     "charpoly_Pi",
     "Graph",
@@ -49,7 +49,11 @@ __all__ = [
 
 
 class ArmRangeError(StrangedualError, ValueError):
-    """An arm parameter outside [1, MAX_FRAME_BASE], or not four of them."""
+    """Arm parameters that are not four integers in [1, MAX_FRAME_BASE]."""
+
+
+class GraphShapeError(StrangedualError, ValueError):
+    """A graph shape other than ``"S"`` or ``"Pi"``."""
 
 
 class GabrielovQuadruple(namedtuple("GabrielovQuadruple", "gammas")):
@@ -57,15 +61,15 @@ class GabrielovQuadruple(namedtuple("GabrielovQuadruple", "gammas")):
 
     Each parameter is an integer in [1, MAX_FRAME_BASE], the bound that
     already caps the frame bases of the orbit polynomial of the quadruple;
-    a non-integer raises ``TypeError`` rather than being truncated.
+    a non-integer raises ``ArmRangeError`` rather than being truncated.
     """
 
     __slots__ = ()
     _make = checked_make
 
     def __new__(cls, gammas: tuple[int, int, int, int]):
-        self = tuple.__new__(cls, (gammas,))
-        if len(self.gammas) != 4 or any(not 1 <= index(g) <= MAX_FRAME_BASE for g in self.gammas):
+        self = tuple.__new__(cls, (integers(gammas, ArmRangeError, "arm parameters"),))
+        if len(self.gammas) != 4 or any(not 1 <= g <= MAX_FRAME_BASE for g in self.gammas):
             raise ArmRangeError(
                 f"need 4 arm parameters in [1, {MAX_FRAME_BASE}], got {self.gammas!r}"
             )
@@ -77,9 +81,7 @@ class GabrielovQuadruple(namedtuple("GabrielovQuadruple", "gammas")):
 
 
 def _as_quadruple(gamma) -> GabrielovQuadruple:
-    if isinstance(gamma, GabrielovQuadruple):
-        return gamma
-    return GabrielovQuadruple(tuple(gamma))
+    return gamma if isinstance(gamma, GabrielovQuadruple) else GabrielovQuadruple(gamma)
 
 
 def _over_t_minus_one(gamma, times: int) -> UniPolynomial:
@@ -125,14 +127,9 @@ class Graph(namedtuple("Graph", "name vertices edges")):
         lines = [f"graph {self.name} {{"]
         for v in self.vertices:
             lines.append(f"    {v};")
+        styles = {"double": ' [style=bold,label="2"]', "dashed": " [style=dashed]"}
         for e in self.edges:
-            if e.style == "double":
-                attr = ' [style=bold,label="2"]'
-            elif e.style == "dashed":
-                attr = " [style=dashed]"
-            else:
-                attr = ""
-            lines.append(f"    {e.u} -- {e.v}{attr};")
+            lines.append(f"    {e.u} -- {e.v}{styles.get(e.style, '')};")
         lines.append("}")
         return "\n".join(lines)
 
@@ -173,7 +170,7 @@ def emit_graph(gamma, shape: str = "S") -> Graph:
     """
     gs = _as_quadruple(gamma).gammas
     if shape not in _SHAPES:
-        raise ValueError(f"shape must be 'S' or 'Pi', got {shape!r}")
+        raise GraphShapeError(f"shape must be 'S' or 'Pi', got {shape!r}")
     centre, central_edges, arm_anchors = _SHAPES[shape]
     vertices, edges = list(centre), list(central_edges)
     for i, (g, anchors) in enumerate(zip(gs, arm_anchors), start=1):

@@ -26,11 +26,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index
 
 from . import _linalg
-from ._errors import StrangedualError, all_integers, checked_make
-from .polyring import Monomial, Polynomial, VARIABLES
+from ._errors import StrangedualError, checked_make, integers
+from .polyring import Monomial, Polynomial, PolynomialError, VARIABLES, _ratio
 
 __all__ = [
     "ExponentMatrix",
@@ -78,6 +77,7 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
         variables: tuple[str, ...],
         coefficients: tuple[Fraction, ...],
     ):
+        rows = tuple(integers(row, InvertibleError, "exponents") for row in rows)
         self = tuple.__new__(cls, (rows, variables, coefficients))
         n = len(self.rows)
         if n < 1 or n != len(self.variables) or n != len(self.coefficients):
@@ -85,19 +85,20 @@ class ExponentMatrix(namedtuple("ExponentMatrix", "rows variables coefficients")
         if any(len(row) != n for row in self.rows):
             raise InvertibleError("exponent matrix must be square")
         _columns(self.variables)
-        if not all(map(all_integers, self.rows)):
-            raise InvertibleError(f"exponents must be integers, got {self.rows!r}")
         if any(e < 0 for row in self.rows for e in row):
             raise InvertibleError("exponents must be non-negative")
-        if any(c == 0 for c in self.coefficients):
-            raise InvertibleError("coefficients must be nonzero")
+        try:
+            if not all(_ratio(c)[0] for c in self.coefficients):
+                raise InvertibleError("coefficients must be nonzero")
+        except PolynomialError:
+            raise InvertibleError(f"coefficients must be int or Fraction, got {self.coefficients!r}") from None
         return self
 
     @staticmethod
     def make(rows) -> "ExponentMatrix":
         """Build from integer rows over the first n variables, coefficients 1;
-        a non-integer (``2.7``, ``"2"``) raises ``TypeError``, not truncated."""
-        rows = tuple(tuple(index(e) for e in row) for row in rows)
+        a non-integer (``2.7``, ``"2"``) raises ``InvertibleError``."""
+        rows = tuple(rows)
         return ExponentMatrix(rows, VARIABLES[: len(rows)], (Fraction(1),) * len(rows))
 
     def det(self) -> int:
@@ -229,10 +230,7 @@ def canonical_weights(matrix: ExponentMatrix) -> WeightSolution:
             if remainder:
                 raise ArithmeticError(f"{rest} / {row[i]} is inexact")
         degree = det
-    g = 0
-    for value in (*weights, degree):
-        g = gcd(g, abs(value))
-    g = g or 1
+    g = gcd(*weights, degree) or 1
     return WeightSolution(
         weights=tuple(weights),
         degree=degree,
@@ -258,10 +256,7 @@ def grading_operator(matrix: ExponentMatrix) -> GradingOperator:
     if solution.degree == 0:
         raise SingularMatrixError("grading operator needs det E != 0")
     charges = tuple(Fraction(w, solution.degree) for w in solution.weights)
-    order = 1
-    for q in charges:
-        order = lcm(order, q.denominator)
-    return GradingOperator(charges, order)
+    return GradingOperator(charges, lcm(*(q.denominator for q in charges)))
 
 
 class DiagonalGroup(namedtuple("DiagonalGroup", "invariant_factors order")):
@@ -299,11 +294,14 @@ def smith_normal_form(rows) -> list[int]:
     absolute value (the first unit found ends the search), makes the
     matrix diagonal; a pairwise (gcd, lcm) pass over the diagonal then
     gives non-negative entries satisfying the divisibility chain
-    d_1 | d_2 | ...  An entry that is not an integer raises ``TypeError``.
+    d_1 | d_2 | ...  A non-integer entry or a ragged row raises
+    ``InvertibleError``.
     """
-    m = [[index(e) for e in row] for row in rows]
+    m = [list(integers(row, InvertibleError, "matrix entries")) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
+    if any(len(row) != ncols for row in m):
+        raise InvertibleError("matrix rows must have equal length")
     size = min(nrows, ncols)
     for t in range(size):
         while True:

@@ -39,7 +39,7 @@ from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
 from . import _linalg
-from ._errors import StrangedualError, all_integers, checked_make
+from ._errors import StrangedualError, checked_make, integers
 from .polyring import Polynomial, QuasiFailure, VARIABLES, _fraction, _jet, _jet_rows, _part, _quasi_degree, _rows
 from .series import UniPolynomial, WeightSystem
 
@@ -79,9 +79,7 @@ class CStarAction(namedtuple("CStarAction", "weights")):
     _make = checked_make
 
     def __new__(cls, weights: tuple[int, int, int, int]):
-        self = tuple.__new__(cls, (weights,))
-        if not all_integers(self.weights):
-            raise OrbitError(f"weights must be integers, got {self.weights!r}")
+        self = tuple.__new__(cls, (integers(weights, OrbitError, "weights"),))
         if len(self.weights) != 4 or any(w <= 0 for w in self.weights):
             raise OrbitError(f"need 4 positive weights, got {self.weights!r}")
         return self

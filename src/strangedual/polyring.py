@@ -50,7 +50,7 @@ from math import gcd, lcm
 from itertools import repeat
 from operator import floordiv, index, mul, or_
 
-from ._errors import StrangedualError, all_integers, checked_make
+from ._errors import StrangedualError, checked_make, integers
 
 VARIABLES = ("x", "y", "z", "w")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -74,6 +74,12 @@ class ZeroPolynomialError(PolynomialError):
     """An operation that requires a nonzero polynomial received zero."""
 
 
+def _var_index(name: str) -> int:
+    if name not in _VAR_INDEX:
+        raise PolynomialError(f"unknown variable {name!r}")
+    return _VAR_INDEX[name]
+
+
 class Monomial(namedtuple("Monomial", "exponents")):
     """A power product x^a * y^b * z^c * w^d with non-negative integer
     exponents; any other tuple raises ``PolynomialError``."""
@@ -82,18 +88,17 @@ class Monomial(namedtuple("Monomial", "exponents")):
     _make = checked_make
 
     def __new__(cls, exponents: tuple[int, int, int, int]):
-        self = tuple.__new__(cls, (exponents,))
-        exps = self.exponents
-        if len(exps) != 4 or not all_integers(exps) or any(e < 0 for e in exps):
+        exps = integers(exponents, PolynomialError, "exponents")
+        if len(exps) != 4 or any(e < 0 for e in exps):
             raise PolynomialError(f"bad exponent tuple {exps!r}")
-        return self
+        return tuple.__new__(cls, (exps,))
 
     @property
     def degree(self) -> int:
         return sum(self.exponents)
 
     def weighted_degree(self, weights) -> int:
-        return sum(e * w for e, w in zip(self.exponents, weights))
+        return sum(e * w for e, w in zip(self.exponents, integers(weights, PolynomialError, "weights")))
 
     def sort_key(self):
         # Degree-lexicographic with x > y > z > w.
@@ -194,8 +199,7 @@ class Polynomial:
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        if name not in _VAR_INDEX:
-            raise PolynomialError(f"unknown variable {name!r}")
+        _var_index(name)
         return _wrap({_UNIT_KEYS[name]: 1}, 1, _WIDTH)
 
     # -- inspection --------------------------------------------------------
@@ -268,6 +272,8 @@ class Polynomial:
         return _new({key: c * num for key, c in self._terms.items()}, self._den * den, self._width)
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        if type(exponent) is not int:
+            (exponent,) = integers((exponent,), PolynomialError, "exponents")
         if exponent < 0:
             raise PolynomialError("negative exponent")
         if not exponent:
@@ -300,7 +306,7 @@ class Polynomial:
     def split(self, var: str) -> tuple["Polynomial", "Polynomial"]:
         """``(p0, p1)`` with ``self = p0 + var*p1`` and ``p0`` free of ``var``."""
         width = self._width
-        shift = (3 - _VAR_INDEX[var]) * width
+        shift = (3 - _var_index(var)) * width
         field = ((1 << width) - 1) << shift
         step = 1 << 4 * width | 1 << shift
         free, rest = {}, {}
@@ -341,9 +347,7 @@ class Polynomial:
         """
         slots = [None] * 4
         for name, image in images.items():
-            if name not in _VAR_INDEX:
-                raise PolynomialError(f"unknown variable {name!r}")
-            slots[_VAR_INDEX[name]] = image
+            slots[_var_index(name)] = image
         terms, width, den = self._terms, self._width, self._den
         if not terms:
             return self
@@ -565,7 +569,7 @@ def quasi_degree(p: Polynomial, weights) -> "int | QuasiFailure":
     witness terms of different weighted degree.  The zero polynomial is
     rejected.
     """
-    weights = tuple(weights)
+    weights = integers(weights, PolynomialError, "weights")
     if p and (len(weights) != 4 or any(w <= 0 for w in weights)):
         raise PolynomialError(f"weights must be 4 positive integers, got {weights!r}")
     return _quasi_degree([exps for _, exps, _ in _rows(p)], weights)

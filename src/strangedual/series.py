@@ -29,10 +29,10 @@ import re
 from collections import namedtuple
 from itertools import accumulate, zip_longest
 from math import gcd
-from operator import index, sub
+from operator import sub
 from collections.abc import Iterable, Mapping, Sequence
 
-from ._errors import StrangedualError, all_integers, checked_make
+from ._errors import StrangedualError, checked_make, integers
 
 __all__ = [
     "WeightSystem",
@@ -93,13 +93,11 @@ class WeightSystem(namedtuple("WeightSystem", "weights degrees")):
     _make = checked_make
 
     def __new__(cls, weights: tuple[int, ...], degrees: tuple[int, ...]):
-        self = tuple.__new__(cls, (weights, degrees))
+        weights = integers(weights, SeriesError, "weights")
+        self = tuple.__new__(cls, (weights, integers(degrees, SeriesError, "degrees")))
         if not self.weights or not self.degrees:
             raise SeriesError("weight system needs weights and degrees")
-        entries = self.weights + self.degrees
-        if not all_integers(entries):
-            raise SeriesError(f"weight system entries must be integers: {self}")
-        if any(v <= 0 for v in entries):
+        if any(v <= 0 for v in self.weights + self.degrees):
             raise SeriesError(f"weight system entries must be positive: {self}")
         return self
 
@@ -136,8 +134,8 @@ class FrameProduct:
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
         table: dict[int, int] = {}
         for base, alpha in items:
-            base = index(base)
-            alpha = index(alpha)
+            if type(base) is not int or type(alpha) is not int:
+                base, alpha = integers((base, alpha), SeriesError, "frame bases and exponents")
             if base <= 0:
                 raise SeriesError(f"frame base must be positive, got {base}")
             if base > MAX_FRAME_BASE:
@@ -190,7 +188,11 @@ class UniPolynomial:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[int] = ()):
-        coeffs = [c if type(c) is int else _integer(c) for c in coefficients]
+        coeffs = list(coefficients)
+        for c in coeffs:
+            if type(c) is not int:
+                coeffs = list(integers(coeffs, SeriesError, "coefficients"))
+                break
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -304,13 +306,6 @@ def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
     return len(a) == 1
 
 
-def _integer(value) -> int:
-    try:
-        return index(value)
-    except TypeError:
-        raise SeriesError(f"coefficients must be integers, got {value!r}") from None
-
-
 # -- operations ---------------------------------------------------------------
 
 
@@ -321,7 +316,7 @@ def poincare(ws: WeightSystem) -> FrameProduct:
 
 def or_polynomial(gammas) -> FrameProduct:
     """Orbit polynomial (1-t)^(-2) * prod_i (1-t^(gamma_i))."""
-    gammas = tuple(index(g) for g in gammas)
+    gammas = integers(gammas, SeriesError, "Gabrielov numbers")
     if len(gammas) != 4 or any(g < 1 for g in gammas):
         raise SeriesError(f"need 4 positive integers, got {gammas!r}")
     return FrameProduct([(1, -2)] + [(g, 1) for g in gammas])
@@ -329,6 +324,8 @@ def or_polynomial(gammas) -> FrameProduct:
 
 def saito_dual(frame: FrameProduct, d: int) -> FrameProduct:
     """Saito dual: exponent at m becomes -alpha_(d/m) for every m | d."""
+    if type(d) is not int:
+        (d,) = integers((d,), SaitoDomainError, "degrees")
     if d <= 0:
         raise SaitoDomainError(f"degree must be positive, got {d}")
     for base, _ in frame.items():
@@ -402,6 +399,8 @@ def frame_expand(frame: FrameProduct, order: int) -> tuple[int, ...]:
 
     Work past ``MAX_EXPAND_WORK`` raises ``SeriesError``.
     """
+    if type(order) is not int:
+        (order,) = integers((order,), SeriesError, "expansion orders")
     if order < 0:
         raise SeriesError("expansion order must be non-negative")
     work = (order + 1) * (1 + sum(abs(alpha) for _, alpha in frame.items()))

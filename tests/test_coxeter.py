@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
-from strangedual.coxeter import GabrielovQuadruple, charpoly_Pi, charpoly_S, emit_graph
+from strangedual.coxeter import ArmRangeError, GabrielovQuadruple, charpoly_Pi, charpoly_S, emit_graph
 from strangedual.series import UniPolynomial, frame_to_polynomial, parse_frame
 
 
@@ -82,8 +82,10 @@ def test_quadruple_validation():
         with pytest.raises(ValueError, match=r"in \[1, 1000000\]"):
             GabrielovQuadruple(bad)
     assert GabrielovQuadruple((10**6, 1, 1, 1)).gammas == (10**6, 1, 1, 1)
-    with pytest.raises(TypeError):
+    with pytest.raises(ArmRangeError) as caught:
         charpoly_S((2.5, 2, 2, 6))
+    assert type(caught.value) is ArmRangeError
+    assert str(caught.value) == "arm parameters must be integers, got (2.5, 2, 2, 6)"
     quad = GabrielovQuadruple((2, 2, 3, 5))
     assert quad.gammas == (2, 2, 3, 5)
     assert str(quad) == "2,2;3,5"

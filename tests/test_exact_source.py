@@ -2,7 +2,10 @@
 literal, no use of the names ``float`` or ``complex``, and nothing from
 ``math`` but the integer functions ``gcd``, ``lcm`` and ``isqrt``.  The
 univariate layer, ``series`` and ``coxeter``, works over Z and imports
-nothing from ``fractions``."""
+nothing from ``fractions``.  The rule for an integer input lives in
+``_errors.integers`` alone: no other module but ``polyring`` (whose
+``_ratio`` reads an ``int`` or a ``Fraction``) reaches ``operator.index``,
+and no module defines the integer checks that it replaced."""
 
 import ast
 from pathlib import Path
@@ -14,6 +17,7 @@ import strangedual
 SOURCES = sorted(Path(strangedual.__file__).parent.glob("*.py"))
 MATH_NAMES = {"gcd", "lcm", "isqrt"}
 INTEGER_SOURCES = [p for p in SOURCES if p.name in ("series.py", "coxeter.py")]
+INDEX_SOURCES = ("_errors.py", "polyring.py")
 
 
 def _inexact(tree):
@@ -67,4 +71,37 @@ def test_guard_sees_each_kind():
         (3, "literal 2j"),
         (3, "name float"),
         (4, "name complex"),
+    ]
+
+
+def _integer_rules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "operator":
+            if any(a.name == "index" for a in node.names):
+                yield node.lineno, "from operator import index"
+        elif isinstance(node, ast.Attribute) and node.attr == "index":
+            if isinstance(node.value, ast.Name) and node.value.id == "operator":
+                yield node.lineno, "operator.index"
+        elif isinstance(node, ast.FunctionDef) and node.name in ("all_integers", "_integer"):
+            yield node.lineno, f"def {node.name}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_one_integer_check(path):
+    found = list(_integer_rules(ast.parse(path.read_text(encoding="utf-8"))))
+    if path.name in INDEX_SOURCES:
+        found = [hit for hit in found if not hit[1].startswith(("from operator", "operator."))]
+    assert found == []
+
+
+def test_integer_guard_sees_each_kind():
+    text = (
+        "from operator import index, sub\nimport operator\nn = operator.index(2)\n"
+        "def all_integers(v): pass\ndef _integer(v): pass\nm = s.index(2)\n"
+    )
+    assert sorted(_integer_rules(ast.parse(text))) == [
+        (1, "from operator import index"),
+        (3, "operator.index"),
+        (4, "def all_integers"),
+        (5, "def _integer"),
     ]

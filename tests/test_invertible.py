@@ -8,6 +8,7 @@ import pytest
 from strangedual._linalg import mat_det
 from strangedual.invertible import (
     ExponentMatrix,
+    InvertibleError,
     SingularMatrixError,
     TermCountError,
     WeightSolution,
@@ -413,17 +414,18 @@ def test_smith_normal_form_known():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        lambda: ExponentMatrix.make([[2.7, 1], [0, 3]]),
-        lambda: smith_normal_form([[2.7, 1], [0, 3]]),
+        (lambda: ExponentMatrix.make([[2.7, 1], [0, 3]]), "exponents must be integers, got (2.7, 1)"),
+        (lambda: smith_normal_form([[2.7, 1], [0, 3]]), "matrix entries must be integers, got (2.7, 1)"),
     ],
     ids=["make", "smith"],
 )
-def test_non_integer_exponents_rejected(build):
+def test_non_integer_exponents_rejected(build, message):
     # int() would truncate 2.7 to 2 and go on with the wrong matrix.
-    with pytest.raises(TypeError):
+    with pytest.raises(InvertibleError) as caught:
         build()
+    assert type(caught.value) is InvertibleError and str(caught.value) == message
 
 
 def test_symmetry_group_singular_rejected():

@@ -30,7 +30,7 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
     [
         (Monomial, ((1, 2, 3),), PolynomialError, "bad exponent tuple (1, 2, 3)", ((1, 0, 0, 2),)),
         (Monomial, ((1, -1, 0, 0),), PolynomialError, "bad exponent tuple (1, -1, 0, 0)", ((0,) * 4,)),
-        (Monomial, ((0.5, 0, 0, 0),), PolynomialError, "bad exponent tuple (0.5, 0, 0, 0)", ((1, 0, 0, 0),)),
+        (Monomial, ((0.5, 0, 0, 0),), PolynomialError, "exponents must be integers, got (0.5, 0, 0, 0)", ((1, 0, 0, 0),)),
         (
             ExponentMatrix,
             (((2, 1), (0, 3)), ("x",), ONE),
@@ -49,7 +49,7 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
             ExponentMatrix,
             (((2.5, 0), (0, 1)), ("x", "y"), ONE),
             InvertibleError,
-            "exponents must be integers, got ((2.5, 0), (0, 1))",
+            "exponents must be integers, got (2.5, 0)",
             (((2, 0), (0, 1)), ("x", "y"), ONE),
         ),
         (
@@ -67,6 +67,20 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
             (((2, 1), (0, 3)), ("x", "y"), ONE),
         ),
         (
+            ExponentMatrix,
+            (((2, 0), (0, 1)), ("x", "y"), (0.5, 1)),
+            InvertibleError,
+            "coefficients must be int or Fraction, got (0.5, 1)",
+            (((2, 0), (0, 1)), ("x", "y"), ONE),
+        ),
+        (
+            ExponentMatrix,
+            (((2, 0), (0, 1)), ("x", "y"), ("a", 1)),
+            InvertibleError,
+            "coefficients must be int or Fraction, got ('a', 1)",
+            (((2, 0), (0, 1)), ("x", "y"), ONE),
+        ),
+        (
             WeightSystem,
             ((2, 0, 3), (6,)),
             SeriesError,
@@ -77,14 +91,14 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
             WeightSystem,
             ((2.5, 2, 1, 1), (4, 4)),
             SeriesError,
-            "weight system entries must be integers: 2.5,2,1,1;4,4",
+            "weights must be integers, got (2.5, 2, 1, 1)",
             ((2, 2, 1, 1), (4, 4)),
         ),
         (
             WeightSystem,
             ((2, 2, 1, 1), (Fraction(9, 2), 4)),
             SeriesError,
-            "weight system entries must be integers: 2,2,1,1;9/2,4",
+            "degrees must be integers, got (Fraction(9, 2), 4)",
             ((2, 2, 1, 1), (4, 4)),
         ),
         (
@@ -153,6 +167,8 @@ H = tuple(map(parse_poly, ("w^2", "w", "-x^2*z + z^2 + x*w^2")))
         "matrix-float",
         "matrix-variables",
         "matrix-coefficients",
+        "matrix-float-coefficient",
+        "matrix-str-coefficient",
         "weights-positive",
         "weights-float",
         "weights-fraction",
